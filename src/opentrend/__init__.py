@@ -1,21 +1,19 @@
 """Predict the direction of tomorrow's opening price from today's OHLC bar.
 
 The pipeline: daily OHLC bars -> band indicators (Donchian, Bollinger,
-Keltner) -> a 16-column feature row per day -> four binary label tasks
+Keltner) -> a 16-column feature matrix -> four binary label tasks
 (next open vs. today's open/high/low/close) -> a roster of from-scratch
 classifiers -> accuracy/MCC reliability reports and exact Shapley
 attributions.
 """
 
 from opentrend.ohlc import OhlcBar, OhlcError, OhlcSeries, VolatilityStats, parse_csv, serialize_csv, volatility
-from opentrend.indicators import BandTriple, IndicatorParams, donchian, bollinger, keltner, sma, ema, true_range
+from opentrend.indicators import IndicatorParams, channel_arrays, sma, ema, true_range
 from opentrend.features import (
     CANONICAL_COLUMNS,
     FeatureMatrix,
-    FeatureRow,
     FeatureSetMask,
     assemble,
-    nowcast,
     select,
 )
 from opentrend.labeling import TaskKind, LabelVector, make_labels

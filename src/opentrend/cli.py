@@ -22,15 +22,13 @@ from pathlib import Path
 
 from opentrend import __version__
 from opentrend.config import ConfigError, RunConfig, apply_assignments, load_config, parse_assignments
-from opentrend.dataset import bind, split
-from opentrend.explain import background_sample, global_importance, row_subsample
 from opentrend.features import FeatureSetMask, assemble, export_csv, select
 from opentrend.indicators import IndicatorParams
-from opentrend.labeling import ALL_TASKS, TaskKind, make_labels
-from opentrend.learners import PRESET_NAMES, fit, preset
+from opentrend.labeling import ALL_TASKS, make_labels
+from opentrend.learners import PRESET_NAMES
 from opentrend.ohlc import OhlcError, parse_csv, serialize_csv, volatility
 from opentrend.report import Provenance, bubble_chart_svg, parse_results_csv, shap_bar_svg, shap_csv, table3_text
-from opentrend.run import cell_seed, cmd_run
+from opentrend.run import _prepare_market, _shapley_cell, cmd_run, safe_name
 from opentrend.synth import GENERATOR_KINDS, GenSpec, generate
 
 
@@ -81,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="config override, repeatable")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="accepted for existing scripts; the grid runs serially")
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("table3", help="reliability table from a results.csv")
@@ -165,12 +163,12 @@ def _indicator_params(args) -> IndicatorParams:
 
 def _cmd_featurize(args) -> int:
     series = parse_csv(_read(args.input), market=_market_tag(args))
-    rows = assemble(series, _indicator_params(args))
-    matrix = select(rows, FeatureSetMask.from_name(args.feature_set))
+    full = assemble(series, _indicator_params(args))
+    matrix = select(full, FeatureSetMask.from_name(args.feature_set))
     if args.no_labels:
         text = export_csv(matrix)
     else:
-        first_index = len(series) - len(rows)
+        first_index = len(series) - full.n_rows
         labels = {
             task.label_column: make_labels(series, task, first_index).labels for task in ALL_TASKS
         }
@@ -230,11 +228,10 @@ def _cmd_chart(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else results_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     pairs = sorted({(r.market, r.task) for r in records})
-    safe = lambda s: "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in s)  # noqa: E731
     for market, task in pairs:
         for metric in ("accuracy", "mcc"):
             svg = bubble_chart_svg(records, market, task, metric, provenance)
-            path = out_dir / f"chart_{safe(market)}_{task}_{metric}.svg"
+            path = out_dir / f"chart_{safe_name(market)}_{task}_{metric}.svg"
             path.write_text(svg, encoding="utf-8", newline="\n")
             print(f"wrote {path}")
     return 0
@@ -242,43 +239,29 @@ def _cmd_chart(args) -> int:
 
 def _cmd_explain(args) -> int:
     series = parse_csv(_read(args.input), market=_market_tag(args))
-    params = IndicatorParams(window_n=args.window)
-    rows = assemble(series, params)
-    matrix = select(rows, FeatureSetMask.from_name(args.feature_set))
-    task = TaskKind.from_code(args.task)
-    labels = make_labels(series, task, len(series) - len(rows))
-    ds = bind(matrix, labels, market=_market_tag(args))
-    sp = split(ds, args.split_ratio)
-    seed = cell_seed(args.seed, ds.market, task.value, "shap", args.classifier)
-    model = fit(
-        preset(args.classifier, seed=seed),
-        ds.matrix.values[: sp.n_train],
-        ds.labels[: sp.n_train],
-        feature_names=ds.matrix.columns,
-    )
-    background = background_sample(ds.matrix.values[: sp.n_train], args.background, seed=seed)
-    test_rows = ds.matrix.values[sp.n_train :]
-    picked = row_subsample(test_rows, args.rows, seed=seed)
-    report = global_importance(
-        model,
-        test_rows[picked],
-        background,
-        ds.matrix.columns,
-        mode=args.mode,
-        n_permutations=args.permutations,
-        seed=seed,
-        dates=tuple(ds.matrix.dates[sp.n_train + int(i)] for i in picked),
-    )
+    config = RunConfig(
+        window_n=args.window,
+        split_ratio=args.split_ratio,
+        tasks=(args.task,),
+        feature_sets=(args.feature_set,),
+        seed=args.seed,
+        shap_model=args.classifier,
+        shap_mode=args.mode,
+        shap_feature_set=args.feature_set,
+        shap_background=args.background,
+        shap_rows=args.rows,
+        shap_permutations=args.permutations,
+    ).validate()
+    report = _shapley_cell(_prepare_market(series.market, series, config), args.task, config)
     provenance = Provenance(seed=args.seed, config_hash="-", version=__version__)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    safe = lambda s: "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in s)  # noqa: E731
-    base = f"shap_{safe(ds.market)}_{task.value}"
+    base = f"shap_{safe_name(series.market)}_{args.task}"
     csv_path = out_dir / f"{base}.csv"
     csv_path.write_text(shap_csv(report, provenance), encoding="utf-8", newline="\n")
     print(f"wrote {csv_path}")
     svg_path = out_dir / f"{base}.svg"
-    title = f"{ds.market} / {task.value} / {args.classifier}"
+    title = f"{series.market} / {args.task} / {args.classifier}"
     svg_path.write_text(shap_bar_svg(report, title, provenance), encoding="utf-8", newline="\n")
     print(f"wrote {svg_path}")
     top = report.ranking()[0]

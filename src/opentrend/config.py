@@ -47,7 +47,7 @@ class RunConfig:
     feature_sets: tuple[str, ...] = NAMED_FEATURE_SETS
     classifiers: tuple[str, ...] = PRESET_NAMES
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # accepted and validated for existing configs; the grid always runs serially
     acc_threshold: float = ACC_THRESHOLD
     mcc_threshold: float = MCC_THRESHOLD
     shap_model: str = ""
@@ -81,6 +81,8 @@ class RunConfig:
         for name in self.classifiers:
             _check(name in PRESET_NAMES, "classifiers", name)
         _check(self.workers >= 1, "workers", self.workers)
+        _check(0.0 <= self.acc_threshold <= 1.0, "acc_threshold", self.acc_threshold)
+        _check(-1.0 <= self.mcc_threshold <= 1.0, "mcc_threshold", self.mcc_threshold)
         _check(self.shap_model in ("",) + PRESET_NAMES, "shap_model", self.shap_model)
         _check(self.shap_mode in ("exact", "sampled"), "shap_mode", self.shap_mode)
         try:

@@ -1,4 +1,4 @@
-"""Per-day feature rows and masked feature matrices.
+"""The canonical feature matrix and its masked column selections.
 
 Each tradeable day yields 16 values in a fixed canonical order:
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from opentrend.indicators import BOLLINGER, DONCHIAN, KELTNER, CHANNEL_COLUMNS, IndicatorParams, channel_arrays
-from opentrend.ohlc import OhlcBar, OhlcSeries
+from opentrend.ohlc import OhlcSeries
 
 INTRINSIC_COLUMNS = ("open", "high", "low", "close")
 HISTORICAL_COLUMNS = CHANNEL_COLUMNS[DONCHIAN] + CHANNEL_COLUMNS[BOLLINGER] + CHANNEL_COLUMNS[KELTNER]
@@ -28,52 +28,6 @@ CANONICAL_COLUMNS = INTRINSIC_COLUMNS + HISTORICAL_COLUMNS + NOWCAST_COLUMNS
 
 #: the four coarse feature sets used in reports
 NAMED_FEATURE_SETS = ("INT", "INT+HIST", "INT+NOW", "INT+HIST+NOW")
-
-
-@dataclass(frozen=True)
-class NowcastFeatures:
-    """Intraday shape of one bar as log ratios against its open."""
-
-    r_hi: float
-    r_lo: float
-    r_cl: float
-
-    def __post_init__(self) -> None:
-        if not (self.r_hi >= 0.0 and self.r_lo <= 0.0 and self.r_lo <= self.r_cl <= self.r_hi):
-            raise ValueError(
-                f"nowcast ordering violated: r_hi={self.r_hi} r_lo={self.r_lo} r_cl={self.r_cl}"
-            )
-
-
-def nowcast(bar: OhlcBar) -> NowcastFeatures:
-    """r_hi = ln(high/open), r_lo = ln(low/open), r_cl = ln(close/open)."""
-    return NowcastFeatures(
-        r_hi=math.log(bar.high / bar.open),
-        r_lo=math.log(bar.low / bar.open),
-        r_cl=math.log(bar.close / bar.open),
-    )
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    """All 16 feature values for one day, grouped by origin."""
-
-    date: dt.date
-    intrinsic: tuple[float, float, float, float]
-    historical: tuple[float, ...]
-    nowcast: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.historical) != 9:
-            raise ValueError(f"expected 9 historical values, got {len(self.historical)}")
-        values = self.intrinsic + self.historical + self.nowcast
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"non-finite feature value at {self.date.isoformat()}")
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        """The 16 values in canonical column order."""
-        return self.intrinsic + self.historical + self.nowcast
 
 
 @dataclass(frozen=True)
@@ -168,9 +122,12 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return len(self.dates)
 
+    def __len__(self) -> int:
+        return len(self.dates)
 
-def assemble(series: OhlcSeries, params: IndicatorParams | None = None) -> list[FeatureRow]:
-    """Build one FeatureRow per day from the first fully-defined index on.
+
+def assemble(series: OhlcSeries, params: IndicatorParams | None = None) -> FeatureMatrix:
+    """The 16 canonical columns for every day from the first fully-defined index on.
 
     With the default Bollinger mode that is index window_n - 1, so a series
     of ``days`` bars yields ``days - window_n + 1`` rows (the final day
@@ -182,37 +139,28 @@ def assemble(series: OhlcSeries, params: IndicatorParams | None = None) -> list[
             f"series too short for feature assembly: {len(series)} bars, window {params.window_n}"
         )
     arrays = channel_arrays(series, params)
-    stacked = np.vstack([arrays[c] for c in HISTORICAL_COLUMNS])
-    defined = np.all(np.isfinite(stacked), axis=0)
-    rows: list[FeatureRow] = []
-    for t in np.nonzero(defined)[0]:
-        bar = series.bars[t]
-        nc = nowcast(bar)
-        rows.append(
-            FeatureRow(
-                date=bar.date,
-                intrinsic=(bar.open, bar.high, bar.low, bar.close),
-                historical=tuple(float(stacked[j, t]) for j in range(len(HISTORICAL_COLUMNS))),
-                nowcast=(nc.r_hi, nc.r_lo, nc.r_cl),
-            )
-        )
-    if not rows:
+    historical = np.column_stack([arrays[c] for c in HISTORICAL_COLUMNS])
+    defined = np.flatnonzero(np.all(np.isfinite(historical), axis=1))
+    if defined.size == 0:
         raise ValueError("no fully-defined feature rows (series too short for this indicator mode)")
-    return rows
-
-
-def select(rows: list[FeatureRow], mask: FeatureSetMask) -> FeatureMatrix:
-    """Project feature rows onto the masked columns, keeping canonical order."""
-    if not rows:
-        raise ValueError("cannot select from an empty feature row list")
-    cols = mask.columns
-    full = np.array([r.values for r in rows], dtype=np.float64)
-    index = [CANONICAL_COLUMNS.index(c) for c in cols]
+    intrinsic = np.column_stack([series.prices(f)[defined] for f in INTRINSIC_COLUMNS])
+    # math.log, not np.log: the two differ in the last bit on some inputs,
+    # and these values reach every model and result file
+    ratios = intrinsic[:, 1:] / intrinsic[:, :1]
+    nowcast = np.array([math.log(r) for r in ratios.ravel().tolist()]).reshape(ratios.shape)
+    all_dates = series.dates
     return FeatureMatrix(
-        dates=tuple(r.date for r in rows),
-        columns=cols,
-        values=full[:, index],
+        dates=tuple(all_dates[t] for t in defined),
+        columns=CANONICAL_COLUMNS,
+        values=np.hstack([intrinsic, historical[defined], nowcast]),
     )
+
+
+def select(matrix: FeatureMatrix, mask: FeatureSetMask) -> FeatureMatrix:
+    """Project a matrix onto the masked columns, keeping canonical order."""
+    cols = mask.columns
+    index = [matrix.columns.index(c) for c in cols]
+    return FeatureMatrix(dates=matrix.dates, columns=cols, values=matrix.values[:, index])
 
 
 def export_csv(matrix: FeatureMatrix, labels: dict[str, np.ndarray] | None = None) -> str:

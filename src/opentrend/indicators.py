@@ -18,7 +18,6 @@ from opentrend.ohlc import OhlcSeries
 DONCHIAN = "donchian"
 BOLLINGER = "bollinger"
 KELTNER = "keltner"
-BAND_KINDS = (DONCHIAN, BOLLINGER, KELTNER)
 
 #: column names of the nine band values in canonical feature order
 CHANNEL_COLUMNS = {
@@ -53,25 +52,6 @@ class IndicatorParams:
     @property
     def ema_alpha(self) -> float:
         return 2.0 / (self.window_n + 1)
-
-
-@dataclass(frozen=True)
-class BandTriple:
-    """One day's channel: lower <= middle <= upper."""
-
-    kind: str
-    upper: float
-    middle: float
-    lower: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in BAND_KINDS:
-            raise ValueError(f"unknown band kind {self.kind!r}")
-        if not (self.lower <= self.middle <= self.upper):
-            raise ValueError(
-                f"band ordering violated for {self.kind}: "
-                f"lower={self.lower} middle={self.middle} upper={self.upper}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +161,3 @@ def channel_arrays(series: OhlcSeries, params: IndicatorParams) -> dict[str, np.
         "kc_u": kc_u, "kc_l": kc_l, "kc_m": kc_m,
     }
 
-
-def _triples(kind: str, arrays: dict[str, np.ndarray]) -> list[BandTriple | None]:
-    u_col, l_col, m_col = CHANNEL_COLUMNS[kind]
-    upper, lower, middle = arrays[u_col], arrays[l_col], arrays[m_col]
-    out: list[BandTriple | None] = []
-    for u, l, m in zip(upper, lower, middle):
-        if np.isnan(u) or np.isnan(l) or np.isnan(m):
-            out.append(None)
-        else:
-            out.append(BandTriple(kind=kind, upper=float(u), middle=float(m), lower=float(l)))
-    return out
-
-
-def donchian(series: OhlcSeries, n: int = 20) -> list[BandTriple | None]:
-    """Donchian channel: window max of highs / min of lows / their midpoint."""
-    return _triples(DONCHIAN, channel_arrays(series, IndicatorParams(window_n=n)))
-
-
-def bollinger(series: OhlcSeries, params: IndicatorParams | None = None) -> list[BandTriple | None]:
-    """Bollinger bands: SMA of closes +/- k standard deviations (divisor n)."""
-    return _triples(BOLLINGER, channel_arrays(series, params or IndicatorParams()))
-
-
-def keltner(series: OhlcSeries, params: IndicatorParams | None = None) -> list[BandTriple | None]:
-    """Keltner channel: EMA of closes +/- k average true ranges."""
-    return _triples(KELTNER, channel_arrays(series, params or IndicatorParams()))

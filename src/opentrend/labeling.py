@@ -67,7 +67,7 @@ def make_labels(series: OhlcSeries, task: TaskKind, first_index: int) -> LabelVe
 
     first_index is the index of the first feature row (window_n - 1 in the
     default pipeline), so the vector is exactly one element shorter than the
-    feature row list built from the same series.
+    feature matrix assembled from the same series.
     """
     if not isinstance(first_index, int) or first_index < 0:
         raise ValueError(f"first_index must be a non-negative integer, got {first_index!r}")
@@ -75,13 +75,10 @@ def make_labels(series: OhlcSeries, task: TaskKind, first_index: int) -> LabelVe
         raise ValueError(
             f"first_index {first_index} leaves no labelable day in a series of {len(series)} bars"
         )
-    field = task.reference_field
-    labels = np.empty(len(series) - 1 - first_index, dtype=np.int64)
-    for i, t in enumerate(range(first_index, len(series) - 1)):
-        reference = series.bars[t].price(field)
-        labels[i] = 1 if series.bars[t + 1].open > reference else 0
+    opens = series.prices("open")
+    reference = series.prices(task.reference_field)
     return LabelVector(
         task=task,
-        dates=tuple(b.date for b in series.bars[first_index : len(series) - 1]),
-        labels=labels,
+        dates=series.dates[first_index:-1],
+        labels=(opens[first_index + 1 :] > reference[first_index:-1]).astype(np.int64),
     )

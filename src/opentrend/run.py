@@ -1,16 +1,15 @@
 """The full evaluation grid: markets x tasks x feature sets x classifiers.
 
 Cells are independent, each fitted with a seed derived from (run seed, cell
-key), so the grid can be evaluated by any number of workers and still merge
-to byte-identical output: results are ordered by the configured grid key
-order, never by completion order.  A failed cell is recorded and skipped —
-one bad fit must not sink the run.
+key), and results are ordered by the configured grid key order, so a run is
+byte-identical wherever and however often it is repeated.  A failed cell is
+recorded and skipped — one bad fit must not sink the run.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from opentrend.dataset import EvalMode, bind, rolling_predict, split
 from opentrend.explain import ShapleyReport, background_sample, global_importance, row_subsample
 from opentrend.features import FeatureMatrix, FeatureSetMask, assemble, select
 from opentrend.indicators import IndicatorParams
-from opentrend.labeling import TaskKind, make_labels
+from opentrend.labeling import ALL_TASKS, TaskKind, make_labels
 from opentrend.learners import REPORT_LABELS, fit, preset
 from opentrend.metrics import EvalRecord, confusion
 from opentrend.ohlc import OhlcSeries, parse_csv
@@ -59,13 +58,13 @@ def _prepare_market(market: str, series: OhlcSeries, config: RunConfig) -> _Mark
         keltner_k=config.keltner_k,
         bollinger_paper_literal=config.bollinger_paper_literal,
     )
-    rows = assemble(series, params)
-    first_index = len(series) - len(rows)  # rows run to the final bar
-    matrices = {name: select(rows, FeatureSetMask.from_name(name)) for name in config.feature_sets}
+    full = assemble(series, params)
+    first_index = len(series) - full.n_rows  # rows run to the final bar
+    matrices = {name: select(full, FeatureSetMask.from_name(name)) for name in config.feature_sets}
     labels = {
         code: make_labels(series, TaskKind.from_code(code), first_index) for code in config.tasks
     }
-    shap_matrix = select(rows, FeatureSetMask.from_name(config.shap_feature_set))
+    shap_matrix = select(full, FeatureSetMask.from_name(config.shap_feature_set))
     return _MarketData(market=market, matrices=matrices, labels=labels, shap_matrix=shap_matrix)
 
 
@@ -110,8 +109,18 @@ def _shapley_cell(data: _MarketData, task: str, config: RunConfig) -> ShapleyRep
     )
 
 
-def _safe_name(name: str) -> str:
+def safe_name(name: str) -> str:
+    """A market tag made safe for use inside an artifact file name."""
     return "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in name)
+
+
+def _remove_stale(out_dir: Path) -> None:
+    """Delete the optional artifacts an earlier run may have left in out_dir."""
+    stale = [out_dir / "errors.log"]
+    for task in ALL_TASKS:
+        stale.extend(out_dir.glob(f"shap_*_{task.value}.csv"))
+    for path in stale:
+        path.unlink(missing_ok=True)
 
 
 def cmd_run(config: RunConfig, series_by_market: dict[str, OhlcSeries] | None = None) -> RunOutcome:
@@ -131,29 +140,14 @@ def cmd_run(config: RunConfig, series_by_market: dict[str, OhlcSeries] | None = 
     markets = list(series_by_market)
     prepared = {m: _prepare_market(m, series_by_market[m], config) for m in markets}
 
-    grid = [
-        (market, task, feature_set, classifier)
-        for market in markets
-        for task in config.tasks
-        for feature_set in config.feature_sets
-        for classifier in config.classifiers
-    ]
-
-    def run_cell(key):
-        market, task, feature_set, classifier = key
+    records: list[EvalRecord] = []
+    errors: list[tuple[str, str]] = []
+    grid = itertools.product(markets, config.tasks, config.feature_sets, config.classifiers)
+    for market, task, feature_set, classifier in grid:
         try:
-            return _evaluate_cell(prepared[market], task, feature_set, classifier, config), None
+            records.append(_evaluate_cell(prepared[market], task, feature_set, classifier, config))
         except Exception as exc:  # cell failures are reported, not fatal
-            return None, (f"{market}/{task}/{feature_set}/{classifier}", str(exc))
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(run_cell, grid))
-    else:
-        outcomes = [run_cell(key) for key in grid]
-
-    records = [record for record, _ in outcomes if record is not None]
-    errors = [error for _, error in outcomes if error is not None]
+            errors.append((f"{market}/{task}/{feature_set}/{classifier}", str(exc)))
 
     shapley: dict[tuple[str, str], ShapleyReport] = {}
     if config.shap_model:
@@ -167,6 +161,7 @@ def cmd_run(config: RunConfig, series_by_market: dict[str, OhlcSeries] | None = 
     provenance = Provenance(seed=config.seed, config_hash=config.config_hash, version=__version__)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _remove_stale(out_dir)
     written: list[str] = []
 
     def emit(name: str, text: str) -> None:
@@ -180,7 +175,7 @@ def cmd_run(config: RunConfig, series_by_market: dict[str, OhlcSeries] | None = 
         results_json(records, shapley, config.shap_model, errors, provenance, config.canonical_text()),
     )
     for (market, task), rep in sorted(shapley.items()):
-        emit(f"shap_{_safe_name(market)}_{task}.csv", shap_csv(rep, provenance))
+        emit(f"shap_{safe_name(market)}_{task}.csv", shap_csv(rep, provenance))
     if errors:
         emit("errors.log", "".join(f"{cell}: {message}\n" for cell, message in errors))
     return RunOutcome(records=records, shapley=shapley, errors=errors, provenance=provenance, written=written)

@@ -73,9 +73,9 @@ def random_series(seed: int, min_days: int, max_days: int) -> OhlcSeries:
 def test_criterion_1_split_arithmetic():
     for days, want_points, want_train, want_test in ((1256, 1236, 989, 247), (1237, 1217, 974, 243)):
         series = generate(GenSpec("grw", days, seed=7))
-        rows = assemble(series)
-        assert len(rows) == days - 19
-        matrix = select(rows, FeatureSetMask.from_name("INT+HIST+NOW"))
+        full = assemble(series)
+        assert full.n_rows == days - 19
+        matrix = select(full, FeatureSetMask.from_name("INT+HIST+NOW"))
         labels = make_labels(series, TaskKind.OP_VS_OP, first_index=19)
         ds = bind(matrix, labels, "acc")
         assert ds.n_points == want_points

@@ -216,6 +216,19 @@ class TestRun:
         records, _ = parse_results_csv((tmp_path / "results" / "results.csv").read_text(encoding="utf-8"))
         assert records == []
 
+    def test_rerun_removes_stale_artifacts(self, grw_csv, tmp_path):
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        stale = ("errors.log", "shap_demo_op.csv", "shap_old-market_cl.csv")
+        kept = ("notes.txt", "shap_demo_op.svg", "shap_summary.csv", "chart_demo_op_mcc.svg")
+        for name in stale + kept:
+            (out_dir / name).write_text("left by an earlier run\n", encoding="utf-8")
+        assert main(["run", "--config", str(small_run_config(tmp_path, grw_csv))]) == 0
+        names = {p.name for p in out_dir.iterdir()}
+        assert names == {"results.csv", "results.json"} | set(kept)
+        for name in kept:
+            assert (out_dir / name).read_text(encoding="utf-8") == "left by an earlier run\n"
+
     def test_shapley_outputs(self, separable_csv, tmp_path, capsys):
         conf = small_run_config(
             tmp_path,

@@ -104,6 +104,12 @@ class TestValidate:
             ("shap_mode", "kernel"),
             ("shap_background", "0"),
             ("shap_model", "resnet"),
+            ("acc_threshold", "nan"),
+            ("acc_threshold", "5"),
+            ("acc_threshold", "-2"),
+            ("mcc_threshold", "nan"),
+            ("mcc_threshold", "5"),
+            ("mcc_threshold", "-2"),
         ],
     )
     def test_out_of_range_values_name_the_key(self, key, value):

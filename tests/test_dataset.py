@@ -13,17 +13,22 @@ from opentrend.dataset import (
     rolling_predict,
     split,
 )
-from opentrend.features import FeatureSetMask, assemble, select
+from opentrend.features import FeatureMatrix, FeatureSetMask, assemble, select
 from opentrend.labeling import TaskKind, make_labels
 from opentrend.learners import preset
 
 
 def build_dataset(series, feature_set="INT+NOW", task=TaskKind.OP_VS_OP):
-    rows = assemble(series)
-    matrix = select(rows, FeatureSetMask.from_name(feature_set))
-    first_index = len(series) - len(rows)
+    full = assemble(series)
+    matrix = select(full, FeatureSetMask.from_name(feature_set))
+    first_index = len(series) - full.n_rows
     labels = make_labels(series, task, first_index)
     return bind(matrix, labels, series.market)
+
+
+def first_rows(matrix, stop):
+    """The matrix cut to rows [:stop]."""
+    return FeatureMatrix(dates=matrix.dates[:stop], columns=matrix.columns, values=matrix.values[:stop])
 
 
 class TestCounts:
@@ -74,8 +79,7 @@ class TestCounts:
 
 class TestBind:
     def test_drops_final_row(self, grw_series):
-        rows = assemble(grw_series)
-        matrix = select(rows, FeatureSetMask.from_name("INT"))
+        matrix = select(assemble(grw_series), FeatureSetMask.from_name("INT"))
         labels = make_labels(grw_series, TaskKind.OP_VS_CLOSE, 19)
         ds = bind(matrix, labels, grw_series.market)
         assert ds.n_points == matrix.n_rows - 1
@@ -83,17 +87,14 @@ class TestBind:
         np.testing.assert_array_equal(ds.matrix.values, matrix.values[:-1])
 
     def test_misaligned_lengths_rejected(self, grw_series):
-        rows = assemble(grw_series)
-        matrix = select(rows[:-1], FeatureSetMask.from_name("INT"))
+        matrix = first_rows(select(assemble(grw_series), FeatureSetMask.from_name("INT")), -1)
         labels = make_labels(grw_series, TaskKind.OP_VS_CLOSE, 19)
         with pytest.raises(ValueError, match="alignment error"):
             bind(matrix, labels, grw_series.market)
 
     def test_misaligned_dates_rejected(self, grw_series):
-        rows = assemble(grw_series)
-        matrix = select(rows, FeatureSetMask.from_name("INT"))
         labels = make_labels(grw_series, TaskKind.OP_VS_CLOSE, 20)
-        matrix = select(rows[: len(labels) + 1], FeatureSetMask.from_name("INT"))
+        matrix = first_rows(select(assemble(grw_series), FeatureSetMask.from_name("INT")), len(labels) + 1)
         with pytest.raises(ValueError, match="dates disagree"):
             bind(matrix, labels, grw_series.market)
 

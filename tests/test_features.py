@@ -1,4 +1,4 @@
-"""Feature rows, set masks, matrix selection, and CSV export."""
+"""Feature assembly, set masks, matrix selection, and CSV export."""
 
 from __future__ import annotations
 
@@ -15,15 +15,12 @@ from opentrend.features import (
     NAMED_FEATURE_SETS,
     NOWCAST_COLUMNS,
     FeatureMatrix,
-    FeatureRow,
     FeatureSetMask,
-    NowcastFeatures,
     assemble,
     export_csv,
-    nowcast,
     select,
 )
-from opentrend.indicators import IndicatorParams
+from opentrend.indicators import IndicatorParams, channel_arrays
 from opentrend.ohlc import OhlcBar, OhlcSeries
 
 
@@ -34,33 +31,34 @@ def bar(open_=100.0, high=None, low=None, close=None, day=dt.date(2019, 4, 1)):
     return OhlcBar(day, open_, high, low, close)
 
 
+def now_columns(*bars):
+    """r_hi, r_lo, r_cl of each bar: the NOW columns assembled with a one-day window."""
+    series = OhlcSeries(market="m", bars=tuple(bars))
+    return select(assemble(series, IndicatorParams(window_n=1)), FeatureSetMask.from_name("NOW")).values
+
+
 class TestNowcast:
     def test_flat_bar_is_all_zero(self):
-        nc = nowcast(bar(100.0, 100.0, 100.0, 100.0))
-        assert nc.r_hi == 0.0 and nc.r_lo == 0.0 and nc.r_cl == 0.0
+        r_hi, r_lo, r_cl = now_columns(bar(100.0, 100.0, 100.0, 100.0))[0]
+        assert r_hi == 0.0 and r_lo == 0.0 and r_cl == 0.0
 
     def test_log_ratios(self):
-        nc = nowcast(bar(100.0, 110.0, 95.0, 105.0))
-        assert nc.r_hi == pytest.approx(math.log(1.10))
-        assert nc.r_lo == pytest.approx(math.log(0.95))
-        assert nc.r_cl == pytest.approx(math.log(1.05))
+        r_hi, r_lo, r_cl = now_columns(bar(100.0, 110.0, 95.0, 105.0))[0]
+        assert r_hi == pytest.approx(math.log(1.10))
+        assert r_lo == pytest.approx(math.log(0.95))
+        assert r_cl == pytest.approx(math.log(1.05))
 
     def test_scale_invariance(self):
-        a = nowcast(bar(100.0, 103.0, 99.0, 101.0))
-        b = nowcast(bar(700.0, 721.0, 693.0, 707.0))
-        assert a.r_hi == pytest.approx(b.r_hi)
-        assert a.r_lo == pytest.approx(b.r_lo)
-        assert a.r_cl == pytest.approx(b.r_cl)
+        a, b = now_columns(
+            bar(100.0, 103.0, 99.0, 101.0),
+            bar(700.0, 721.0, 693.0, 707.0, day=dt.date(2019, 4, 2)),
+        )
+        assert a == pytest.approx(b)
 
     def test_sign_conventions(self, grw_series):
-        for b in grw_series.bars:
-            nc = nowcast(b)
-            assert nc.r_hi >= 0.0 >= nc.r_lo
-            assert nc.r_lo <= nc.r_cl <= nc.r_hi
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError, match="nowcast ordering"):
-            NowcastFeatures(r_hi=-0.1, r_lo=-0.2, r_cl=-0.15)
+        r_hi, r_lo, r_cl = now_columns(*grw_series.bars).T
+        assert np.all(r_hi >= 0.0) and np.all(r_lo <= 0.0)
+        assert np.all(r_lo <= r_cl) and np.all(r_cl <= r_hi)
 
 
 class TestFeatureSetMask:
@@ -95,14 +93,14 @@ class TestFeatureSetMask:
 
 class TestAssemble:
     def test_row_count(self, grw_series):
-        rows = assemble(grw_series)
-        assert len(rows) == len(grw_series) - 20 + 1
+        matrix = assemble(grw_series)
+        assert matrix.n_rows == len(matrix) == len(grw_series) - 20 + 1
 
     def test_minimum_length_yields_one_row(self, make_grw):
         series = make_grw(days=20, seed=7)
-        rows = assemble(series)
-        assert len(rows) == 1
-        assert rows[0].date == series.bars[-1].date
+        matrix = assemble(series)
+        assert matrix.n_rows == 1
+        assert matrix.dates[0] == series.bars[-1].date
 
     def test_too_short_rejected(self, make_grw):
         with pytest.raises(ValueError, match="too short"):
@@ -111,8 +109,8 @@ class TestAssemble:
     def test_paper_literal_mode_needs_longer_series(self, make_grw):
         params = IndicatorParams(bollinger_paper_literal=True)
         series = make_grw(days=39, seed=3)
-        rows = assemble(series, params)
-        assert len(rows) == 1  # first defined index is 2n-2 = 38
+        matrix = assemble(series, params)
+        assert matrix.n_rows == 1  # first defined index is 2n-2 = 38
         with pytest.raises(ValueError, match="no fully-defined"):
             assemble(make_grw(days=38, seed=3), params)
 
@@ -122,62 +120,44 @@ class TestAssemble:
         cut = 60
         truncated = OhlcSeries(market=grw_series.market, bars=grw_series.bars[: cut + 1])
         partial = assemble(truncated)
-        assert partial[-1].date == grw_series.bars[cut].date
-        assert partial[-1].values == full[cut - 19].values
+        assert partial.dates[-1] == grw_series.bars[cut].date
+        np.testing.assert_array_equal(partial.values[-1], full.values[cut - 19])
 
     def test_intrinsic_matches_bars(self, grw_series):
-        rows = assemble(grw_series)
-        for row, b in zip(rows, grw_series.bars[19:]):
-            assert row.date == b.date
-            assert row.intrinsic == (b.open, b.high, b.low, b.close)
+        matrix = assemble(grw_series)
+        for day, values, b in zip(matrix.dates, matrix.values, grw_series.bars[19:]):
+            assert day == b.date
+            assert tuple(values[:4]) == (b.open, b.high, b.low, b.close)
 
     def test_values_ordering(self, grw_series):
-        row = assemble(grw_series)[0]
-        assert row.values == row.intrinsic + row.historical + row.nowcast
-        assert len(row.values) == len(CANONICAL_COLUMNS)
+        matrix = assemble(grw_series)
+        assert matrix.columns == CANONICAL_COLUMNS
+        arrays = channel_arrays(grw_series, IndicatorParams())
+        for j, column in enumerate(HISTORICAL_COLUMNS):
+            np.testing.assert_array_equal(matrix.values[:, 4 + j], arrays[column][19:])
+        logs = [[math.log(p / b.open) for p in (b.high, b.low, b.close)] for b in grw_series.bars[19:]]
+        np.testing.assert_array_equal(matrix.values[:, 13:], logs)
 
 
 class TestSelect:
     def test_column_projection(self, grw_series):
-        rows = assemble(grw_series)
-        full = select(rows, FeatureSetMask.from_name("INT+HIST+NOW"))
-        sub = select(rows, FeatureSetMask.from_name("INT+NOW"))
+        matrix = assemble(grw_series)
+        full = select(matrix, FeatureSetMask.from_name("INT+HIST+NOW"))
+        sub = select(matrix, FeatureSetMask.from_name("INT+NOW"))
         assert sub.columns == INTRINSIC_COLUMNS + NOWCAST_COLUMNS
         for col in sub.columns:
             i, j = full.columns.index(col), sub.columns.index(col)
             np.testing.assert_array_equal(full.values[:, i], sub.values[:, j])
 
     def test_shapes_and_dates(self, grw_series):
-        rows = assemble(grw_series)
-        matrix = select(rows, FeatureSetMask.from_name("INT+HIST"))
-        assert matrix.values.shape == (len(rows), 13)
-        assert matrix.dates == tuple(r.date for r in rows)
-        assert matrix.n_rows == len(rows)
-
-    def test_empty_rows_rejected(self):
-        with pytest.raises(ValueError, match="empty feature row list"):
-            select([], FeatureSetMask.from_name("INT"))
+        full = assemble(grw_series)
+        matrix = select(full, FeatureSetMask.from_name("INT+HIST"))
+        assert matrix.values.shape == (full.n_rows, 13)
+        assert matrix.dates == full.dates
+        assert matrix.n_rows == full.n_rows
 
 
 class TestValidation:
-    def test_feature_row_wrong_historical_arity(self):
-        with pytest.raises(ValueError, match="9 historical"):
-            FeatureRow(
-                date=dt.date(2019, 4, 1),
-                intrinsic=(1.0, 2.0, 0.5, 1.5),
-                historical=(1.0,) * 8,
-                nowcast=(0.1, -0.1, 0.0),
-            )
-
-    def test_feature_row_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite feature value"):
-            FeatureRow(
-                date=dt.date(2019, 4, 1),
-                intrinsic=(1.0, 2.0, 0.5, float("nan")),
-                historical=(1.0,) * 9,
-                nowcast=(0.1, -0.1, 0.0),
-            )
-
     def test_matrix_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             FeatureMatrix(
@@ -197,16 +177,14 @@ class TestValidation:
 
 class TestExportCsv:
     def test_without_labels_keeps_all_rows(self, grw_series):
-        rows = assemble(grw_series)
-        matrix = select(rows, FeatureSetMask.from_name("INT"))
+        matrix = select(assemble(grw_series), FeatureSetMask.from_name("INT"))
         text = export_csv(matrix)
         lines = text.strip().splitlines()
         assert lines[0] == "date,open,high,low,close"
         assert len(lines) == matrix.n_rows + 1
 
     def test_with_labels_drops_final_row(self, grw_series):
-        rows = assemble(grw_series)
-        matrix = select(rows, FeatureSetMask.from_name("INT"))
+        matrix = select(assemble(grw_series), FeatureSetMask.from_name("INT"))
         labels = {"y_op": np.zeros(matrix.n_rows - 1, dtype=np.int64)}
         text = export_csv(matrix, labels)
         lines = text.strip().splitlines()
@@ -215,8 +193,7 @@ class TestExportCsv:
         assert lines[1].endswith(",0")
 
     def test_values_round_trip(self, grw_series):
-        rows = assemble(grw_series)
-        matrix = select(rows, FeatureSetMask.from_name("INT+HIST+NOW"))
+        matrix = select(assemble(grw_series), FeatureSetMask.from_name("INT+HIST+NOW"))
         lines = export_csv(matrix).strip().splitlines()
         cells = lines[1].split(",")
         assert cells[0] == matrix.dates[0].isoformat()
@@ -224,7 +201,6 @@ class TestExportCsv:
         np.testing.assert_array_equal(parsed, matrix.values[0])
 
     def test_misaligned_labels_rejected(self, grw_series):
-        rows = assemble(grw_series)
-        matrix = select(rows, FeatureSetMask.from_name("INT"))
+        matrix = select(assemble(grw_series), FeatureSetMask.from_name("INT"))
         with pytest.raises(ValueError, match="label column"):
             export_csv(matrix, {"y_op": np.zeros(matrix.n_rows, dtype=np.int64)})

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from opentrend.indicators import (
-    BandTriple,
+    BOLLINGER,
+    CHANNEL_COLUMNS,
+    DONCHIAN,
+    KELTNER,
     IndicatorParams,
     atr,
-    bollinger,
     channel_arrays,
-    donchian,
     ema,
-    keltner,
     sma,
     true_range,
 )
@@ -67,6 +67,12 @@ def oracle_keltner(series, n, k, t):
     middle = oracle_ema(closes, n, t)
     avg_tr = sum(oracle_true_range(series, i) for i in range(t - n + 1, t + 1)) / n
     return middle + k * avg_tr, middle - k * avg_tr, middle
+
+
+def bands(series, kind, params=None):
+    """(upper, lower, middle) arrays of one channel."""
+    arrays = channel_arrays(series, params or IndicatorParams())
+    return tuple(arrays[column] for column in CHANNEL_COLUMNS[kind])
 
 
 def flat_series(closes, start=dt.date(2019, 4, 1)):
@@ -175,53 +181,51 @@ class TestChannels:
     N = 20
 
     def test_warmup_undefined(self, grw_series):
-        for fn in (donchian, lambda s: bollinger(s), lambda s: keltner(s)):
-            triples = fn(grw_series)
-            assert all(t is None for t in triples[: self.N - 1])
-            assert all(t is not None for t in triples[self.N - 1 :])
+        for kind in (DONCHIAN, BOLLINGER, KELTNER):
+            for values in bands(grw_series, kind):
+                assert np.all(np.isnan(values[: self.N - 1]))
+                assert np.all(np.isfinite(values[self.N - 1 :]))
 
     def test_donchian_oracle(self, grw_series):
-        triples = donchian(grw_series, self.N)
+        upper, lower, middle = bands(grw_series, DONCHIAN, IndicatorParams(window_n=self.N))
         for t in range(self.N - 1, len(grw_series)):
-            upper, lower, middle = oracle_donchian(grw_series, self.N, t)
-            assert triples[t].upper == pytest.approx(upper, rel=1e-12)
-            assert triples[t].lower == pytest.approx(lower, rel=1e-12)
-            assert triples[t].middle == pytest.approx(middle, rel=1e-12)
+            want_upper, want_lower, want_middle = oracle_donchian(grw_series, self.N, t)
+            assert upper[t] == pytest.approx(want_upper, rel=1e-12)
+            assert lower[t] == pytest.approx(want_lower, rel=1e-12)
+            assert middle[t] == pytest.approx(want_middle, rel=1e-12)
 
     def test_bollinger_oracle(self, grw_series):
         params = IndicatorParams(window_n=self.N, bollinger_k=2.0)
-        triples = bollinger(grw_series, params)
+        upper, lower, middle = bands(grw_series, BOLLINGER, params)
         for t in range(self.N - 1, len(grw_series)):
-            upper, lower, middle = oracle_bollinger(grw_series, self.N, 2.0, t)
-            assert triples[t].upper == pytest.approx(upper, rel=1e-9)
-            assert triples[t].lower == pytest.approx(lower, rel=1e-9)
-            assert triples[t].middle == pytest.approx(middle, rel=1e-9)
+            want_upper, want_lower, want_middle = oracle_bollinger(grw_series, self.N, 2.0, t)
+            assert upper[t] == pytest.approx(want_upper, rel=1e-9)
+            assert lower[t] == pytest.approx(want_lower, rel=1e-9)
+            assert middle[t] == pytest.approx(want_middle, rel=1e-9)
 
     def test_keltner_oracle(self, grw_series):
         params = IndicatorParams(window_n=self.N, keltner_k=2.0)
-        triples = keltner(grw_series, params)
+        upper, lower, middle = bands(grw_series, KELTNER, params)
         for t in range(self.N - 1, len(grw_series)):
-            upper, lower, middle = oracle_keltner(grw_series, self.N, 2.0, t)
-            assert triples[t].upper == pytest.approx(upper, rel=1e-9)
-            assert triples[t].lower == pytest.approx(lower, rel=1e-9)
-            assert triples[t].middle == pytest.approx(middle, rel=1e-9)
+            want_upper, want_lower, want_middle = oracle_keltner(grw_series, self.N, 2.0, t)
+            assert upper[t] == pytest.approx(want_upper, rel=1e-9)
+            assert lower[t] == pytest.approx(want_lower, rel=1e-9)
+            assert middle[t] == pytest.approx(want_middle, rel=1e-9)
 
     def test_bollinger_hand_example(self):
         # window [1, 3]: mean 2, population sigma 1, k=2 -> bands (4, 2, 0)
         series = flat_series([1.0, 3.0])
-        triples = bollinger(series, IndicatorParams(window_n=2, bollinger_k=2.0))
-        assert triples[0] is None
-        assert triples[1].upper == pytest.approx(4.0)
-        assert triples[1].middle == pytest.approx(2.0)
-        assert triples[1].lower == pytest.approx(0.0)
+        upper, lower, middle = bands(series, BOLLINGER, IndicatorParams(window_n=2, bollinger_k=2.0))
+        assert np.isnan(upper[0]) and np.isnan(lower[0]) and np.isnan(middle[0])
+        assert upper[1] == pytest.approx(4.0)
+        assert middle[1] == pytest.approx(2.0)
+        assert lower[1] == pytest.approx(0.0)
 
     def test_constant_series_collapses_all_channels(self):
         series = flat_series([50.0] * 30)
-        for fn in (lambda: donchian(series, self.N), lambda: bollinger(series), lambda: keltner(series)):
-            for triple in fn()[self.N - 1 :]:
-                assert triple.upper == pytest.approx(50.0)
-                assert triple.middle == pytest.approx(50.0)
-                assert triple.lower == pytest.approx(50.0)
+        for kind in (DONCHIAN, BOLLINGER, KELTNER):
+            for values in bands(series, kind, IndicatorParams(window_n=self.N)):
+                np.testing.assert_allclose(values[self.N - 1 :], 50.0, rtol=1e-6)
 
     def test_band_ordering_everywhere(self, grw_series):
         arrays = channel_arrays(grw_series, IndicatorParams())
@@ -247,49 +251,49 @@ class TestChannels:
 
     def test_keltner_k_zero_collapses_to_ema(self, grw_series):
         params = IndicatorParams(window_n=self.N, keltner_k=0.0)
-        triples = keltner(grw_series, params)
+        upper, lower, _ = bands(grw_series, KELTNER, params)
         reference = ema(grw_series.prices("close"), self.N)
         for t in range(self.N - 1, len(grw_series)):
-            assert triples[t].upper == pytest.approx(reference[t], rel=1e-12)
-            assert triples[t].lower == pytest.approx(reference[t], rel=1e-12)
+            assert upper[t] == pytest.approx(reference[t], rel=1e-12)
+            assert lower[t] == pytest.approx(reference[t], rel=1e-12)
 
     def test_paper_literal_bollinger_needs_longer_warmup(self, grw_series):
         params = IndicatorParams(window_n=self.N, bollinger_paper_literal=True)
-        triples = bollinger(grw_series, params)
-        assert all(t is None for t in triples[: 2 * self.N - 2])
-        assert all(t is not None for t in triples[2 * self.N - 2 :])
+        defined = np.all(np.isfinite(bands(grw_series, BOLLINGER, params)), axis=0)
+        assert not np.any(defined[: 2 * self.N - 2])
+        assert np.all(defined[2 * self.N - 2 :])
 
     def test_paper_literal_bollinger_oracle(self, grw_series):
         n = self.N
         closes = grw_series.prices("close")
         params = IndicatorParams(window_n=n, bollinger_paper_literal=True)
-        triples = bollinger(grw_series, params)
+        upper, _, mid = bands(grw_series, BOLLINGER, params)
         smas = sma(closes, n)
         for t in (2 * n - 2, 100, len(grw_series) - 1):
             middle = closes[t - n + 1 : t + 1].mean()
             sigma = math.sqrt(
                 sum((closes[i] - smas[i]) ** 2 for i in range(t - n + 1, t + 1)) / n
             )
-            assert triples[t].middle == pytest.approx(middle, rel=1e-9)
-            assert triples[t].upper == pytest.approx(middle + 2 * sigma, rel=1e-9)
+            assert mid[t] == pytest.approx(middle, rel=1e-9)
+            assert upper[t] == pytest.approx(middle + 2 * sigma, rel=1e-9)
 
     def test_random_sweep_small(self):
         """Mini version of the big oracle sweep: 25 seeded series."""
         for seed in range(25):
             days = 40 + (seed * 13) % 80
             series = generate(GenSpec(kind="grw", days=days, seed=seed))
-            dc = donchian(series, self.N)
-            bb = bollinger(series)
-            kc = keltner(series)
+            dc = bands(series, DONCHIAN)
+            bb = bands(series, BOLLINGER)
+            kc = bands(series, KELTNER)
             for t in range(self.N - 1, days, 7):
                 for got, oracle in (
-                    (dc[t], oracle_donchian(series, self.N, t)),
-                    (bb[t], oracle_bollinger(series, self.N, 2.0, t)),
-                    (kc[t], oracle_keltner(series, self.N, 2.0, t)),
+                    (dc, oracle_donchian(series, self.N, t)),
+                    (bb, oracle_bollinger(series, self.N, 2.0, t)),
+                    (kc, oracle_keltner(series, self.N, 2.0, t)),
                 ):
-                    assert got.upper == pytest.approx(oracle[0], rel=1e-9)
-                    assert got.lower == pytest.approx(oracle[1], rel=1e-9)
-                    assert got.middle == pytest.approx(oracle[2], rel=1e-9)
+                    assert got[0][t] == pytest.approx(oracle[0], rel=1e-9)
+                    assert got[1][t] == pytest.approx(oracle[1], rel=1e-9)
+                    assert got[2][t] == pytest.approx(oracle[2], rel=1e-9)
 
 
 class TestParams:
@@ -303,11 +307,3 @@ class TestParams:
     def test_negative_k(self):
         with pytest.raises(ValueError, match="keltner_k"):
             IndicatorParams(keltner_k=-1.0)
-
-    def test_band_triple_ordering_enforced(self):
-        with pytest.raises(ValueError, match="band ordering"):
-            BandTriple(kind="donchian", upper=1.0, middle=2.0, lower=0.0)
-
-    def test_band_kind_checked(self):
-        with pytest.raises(ValueError, match="unknown band kind"):
-            BandTriple(kind="fibonacci", upper=2.0, middle=1.0, lower=0.0)

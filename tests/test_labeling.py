@@ -101,9 +101,9 @@ class TestVectorShape:
     def test_one_shorter_than_feature_rows(self, grw_series):
         from opentrend.features import assemble
 
-        rows = assemble(grw_series)
+        matrix = assemble(grw_series)
         vec = make_labels(grw_series, TaskKind.OP_VS_OP, 19)
-        assert len(vec) == len(rows) - 1
+        assert len(vec) == matrix.n_rows - 1
 
     def test_first_index_bounds(self, make_grw):
         series = make_grw(days=10, seed=2)

@@ -100,14 +100,14 @@ class TestContract:
             np.testing.assert_array_equal(a.score(X), b.score(X))
 
     def test_feature_matrix_input_carries_column_names(self, grw_series):
-        rows = assemble(grw_series)
-        matrix = select(rows, FeatureSetMask.from_name("INT+NOW"))
+        full = assemble(grw_series)
+        matrix = select(full, FeatureSetMask.from_name("INT+NOW"))
         y = np.zeros(matrix.n_rows, dtype=np.int64)
         y[::2] = 1
         model = fit(preset("gnb"), matrix, y)
         assert model.feature_names == matrix.columns
         # a matrix with different columns is rejected at predict time
-        other = select(rows, FeatureSetMask.from_name("INT"))
+        other = select(full, FeatureSetMask.from_name("INT"))
         with pytest.raises(ValueError, match="column mismatch"):
             predict(model, other)
 

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-from opentrend.features import nowcast
 from opentrend.ohlc import serialize_csv, volatility
 from opentrend.synth import (
     GENERATOR_KINDS,
@@ -137,6 +136,11 @@ class TestTrend:
         assert slope == pytest.approx(0.003, rel=0.05)
 
 
+def close_signs(series):
+    """+1 where a bar closes above its open (r_cl > 0), -1 otherwise, for all but the last bar."""
+    return np.where(series.prices("close")[:-1] > series.prices("open")[:-1], 1, -1)
+
+
 class TestSeparable:
     def test_full_strength_labels_equal_close_sign(self):
         series, planted = generate_with_directions(
@@ -145,7 +149,7 @@ class TestSeparable:
         opens = series.prices("open")
         actual = np.where(opens[1:] > opens[:-1], 1, -1)
         np.testing.assert_array_equal(actual, planted)
-        r_cl_sign = np.array([1 if nowcast(b).r_cl > 0 else -1 for b in series.bars[:-1]])
+        r_cl_sign = close_signs(series)
         np.testing.assert_array_equal(planted, r_cl_sign)
 
     def test_partial_strength_follows_at_that_rate(self):
@@ -153,7 +157,7 @@ class TestSeparable:
         series, planted = generate_with_directions(
             GenSpec(kind="separable", days=4000, seed=8, params={"signal_strength": s})
         )
-        r_cl_sign = np.array([1 if nowcast(b).r_cl > 0 else -1 for b in series.bars[:-1]])
+        r_cl_sign = close_signs(series)
         agree = (planted == r_cl_sign).mean()
         # follow with prob s, coin-flip otherwise: expected agreement s + (1-s)/2
         assert agree == pytest.approx(s + (1 - s) / 2, abs=0.03)
@@ -162,7 +166,7 @@ class TestSeparable:
         series, planted = generate_with_directions(
             GenSpec(kind="separable", days=4000, seed=10, params={"signal_strength": 0.0})
         )
-        r_cl_sign = np.array([1 if nowcast(b).r_cl > 0 else -1 for b in series.bars[:-1]])
+        r_cl_sign = close_signs(series)
         agree = (planted == r_cl_sign).mean()
         assert agree == pytest.approx(0.5, abs=0.03)
 
@@ -172,10 +176,10 @@ class TestSeparable:
         series, _ = generate_with_directions(
             GenSpec(kind="separable", days=6000, seed=12, params={"signal_strength": 1.0})
         )
-        ncs = [nowcast(b) for b in series.bars]
-        up = np.array([nc.r_cl > 0 for nc in ncs])
-        r_hi = np.array([nc.r_hi for nc in ncs])
-        r_lo = np.array([-nc.r_lo for nc in ncs])
+        opens = series.prices("open")
+        up = series.prices("close") > opens
+        r_hi = np.log(series.prices("high") / opens)
+        r_lo = -np.log(series.prices("low") / opens)
         for values in (r_hi, r_lo):
             mean_up, mean_down = values[up].mean(), values[~up].mean()
             pooled_se = values.std() * math.sqrt(1 / up.sum() + 1 / (~up).sum())
