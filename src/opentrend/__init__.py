@@ -7,7 +7,7 @@ classifiers -> accuracy/MCC reliability reports and exact Shapley
 attributions.
 """
 
-from opentrend.ohlc import OhlcBar, OhlcError, OhlcSeries, VolatilityStats, parse_csv, serialize_csv, volatility
+from opentrend.ohlc import OhlcError, OhlcSeries, VolatilityStats, parse_csv, serialize_csv, volatility
 from opentrend.indicators import IndicatorParams, channel_arrays, sma, ema, true_range
 from opentrend.features import (
     CANONICAL_COLUMNS,

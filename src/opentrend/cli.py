@@ -21,11 +21,11 @@ import sys
 from pathlib import Path
 
 from opentrend import __version__
-from opentrend.config import ConfigError, RunConfig, apply_assignments, load_config, parse_assignments
-from opentrend.features import FeatureSetMask, assemble, export_csv, select
-from opentrend.indicators import IndicatorParams
-from opentrend.labeling import ALL_TASKS, make_labels
+from opentrend.config import ConfigError, RunConfig, apply_assignments, parse_assignments
+from opentrend.features import export_csv
+from opentrend.labeling import ALL_TASKS
 from opentrend.learners import PRESET_NAMES
+from opentrend.metrics import ACC_THRESHOLD, MCC_THRESHOLD
 from opentrend.ohlc import OhlcError, parse_csv, serialize_csv, volatility
 from opentrend.report import Provenance, bubble_chart_svg, parse_results_csv, shap_bar_svg, shap_csv, table3_text
 from opentrend.run import _prepare_market, _shapley_cell, cmd_run, safe_name
@@ -43,6 +43,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = RunConfig()
     parser = argparse.ArgumentParser(prog="opentrend", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"opentrend {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,9 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--market", default=None)
     p.add_argument("--feature-set", default="INT+HIST+NOW")
-    p.add_argument("--window", type=int, default=20)
-    p.add_argument("--bollinger-k", type=float, default=2.0)
-    p.add_argument("--keltner-k", type=float, default=2.0)
+    p.add_argument("--window", type=int, default=defaults.window_n)
+    p.add_argument("--bollinger-k", type=float, default=defaults.bollinger_k)
+    p.add_argument("--keltner-k", type=float, default=defaults.keltner_k)
     p.add_argument("--bollinger-paper-literal", action="store_true")
     p.add_argument("--no-labels", action="store_true", help="keep the final row, omit label columns")
     p.add_argument("--out", default=None)
@@ -84,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table3", help="reliability table from a results.csv")
     p.add_argument("--results", required=True, help="path to results.csv")
-    p.add_argument("--acc-threshold", type=float, default=0.8)
-    p.add_argument("--mcc-threshold", type=float, default=0.65)
+    p.add_argument("--acc-threshold", type=float, default=ACC_THRESHOLD)
+    p.add_argument("--mcc-threshold", type=float, default=MCC_THRESHOLD)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(handler=_cmd_table3)
 
@@ -99,14 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--market", default=None)
     p.add_argument("--classifier", required=True, choices=PRESET_NAMES)
     p.add_argument("--task", default="op", choices=[t.value for t in ALL_TASKS])
-    p.add_argument("--feature-set", default="INT+HIST+NOW")
-    p.add_argument("--mode", default="exact", choices=["exact", "sampled"])
-    p.add_argument("--background", type=int, default=128)
-    p.add_argument("--rows", type=int, default=100)
-    p.add_argument("--permutations", type=int, default=200)
-    p.add_argument("--split-ratio", type=float, default=0.8)
-    p.add_argument("--window", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--feature-set", default=defaults.shap_feature_set)
+    p.add_argument("--mode", default=defaults.shap_mode, choices=["exact", "sampled"])
+    p.add_argument("--background", type=int, default=defaults.shap_background)
+    p.add_argument("--rows", type=int, default=defaults.shap_rows)
+    p.add_argument("--permutations", type=int, default=defaults.shap_permutations)
+    p.add_argument("--split-ratio", type=float, default=defaults.split_ratio)
+    p.add_argument("--window", type=int, default=defaults.window_n)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=_cmd_explain)
     return parser
@@ -125,7 +126,7 @@ def _cmd_ingest(args) -> int:
     stats = volatility(series) if len(series) >= 3 else None
     print(
         f"ok: {len(series)} bars for {series.market!r} "
-        f"from {series.bars[0].date.isoformat()} to {series.bars[-1].date.isoformat()}"
+        f"from {series.dates[0].isoformat()} to {series.dates[-1].isoformat()}"
     )
     if stats is not None:
         print(
@@ -152,27 +153,19 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _indicator_params(args) -> IndicatorParams:
-    return IndicatorParams(
+def _cmd_featurize(args) -> int:
+    series = parse_csv(_read(args.input), market=_market_tag(args))
+    config = RunConfig(
         window_n=args.window,
         bollinger_k=args.bollinger_k,
         keltner_k=args.keltner_k,
-        bollinger_paper_literal=getattr(args, "bollinger_paper_literal", False),
+        bollinger_paper_literal=args.bollinger_paper_literal,
+        feature_sets=(args.feature_set,),
+        tasks=() if args.no_labels else tuple(task.value for task in ALL_TASKS),
     )
-
-
-def _cmd_featurize(args) -> int:
-    series = parse_csv(_read(args.input), market=_market_tag(args))
-    full = assemble(series, _indicator_params(args))
-    matrix = select(full, FeatureSetMask.from_name(args.feature_set))
-    if args.no_labels:
-        text = export_csv(matrix)
-    else:
-        first_index = len(series) - full.n_rows
-        labels = {
-            task.label_column: make_labels(series, task, first_index).labels for task in ALL_TASKS
-        }
-        text = export_csv(matrix, labels)
+    data = _prepare_market(series.market, series, config)
+    labels = {vec.task.label_column: vec.labels for vec in data.labels.values()}
+    text = export_csv(data.matrices[args.feature_set], labels or None)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8", newline="\n")
         print(f"wrote {args.out}")

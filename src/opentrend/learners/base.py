@@ -37,6 +37,11 @@ def family_names() -> tuple[str, ...]:
     return tuple(sorted(_FAMILIES))
 
 
+def positive_int(v) -> bool:
+    """Hyperparameter validator: an int (not a bool) of at least 1."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 # ---------------------------------------------------------------------------
 # numerics shared across families
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opentrend.learners.base import register_family, sigmoid
+from opentrend.learners.base import positive_int, register_family, sigmoid
 from opentrend.learners.trees import TreeArrays, grow_tree, make_sse_finder
 
 _HESSIAN_FLOOR = 1e-12
@@ -79,17 +79,13 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
     return BoostedTreesState(base_score=base_score, learning_rate=lr, trees=trees)
 
 
-def _positive_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
 register_family(
     "GradientBoostedTrees",
     _fit_boosted_trees,
     defaults={"iterations": 100, "max_depth": 6, "learning_rate": 0.3},
     validators={
         "iterations": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-        "max_depth": _positive_int,
+        "max_depth": positive_int,
         "learning_rate": lambda v: isinstance(v, (int, float)) and 0 < v <= 10,
     },
     state_cls=BoostedTreesState,

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opentrend.learners.base import register_family
+from opentrend.learners.base import positive_int, register_family
 from opentrend.learners.trees import (
     TreeArrays,
     _UNBOUNDED_DEPTH,
     grow_tree,
-    make_gini_finder,
     make_random_entropy_finder,
 )
 
@@ -48,17 +47,13 @@ def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> Ex
     trees = []
     for t in range(hyper["n_trees"]):
         rng = np.random.default_rng([seed, t])
-        if hyper["criterion"] == "entropy":
-            finder = make_random_entropy_finder(X, y, rng)
-        else:
-            finder = make_gini_finder(X, y)
         trees.append(
             grow_tree(
                 X,
                 max_depth=_UNBOUNDED_DEPTH,
                 max_features=max_features,
                 rng=rng,
-                find_split=finder,
+                find_split=make_random_entropy_finder(X, y, rng),
                 leaf_value=lambda idx: float(y[idx].mean()),
                 is_pure=lambda idx: bool(np.ptp(y[idx]) == 0.0),
             )
@@ -69,10 +64,7 @@ def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> Ex
 register_family(
     "ExtraTrees",
     _fit_extra_trees,
-    defaults={"n_trees": 1000, "criterion": "entropy"},
-    validators={
-        "n_trees": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-        "criterion": lambda v: v in ("entropy", "gini"),
-    },
+    defaults={"n_trees": 1000},
+    validators={"n_trees": positive_int},
     state_cls=ExtraTreesState,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opentrend.learners.base import register_family, sigmoid, softplus
+from opentrend.learners.base import positive_int, register_family, sigmoid, softplus
 
 _CURVATURE_FLOOR = 1e-12
 
@@ -91,7 +91,7 @@ register_family(
     validators={
         "l2": lambda v: isinstance(v, (int, float)) and v > 0,
         "tol": lambda v: isinstance(v, (int, float)) and v > 0,
-        "max_iter": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+        "max_iter": positive_int,
     },
     state_cls=LogisticRegressionState,
 )

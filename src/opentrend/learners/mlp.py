@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opentrend.learners.base import register_family, sigmoid, softplus
+from opentrend.learners.base import positive_int, register_family, sigmoid, softplus
 
 
 def loss_and_gradients(
@@ -148,9 +148,9 @@ register_family(
         "hidden_layers": _layers_ok,
         "learning_rate": _positive_number,
         "momentum": lambda v: isinstance(v, (int, float)) and 0 <= v < 1,
-        "batch_size": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-        "max_epochs": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-        "patience": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+        "batch_size": positive_int,
+        "max_epochs": positive_int,
+        "patience": positive_int,
         "tol": _positive_number,
     },
     state_cls=MlpState,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opentrend.learners.base import register_family
+from opentrend.learners.base import positive_int, register_family
 
 _CHUNK_ROWS = 1024
 
@@ -54,6 +54,6 @@ register_family(
     "KNearest",
     _fit_k_nearest,
     defaults={"k": 5},
-    validators={"k": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1},
+    validators={"k": positive_int},
     state_cls=KNearestState,
 )

@@ -19,7 +19,7 @@ _PRESETS: dict[str, tuple[str, dict, bool]] = {
     "xgb": ("GradientBoostedTrees", {"iterations": 100, "max_depth": 6, "learning_rate": 0.3}, False),
     "mlp": ("MLP", {"hidden_layers": (128, 64, 32, 32, 16, 16, 8, 8)}, True),
     "catboost": ("GradientBoostedTrees", {"iterations": 1000, "max_depth": 6, "learning_rate": 0.1}, False),
-    "extratrees": ("ExtraTrees", {"n_trees": 1000, "criterion": "entropy"}, False),
+    "extratrees": ("ExtraTrees", {"n_trees": 1000}, False),
 }
 
 PRESET_NAMES = tuple(_PRESETS)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from opentrend.learners.base import register_family
+from opentrend.learners.base import positive_int, register_family
 
 _UNBOUNDED_DEPTH = 10**9
 
@@ -288,14 +288,10 @@ def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
     return DecisionTreeState(tree=tree)
 
 
-def _positive_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
 register_family(
     "DecisionTree",
     _fit_decision_tree,
     defaults={"max_depth": 10, "max_features": 5},
-    validators={"max_depth": _positive_int, "max_features": _positive_int},
+    validators={"max_depth": positive_int, "max_features": positive_int},
     state_cls=DecisionTreeState,
 )

@@ -26,63 +26,73 @@ class OhlcError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OhlcBar:
-    """One trading day.  Prices are positive and high/low bracket open/close."""
-
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-
-    def __post_init__(self) -> None:
-        for name in PRICE_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
-                raise OhlcError(f"{name} must be a number at {self.date}, got {value!r}")
-            if not math.isfinite(value) or value <= 0.0:
-                raise OhlcError(f"{name} must be a positive finite price at {self.date}, got {value!r}")
-            # store plain Python floats so repr-based serialization round-trips
-            object.__setattr__(self, name, float(value))
-        if not (self.low <= self.open <= self.high and self.low <= self.close <= self.high):
-            raise OhlcError(
-                f"bar invariant violated at {self.date.isoformat()}: "
-                f"open={self.open} high={self.high} low={self.low} close={self.close}"
-            )
-
-    def price(self, field: str) -> float:
-        if field not in PRICE_FIELDS:
-            raise OhlcError(f"unknown price field {field!r}")
-        return float(getattr(self, field))
+def _is_number(value) -> bool:
+    return not isinstance(value, (bool, np.bool_)) and isinstance(value, (int, float, np.integer, np.floating))
 
 
 @dataclass(frozen=True, eq=False)
 class OhlcSeries:
-    """An ordered run of daily bars for one market (free-form tag)."""
+    """One market's daily bars, stored as one read-only float64 array per field.
+
+    Construction checks every bar at once: prices are positive finite numbers,
+    low <= open, close <= high, and dates strictly increase.  A violation
+    names the first offending date.
+    """
 
     market: str
-    bars: tuple[OhlcBar, ...]
+    dates: tuple[dt.date, ...]
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
 
     def __post_init__(self) -> None:
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise OhlcError(
-                    f"non-increasing dates: {cur.date.isoformat()} follows {prev.date.isoformat()}"
-                )
+        dates = tuple(self.dates)
+        object.__setattr__(self, "dates", dates)
+        for name in PRICE_FIELDS:
+            given = getattr(self, name)
+            raw = np.asarray(given)
+            if raw.shape != (len(dates),):
+                raise OhlcError(f"{name} has shape {raw.shape}, expected one value per date ({len(dates)})")
+            if not (isinstance(given, np.ndarray) and raw.dtype.kind in "iuf"):
+                # numpy would turn True into 1.0 and "5" into 5.0: check what was given
+                t = next((i for i, v in enumerate(given) if not _is_number(v)), None)
+                if t is not None:
+                    raise OhlcError(f"{name} must be a number at {dates[t]}, got {given[t]!r}")
+            column = np.array(raw, dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+        prices = np.vstack([self.prices(name) for name in PRICE_FIELDS])
+        bad = ~(np.isfinite(prices) & (prices > 0.0))
+        if bad.any():
+            t = int(np.flatnonzero(bad.any(axis=0))[0])
+            f = int(np.flatnonzero(bad[:, t])[0])
+            raise OhlcError(
+                f"{PRICE_FIELDS[f]} must be a positive finite price at {dates[t]}, got {prices[f, t].item()!r}"
+            )
+        o, h, lo, c = prices
+        broken = np.flatnonzero(~((lo <= o) & (o <= h) & (lo <= c) & (c <= h)))
+        if broken.size:
+            t = int(broken[0])
+            raise OhlcError(
+                f"bar invariant violated at {dates[t].isoformat()}: "
+                f"open={o[t].item()} high={h[t].item()} low={lo[t].item()} close={c[t].item()}"
+            )
+        days = np.array(dates, dtype="datetime64[D]")
+        stalled = np.flatnonzero(days[1:] <= days[:-1])
+        if stalled.size:
+            t = int(stalled[0]) + 1
+            raise OhlcError(f"non-increasing dates: {dates[t].isoformat()} follows {dates[t - 1].isoformat()}")
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self.dates)
 
     def prices(self, field: str) -> np.ndarray:
-        """All values of one price field as a float64 array."""
+        """The stored read-only float64 array of one price field."""
         if field not in PRICE_FIELDS:
             raise OhlcError(f"unknown price field {field!r}")
-        return np.array([getattr(b, field) for b in self.bars], dtype=np.float64)
-
-    @property
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(b.date for b in self.bars)
+        return getattr(self, field)
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,8 @@ def parse_csv(text: str, market: str = "series") -> OhlcSeries:
         raise OhlcError("empty file: no header row")
     if lines[0].strip() != CSV_HEADER:
         raise OhlcError(f"bad header: expected {CSV_HEADER!r}, got {lines[0].strip()!r}")
-    bars: list[OhlcBar] = []
-    prev_date: dt.date | None = None
+    dates: list[dt.date] = []
+    rows: list[list[float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if line.strip() == "":
             raise OhlcError(f"blank row at line {lineno}")
@@ -132,7 +142,7 @@ def parse_csv(text: str, market: str = "series") -> OhlcSeries:
         if len(parts) != 5:
             raise OhlcError(f"malformed row at line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            day = dt.date.fromisoformat(parts[0])
+            dates.append(dt.date.fromisoformat(parts[0]))
         except ValueError:
             raise OhlcError(f"malformed row at line {lineno}: bad date {parts[0]!r}") from None
         values = []
@@ -141,21 +151,18 @@ def parse_csv(text: str, market: str = "series") -> OhlcSeries:
                 values.append(float(raw))
             except ValueError:
                 raise OhlcError(f"malformed row at line {lineno}: bad {name} {raw!r}") from None
-        if prev_date is not None and day <= prev_date:
-            raise OhlcError(
-                f"non-increasing dates at line {lineno}: "
-                f"{day.isoformat()} follows {prev_date.isoformat()}"
-            )
-        bars.append(OhlcBar(day, *values))
-        prev_date = day
-    return OhlcSeries(market=market, bars=tuple(bars))
+        rows.append(values)
+    columns = np.array(rows, dtype=np.float64).reshape(len(rows), len(PRICE_FIELDS)).T
+    return OhlcSeries(market, tuple(dates), *columns)
 
 
 def serialize_csv(series: OhlcSeries) -> str:
     """Render a series back to CSV text (round-trips through parse_csv)."""
+    # tolist() yields Python floats, whose repr is the shortest round-trip form
+    columns = [series.prices(name).tolist() for name in PRICE_FIELDS]
     out = [CSV_HEADER]
-    for b in series.bars:
-        out.append(f"{b.date.isoformat()},{b.open!r},{b.high!r},{b.low!r},{b.close!r}")
+    for day, o, h, l, c in zip(series.dates, *columns):
+        out.append(f"{day.isoformat()},{o!r},{h!r},{l!r},{c!r}")
     return "\n".join(out) + "\n"
 
 

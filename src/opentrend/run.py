@@ -177,5 +177,6 @@ def cmd_run(config: RunConfig, series_by_market: dict[str, OhlcSeries] | None = 
     for (market, task), rep in sorted(shapley.items()):
         emit(f"shap_{safe_name(market)}_{task}.csv", shap_csv(rep, provenance))
     if errors:
-        emit("errors.log", "".join(f"{cell}: {message}\n" for cell, message in errors))
+        lines = [provenance.comment] + [f"{cell}: {message}" for cell, message in errors]
+        emit("errors.log", "\n".join(lines) + "\n")
     return RunOutcome(records=records, shapley=shapley, errors=errors, provenance=provenance, written=written)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from opentrend.ohlc import OhlcBar, OhlcSeries
+from opentrend.ohlc import OhlcSeries
 
 CONSTANT = "constant"
 GRW = "grw"
@@ -77,11 +77,11 @@ def trading_dates(days: int, start: dt.date = _START_DATE) -> list[dt.date]:
     return out
 
 
-def _bar(day: dt.date, open_: float, close: float, stretch_up: float, stretch_down: float) -> OhlcBar:
-    """Wrap open/close with a high above and a low below both."""
+def _wicks(open_: float, close: float, stretch_up: float, stretch_down: float) -> tuple[float, float]:
+    """A high above and a low below both open and close."""
     high = max(open_, close) * float(np.exp(abs(stretch_up)))
     low = min(open_, close) * float(np.exp(-abs(stretch_down)))
-    return OhlcBar(date=day, open=open_, high=high, low=low, close=close)
+    return high, low
 
 
 def generate(spec: GenSpec) -> OhlcSeries:
@@ -101,9 +101,9 @@ def generate_with_directions(spec: GenSpec) -> tuple[OhlcSeries, np.ndarray]:
     rng = np.random.default_rng(spec.seed)
     dates = trading_dates(spec.days)
 
+    opens, highs, lows, closes = (np.empty(spec.days) for _ in range(4))
     if spec.kind == CONSTANT:
-        level = p["level"]
-        bars = [OhlcBar(date=d, open=level, high=level, low=level, close=level) for d in dates]
+        opens[:] = highs[:] = lows[:] = closes[:] = p["level"]
     elif spec.kind in (GRW, TREND):
         if spec.kind == GRW:
             log_returns = rng.normal(p["drift"], p["volatility"], size=spec.days - 1)
@@ -111,22 +111,20 @@ def generate_with_directions(spec: GenSpec) -> tuple[OhlcSeries, np.ndarray]:
         else:
             log_returns = p["slope"] + rng.normal(0.0, p["noise"], size=spec.days - 1)
             volatility = p["noise"]
-        closes = p["start"] * np.exp(np.concatenate([[0.0], np.cumsum(log_returns)]))
+        closes[:] = p["start"] * np.exp(np.concatenate([[0.0], np.cumsum(log_returns)]))
         gaps = rng.normal(0.0, 0.3 * volatility + 1e-6, size=spec.days)
         stretches = rng.normal(0.0, 0.5 * volatility + 1e-6, size=(spec.days, 2))
-        bars = []
-        for t, day in enumerate(dates):
-            open_ = closes[t] * float(np.exp(gaps[t])) if t else p["start"]
-            bars.append(_bar(day, open_, float(closes[t]), stretches[t, 0], stretches[t, 1]))
+        for t in range(spec.days):
+            opens[t] = closes[t] * float(np.exp(gaps[t])) if t else p["start"]
+            highs[t], lows[t] = _wicks(opens[t], closes[t], stretches[t, 0], stretches[t, 1])
     else:  # separable
         s = float(p["signal_strength"])
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"signal_strength must be in [0, 1], got {s}")
         move = float(p["move"])
-        bars = []
         open_ = p["start"]
         planted = np.zeros(max(spec.days - 1, 0), dtype=np.int64)
-        for t, day in enumerate(dates):
+        for t in range(spec.days):
             sign = 1.0 if rng.random() < 0.5 else -1.0
             # |r_cl| ~ U[0.5, 1.5]*move; the extension of the bar past the
             # close and the opposite wick both get the SAME distribution
@@ -142,16 +140,15 @@ def generate_with_directions(spec: GenSpec) -> tuple[OhlcSeries, np.ndarray]:
             else:
                 low = close * float(np.exp(-extension))
                 high = open_ * float(np.exp(mimic))
-            bars.append(OhlcBar(date=day, open=open_, high=high, low=low, close=close))
+            opens[t], highs[t], lows[t], closes[t] = open_, high, low, close
             if t < spec.days - 1:
                 follow = rng.random() < s
                 direction = sign if follow else (1.0 if rng.random() < 0.5 else -1.0)
                 open_ = open_ * float(np.exp(direction * p["gap"] * (0.5 + rng.random())))
                 planted[t] = int(direction)
-        series = OhlcSeries(market=spec.market, bars=tuple(bars))
-        return series, planted
 
-    series = OhlcSeries(market=spec.market, bars=tuple(bars))
-    opens = series.prices("open")
+    series = OhlcSeries(spec.market, tuple(dates), opens, highs, lows, closes)
+    if spec.kind == SEPARABLE:
+        return series, planted
     directions = np.where(opens[1:] > opens[:-1], 1, -1).astype(np.int64)
     return series, directions

@@ -25,7 +25,7 @@ from opentrend.learners import ClassifierSpec, family_names, fit, predict, prese
 from opentrend.learners.linear import loss_and_gradient
 from opentrend.learners.mlp import loss_and_gradients
 from opentrend.metrics import ConfusionMatrix, EvalRecord, accuracy, mcc
-from opentrend.ohlc import OhlcBar, OhlcSeries, serialize_csv
+from opentrend.ohlc import OhlcSeries, serialize_csv
 from opentrend.report import Provenance, parse_results_csv, results_csv
 from opentrend.synth import GenSpec, generate, trading_dates
 
@@ -62,11 +62,7 @@ def random_series(seed: int, min_days: int, max_days: int) -> OhlcSeries:
     open_ = close * np.exp(rng.normal(0.0, 0.01, size=days))
     high = np.maximum(open_, close) * np.exp(np.abs(rng.normal(0.0, 0.01, size=days)))
     low = np.minimum(open_, close) * np.exp(-np.abs(rng.normal(0.0, 0.01, size=days)))
-    bars = tuple(
-        OhlcBar(date, o, h, lo_, c)
-        for date, o, h, lo_, c in zip(trading_dates(days), open_, high, low, close)
-    )
-    return OhlcSeries("acc", bars)
+    return OhlcSeries("acc", tuple(trading_dates(days)), open_, high, low, close)
 
 
 @criterion(1, "chronological split arithmetic on 1256- and 1237-day series", budget=1.0)
@@ -96,9 +92,7 @@ def test_criterion_2_indicator_oracle():
     alpha = 2.0 / (n + 1)
     for i in range(1000):
         series = random_series(10_000 + i, 100, 500)
-        hi = np.array([b.high for b in series.bars])
-        lo = np.array([b.low for b in series.bars])
-        cl = np.array([b.close for b in series.bars])
+        hi, lo, cl = (series.prices(name) for name in ("high", "low", "close"))
         days = len(series)
 
         # scalar re-derivations, independent of the vectorized library code
@@ -139,12 +133,12 @@ def test_criterion_2_indicator_oracle():
 def test_criterion_3_label_oracle():
     for i in range(1000):
         series = random_series(20_000 + i, 60, 260)
-        opens = np.array([b.open for b in series.bars])
+        opens = series.prices("open")
         refs = {
             "op": opens,
-            "hi": np.array([b.high for b in series.bars]),
-            "lo": np.array([b.low for b in series.bars]),
-            "cl": np.array([b.close for b in series.bars]),
+            "hi": series.prices("high"),
+            "lo": series.prices("low"),
+            "cl": series.prices("close"),
         }
         got = {}
         for task in ALL_TASKS:

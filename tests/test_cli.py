@@ -83,7 +83,7 @@ class TestSynth:
         assert code == 0
         assert f"wrote {out}" in capsys.readouterr().out
         series = parse_csv(out.read_text(encoding="utf-8"))
-        assert all(b.close == 55.0 for b in series.bars)
+        assert (series.prices("close") == 55.0).all()
 
     def test_bad_param_format(self, capsys):
         assert main(["synth", "--kind", "grw", "--days", "5", "--param", "level"]) == 2
@@ -114,6 +114,13 @@ class TestFeaturize:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 101
         assert "y_op" not in lines[0]
+
+    def test_no_labels_on_a_series_one_window_long(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        assert main(["synth", "--kind", "grw", "--days", "20", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["featurize", "--input", str(path), "--no-labels"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 1
 
     def test_feature_set_selection(self, grw_csv, capsys):
         assert main(
@@ -209,9 +216,11 @@ class TestRun:
         assert main(["run", "--config", str(conf)]) == 1
         captured = capsys.readouterr()
         assert "cell failed: demo/op/INT/dt" in captured.err
-        log = (tmp_path / "results" / "errors.log").read_text(encoding="utf-8")
-        assert "degenerate split" in log
-        assert len(log.strip().splitlines()) == 8
+        log = (tmp_path / "results" / "errors.log").read_text(encoding="utf-8").splitlines()
+        provenance = Provenance.from_comment(log[0])
+        assert log[0] == provenance.comment and provenance.seed == 3
+        assert len(log) == 1 + 8
+        assert all(line.startswith("demo/") and "degenerate split" in line for line in log[1:])
         # results.csv still exists, holding the zero successful records
         records, _ = parse_results_csv((tmp_path / "results" / "results.csv").read_text(encoding="utf-8"))
         assert records == []

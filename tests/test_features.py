@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import series_from_rows
 from opentrend.features import (
     CANONICAL_COLUMNS,
     HISTORICAL_COLUMNS,
@@ -21,42 +22,31 @@ from opentrend.features import (
     select,
 )
 from opentrend.indicators import IndicatorParams, channel_arrays
-from opentrend.ohlc import OhlcBar, OhlcSeries
+from opentrend.ohlc import PRICE_FIELDS, OhlcSeries
 
 
-def bar(open_=100.0, high=None, low=None, close=None, day=dt.date(2019, 4, 1)):
-    close = open_ if close is None else close
-    high = max(open_, close) if high is None else high
-    low = min(open_, close) if low is None else low
-    return OhlcBar(day, open_, high, low, close)
-
-
-def now_columns(*bars):
+def now_columns(series):
     """r_hi, r_lo, r_cl of each bar: the NOW columns assembled with a one-day window."""
-    series = OhlcSeries(market="m", bars=tuple(bars))
     return select(assemble(series, IndicatorParams(window_n=1)), FeatureSetMask.from_name("NOW")).values
 
 
 class TestNowcast:
     def test_flat_bar_is_all_zero(self):
-        r_hi, r_lo, r_cl = now_columns(bar(100.0, 100.0, 100.0, 100.0))[0]
+        r_hi, r_lo, r_cl = now_columns(series_from_rows([(100.0, 100.0, 100.0, 100.0)]))[0]
         assert r_hi == 0.0 and r_lo == 0.0 and r_cl == 0.0
 
     def test_log_ratios(self):
-        r_hi, r_lo, r_cl = now_columns(bar(100.0, 110.0, 95.0, 105.0))[0]
+        r_hi, r_lo, r_cl = now_columns(series_from_rows([(100.0, 110.0, 95.0, 105.0)]))[0]
         assert r_hi == pytest.approx(math.log(1.10))
         assert r_lo == pytest.approx(math.log(0.95))
         assert r_cl == pytest.approx(math.log(1.05))
 
     def test_scale_invariance(self):
-        a, b = now_columns(
-            bar(100.0, 103.0, 99.0, 101.0),
-            bar(700.0, 721.0, 693.0, 707.0, day=dt.date(2019, 4, 2)),
-        )
+        a, b = now_columns(series_from_rows([(100.0, 103.0, 99.0, 101.0), (700.0, 721.0, 693.0, 707.0)]))
         assert a == pytest.approx(b)
 
     def test_sign_conventions(self, grw_series):
-        r_hi, r_lo, r_cl = now_columns(*grw_series.bars).T
+        r_hi, r_lo, r_cl = now_columns(grw_series).T
         assert np.all(r_hi >= 0.0) and np.all(r_lo <= 0.0)
         assert np.all(r_lo <= r_cl) and np.all(r_cl <= r_hi)
 
@@ -100,7 +90,7 @@ class TestAssemble:
         series = make_grw(days=20, seed=7)
         matrix = assemble(series)
         assert matrix.n_rows == 1
-        assert matrix.dates[0] == series.bars[-1].date
+        assert matrix.dates[0] == series.dates[-1]
 
     def test_too_short_rejected(self, make_grw):
         with pytest.raises(ValueError, match="too short"):
@@ -118,16 +108,19 @@ class TestAssemble:
         """Day t's row must be computable from bars 0..t alone."""
         full = assemble(grw_series)
         cut = 60
-        truncated = OhlcSeries(market=grw_series.market, bars=grw_series.bars[: cut + 1])
+        head = slice(0, cut + 1)
+        truncated = OhlcSeries(
+            grw_series.market, grw_series.dates[head], *(grw_series.prices(f)[head] for f in PRICE_FIELDS)
+        )
         partial = assemble(truncated)
-        assert partial.dates[-1] == grw_series.bars[cut].date
+        assert partial.dates[-1] == grw_series.dates[cut]
         np.testing.assert_array_equal(partial.values[-1], full.values[cut - 19])
 
     def test_intrinsic_matches_bars(self, grw_series):
         matrix = assemble(grw_series)
-        for day, values, b in zip(matrix.dates, matrix.values, grw_series.bars[19:]):
-            assert day == b.date
-            assert tuple(values[:4]) == (b.open, b.high, b.low, b.close)
+        assert matrix.dates == grw_series.dates[19:]
+        for j, name in enumerate(PRICE_FIELDS):
+            np.testing.assert_array_equal(matrix.values[:, j], grw_series.prices(name)[19:])
 
     def test_values_ordering(self, grw_series):
         matrix = assemble(grw_series)
@@ -135,7 +128,8 @@ class TestAssemble:
         arrays = channel_arrays(grw_series, IndicatorParams())
         for j, column in enumerate(HISTORICAL_COLUMNS):
             np.testing.assert_array_equal(matrix.values[:, 4 + j], arrays[column][19:])
-        logs = [[math.log(p / b.open) for p in (b.high, b.low, b.close)] for b in grw_series.bars[19:]]
+        o, h, l, c = (grw_series.prices(name)[19:].tolist() for name in PRICE_FIELDS)
+        logs = [[math.log(p / o[t]) for p in (h[t], l[t], c[t])] for t in range(len(o))]
         np.testing.assert_array_equal(matrix.values[:, 13:], logs)
 
 

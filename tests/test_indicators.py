@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 
 import numpy as np
@@ -20,7 +19,8 @@ from opentrend.indicators import (
     sma,
     true_range,
 )
-from opentrend.ohlc import OhlcBar, OhlcSeries
+from conftest import series_from_rows
+from opentrend.ohlc import PRICE_FIELDS, OhlcSeries
 from opentrend.synth import GenSpec, generate
 
 # ---------------------------------------------------------------------------
@@ -29,14 +29,14 @@ from opentrend.synth import GenSpec, generate
 
 
 def oracle_donchian(series, n, t):
-    highs = [b.high for b in series.bars[t - n + 1 : t + 1]]
-    lows = [b.low for b in series.bars[t - n + 1 : t + 1]]
+    highs = list(series.prices("high")[t - n + 1 : t + 1])
+    lows = list(series.prices("low")[t - n + 1 : t + 1])
     upper, lower = max(highs), min(lows)
     return upper, lower, (upper + lower) / 2.0
 
 
 def oracle_bollinger(series, n, k, t):
-    window = [b.close for b in series.bars[t - n + 1 : t + 1]]
+    window = list(series.prices("close")[t - n + 1 : t + 1])
     middle = sum(window) / n
     sigma = math.sqrt(sum((c - middle) ** 2 for c in window) / n)
     return middle + k * sigma, middle - k * sigma, middle
@@ -55,15 +55,15 @@ def oracle_ema(closes, n, t):
 
 
 def oracle_true_range(series, t):
-    b = series.bars[t]
+    high, low = series.prices("high")[t], series.prices("low")[t]
     if t == 0:
-        return b.high - b.low
-    prev = series.bars[t - 1].close
-    return max(b.high - b.low, abs(b.high - prev), abs(b.low - prev))
+        return high - low
+    prev = series.prices("close")[t - 1]
+    return max(high - low, abs(high - prev), abs(low - prev))
 
 
 def oracle_keltner(series, n, k, t):
-    closes = [b.close for b in series.bars]
+    closes = list(series.prices("close"))
     middle = oracle_ema(closes, n, t)
     avg_tr = sum(oracle_true_range(series, i) for i in range(t - n + 1, t + 1)) / n
     return middle + k * avg_tr, middle - k * avg_tr, middle
@@ -75,11 +75,8 @@ def bands(series, kind, params=None):
     return tuple(arrays[column] for column in CHANNEL_COLUMNS[kind])
 
 
-def flat_series(closes, start=dt.date(2019, 4, 1)):
-    bars = tuple(
-        OhlcBar(start + dt.timedelta(days=i), c, c, c, c) for i, c in enumerate(closes)
-    )
-    return OhlcSeries(market="flat", bars=bars)
+def flat_series(closes):
+    return series_from_rows(((c, c, c, c) for c in closes), market="flat")
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +140,14 @@ class TestTrueRange:
         assert true_range(series)[0] == 0.0
 
     def test_gap_cases(self):
-        start = dt.date(2019, 4, 1)
-        bars = (
-            OhlcBar(start, 100.0, 105.0, 98.0, 104.0),
+        rows = (
+            (100.0, 105.0, 98.0, 104.0),
             # gap up: high-prev_close dominates
-            OhlcBar(start + dt.timedelta(days=1), 110.0, 112.0, 109.0, 111.0),
+            (110.0, 112.0, 109.0, 111.0),
             # gap down: prev_close - low dominates
-            OhlcBar(start + dt.timedelta(days=2), 100.0, 101.0, 99.0, 100.0),
+            (100.0, 101.0, 99.0, 100.0),
         )
-        series = OhlcSeries(market="g", bars=bars)
+        series = series_from_rows(rows, market="g")
         tr = true_range(series)
         assert tr[0] == pytest.approx(7.0)
         assert tr[1] == pytest.approx(112.0 - 104.0)
@@ -237,13 +233,7 @@ class TestChannels:
 
     def test_scale_equivariance(self, grw_series):
         scale = 7.5
-        scaled = OhlcSeries(
-            market="s",
-            bars=tuple(
-                OhlcBar(b.date, b.open * scale, b.high * scale, b.low * scale, b.close * scale)
-                for b in grw_series.bars
-            ),
-        )
+        scaled = OhlcSeries("s", grw_series.dates, *(grw_series.prices(f) * scale for f in PRICE_FIELDS))
         base = channel_arrays(grw_series, IndicatorParams())
         big = channel_arrays(scaled, IndicatorParams())
         for key in base:

@@ -7,26 +7,19 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from conftest import series_from_rows
 from opentrend.labeling import ALL_TASKS, LabelVector, TaskKind, make_labels
-from opentrend.ohlc import OhlcBar, OhlcSeries
 from opentrend.synth import GenSpec, generate
 
 
 def two_day_series(day1, day2):
     """day1/day2 are (open, high, low, close) tuples."""
-    start = dt.date(2019, 4, 1)
-    return OhlcSeries(
-        market="pair",
-        bars=(
-            OhlcBar(start, *day1),
-            OhlcBar(start + dt.timedelta(days=1), *day2),
-        ),
-    )
+    return series_from_rows((day1, day2), market="pair")
 
 
 def oracle_label(series, task, t):
-    reference = series.bars[t].price(task.reference_field)
-    return 1 if series.bars[t + 1].open > reference else 0
+    reference = series.prices(task.reference_field)[t]
+    return 1 if series.prices("open")[t + 1] > reference else 0
 
 
 class TestTaskKind:
@@ -95,8 +88,8 @@ class TestVectorShape:
         first = 19
         vec = make_labels(grw_series, TaskKind.OP_VS_CLOSE, first)
         assert len(vec) == len(grw_series) - 1 - first
-        assert vec.dates[0] == grw_series.bars[first].date
-        assert vec.dates[-1] == grw_series.bars[-2].date
+        assert vec.dates[0] == grw_series.dates[first]
+        assert vec.dates[-1] == grw_series.dates[-2]
 
     def test_one_shorter_than_feature_rows(self, grw_series):
         from opentrend.features import assemble

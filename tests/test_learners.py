@@ -286,11 +286,6 @@ class TestExtraTrees:
                 small.state.trees[t].apply(X), large.state.trees[t].apply(X)
             )
 
-    def test_criterion_validation(self, blob):
-        X, y = blob
-        with pytest.raises(ValueError, match="invalid value.*'criterion'"):
-            fit(ClassifierSpec(family="ExtraTrees", hyperparams={"criterion": "mse"}), X, y)
-
 
 class TestGradientBoosting:
     def test_zero_iterations_is_majority_class(self):

@@ -73,19 +73,19 @@ class TestDeterminismAndInvariants:
 
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_bars_satisfy_ohlc_invariants(self, kind):
-        # OhlcBar construction enforces the bracket; this re-checks explicitly
+        # OhlcSeries construction enforces the bracket; this re-checks explicitly
         series = generate(GenSpec(kind=kind, days=120, seed=5))
         assert len(series) == 120
-        for b in series.bars:
-            assert b.low <= min(b.open, b.close) <= max(b.open, b.close) <= b.high
-            assert b.low > 0
+        o, h, l, c = (series.prices(name) for name in ("open", "high", "low", "close"))
+        assert np.all(l <= np.minimum(o, c)) and np.all(np.maximum(o, c) <= h)
+        assert np.all(l > 0)
 
 
 class TestConstant:
     def test_flat_at_level(self):
         series = generate(GenSpec(kind="constant", days=30, seed=0, params={"level": 42.0}))
-        for b in series.bars:
-            assert b.open == b.high == b.low == b.close == 42.0
+        for name in ("open", "high", "low", "close"):
+            assert np.all(series.prices(name) == 42.0)
 
     def test_zero_volatility(self):
         series = generate(GenSpec(kind="constant", days=30, seed=0))
