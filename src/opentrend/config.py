@@ -16,6 +16,7 @@ ConfigError (CLI exit code 2) naming the offending key.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from opentrend.features import FeatureSetMask, NAMED_FEATURE_SETS
@@ -60,8 +61,8 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         _check(self.window_n >= 1, "window_n", self.window_n)
-        _check(self.bollinger_k >= 0, "bollinger_k", self.bollinger_k)
-        _check(self.keltner_k >= 0, "keltner_k", self.keltner_k)
+        _check(0 <= self.bollinger_k < math.inf, "bollinger_k", self.bollinger_k)
+        _check(0 <= self.keltner_k < math.inf, "keltner_k", self.keltner_k)
         _check(0.0 < self.split_ratio < 1.0, "split_ratio", self.split_ratio)
         _check(self.eval_mode in ("static", "rolling"), "eval_mode", self.eval_mode)
         _check(self.refit_every >= 1, "refit_every", self.refit_every)
@@ -131,7 +132,6 @@ def _check(ok: bool, key: str, value) -> None:
         raise ConfigError(f"invalid config key {key!r}: bad value {value!r}")
 
 
-# one (parser, help) entry per assignable key
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -148,30 +148,19 @@ def _parse_list(raw: str) -> tuple[str, ...]:
     return items
 
 
-_FIELD_PARSERS = {
-    "window_n": int,
-    "bollinger_k": float,
-    "keltner_k": float,
-    "bollinger_paper_literal": _parse_bool,
-    "split_ratio": float,
-    "eval_mode": str.strip,
-    "refit_every": int,
-    "freeze_window": _parse_bool,
-    "tasks": _parse_list,
-    "feature_sets": _parse_list,
-    "classifiers": _parse_list,
-    "seed": int,
-    "workers": int,
-    "acc_threshold": float,
-    "mcc_threshold": float,
-    "shap_model": str.strip,
-    "shap_mode": str.strip,
-    "shap_feature_set": str.strip,
-    "shap_background": int,
-    "shap_rows": int,
-    "shap_permutations": int,
-    "out_dir": str.strip,
-}
+def _parser_for(default):
+    """The text parser of a key, chosen by the type of its field's default."""
+    if isinstance(default, bool):  # before int: bool is a subclass of int
+        return _parse_bool
+    if isinstance(default, (int, float)):
+        return type(default)
+    if isinstance(default, tuple):
+        return _parse_list
+    return str.strip
+
+
+# every field is an assignable key except inputs, which `input` lines append to
+_FIELD_PARSERS = {f.name: _parser_for(f.default) for f in fields(RunConfig) if f.name != "inputs"}
 
 
 def parse_assignments(text: str, source: str = "config") -> list[tuple[str, str]]:

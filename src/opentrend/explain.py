@@ -11,7 +11,6 @@ score, never the 0/1 decision.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ SHAP_SAMPLED = "sampled"
 class AttributionRow:
     """Per-feature contributions for one attributed row."""
 
-    date: dt.date | None
     phi: np.ndarray
     base_value: float
     model_output: float
@@ -94,7 +92,7 @@ def _coalition_values(score, x: np.ndarray, background: np.ndarray) -> np.ndarra
     return values
 
 
-def shapley_exact(model, x, background, date: dt.date | None = None) -> AttributionRow:
+def shapley_exact(model, x, background) -> AttributionRow:
     """Exact Shapley values by full coalition enumeration (d <= 20)."""
     row = _as_row(x)
     d = row.size
@@ -121,12 +119,10 @@ def shapley_exact(model, x, background, date: dt.date | None = None) -> Attribut
             np.sum(weight_by_size[sizes[without]] * (values[with_j.astype(np.int64)] - values[without.astype(np.int64)]))
         )
     out = float(np.asarray(score(row.reshape(1, -1)), dtype=np.float64)[0])
-    return AttributionRow(date=date, phi=phi, base_value=float(values[0]), model_output=out)
+    return AttributionRow(phi=phi, base_value=float(values[0]), model_output=out)
 
 
-def shapley_sampled(
-    model, x, background, n_permutations: int = 200, seed: int = 0, date: dt.date | None = None
-) -> AttributionRow:
+def shapley_sampled(model, x, background, n_permutations: int = 200, seed: int = 0) -> AttributionRow:
     """Monte-Carlo Shapley: average marginal contributions over seeded orderings."""
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
@@ -149,7 +145,7 @@ def shapley_sampled(
             prev = cur
     phi /= n_permutations
     out = float(np.asarray(score(row.reshape(1, -1)), dtype=np.float64)[0])
-    return AttributionRow(date=date, phi=phi, base_value=base_value, model_output=out)
+    return AttributionRow(phi=phi, base_value=base_value, model_output=out)
 
 
 def global_importance(
@@ -160,7 +156,6 @@ def global_importance(
     mode: str = SHAP_EXACT,
     n_permutations: int = 200,
     seed: int = 0,
-    dates: tuple[dt.date, ...] | None = None,
 ) -> ShapleyReport:
     """Mean |phi| per feature over a set of rows."""
     matrix = np.asarray(rows, dtype=np.float64)
@@ -173,13 +168,10 @@ def global_importance(
     bg = _as_background(background, matrix.shape[1])
     attributed: list[AttributionRow] = []
     for i in range(matrix.shape[0]):
-        day = dates[i] if dates is not None else None
         if mode == SHAP_EXACT:
-            attributed.append(shapley_exact(model, matrix[i], bg, date=day))
+            attributed.append(shapley_exact(model, matrix[i], bg))
         else:
-            attributed.append(
-                shapley_sampled(model, matrix[i], bg, n_permutations=n_permutations, seed=seed + i, date=day)
-            )
+            attributed.append(shapley_sampled(model, matrix[i], bg, n_permutations=n_permutations, seed=seed + i))
     importance = np.mean(np.abs(np.vstack([a.phi for a in attributed])), axis=0)
     return ShapleyReport(
         feature_names=tuple(feature_names),

@@ -45,9 +45,9 @@ class IndicatorParams:
         if not isinstance(self.window_n, int) or self.window_n < 1:
             raise ValueError(f"window_n must be an integer >= 1, got {self.window_n!r}")
         if not (self.bollinger_k >= 0 and np.isfinite(self.bollinger_k)):
-            raise ValueError(f"bollinger_k must be non-negative, got {self.bollinger_k!r}")
+            raise ValueError(f"bollinger_k must be finite and non-negative, got {self.bollinger_k!r}")
         if not (self.keltner_k >= 0 and np.isfinite(self.keltner_k)):
-            raise ValueError(f"keltner_k must be non-negative, got {self.keltner_k!r}")
+            raise ValueError(f"keltner_k must be finite and non-negative, got {self.keltner_k!r}")
 
     @property
     def ema_alpha(self) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from opentrend.learners.base import positive_int, register_family, sigmoid
-from opentrend.learners.trees import TreeArrays, grow_tree, make_sse_finder
+from opentrend.learners.trees import SSE, TreeArrays, grow_tree, make_exhaustive_finder
 
 _HESSIAN_FLOOR = 1e-12
 
@@ -67,12 +67,12 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
 
         tree = grow_tree(
             X,
+            gradient,
             max_depth=hyper["max_depth"],
             max_features=None,
             rng=None,
-            find_split=make_sse_finder(X, gradient),
+            find_split=make_exhaustive_finder(X, gradient, SSE),
             leaf_value=leaf_value,
-            is_pure=lambda idx: bool(np.ptp(gradient[idx]) == 0.0),
         )
         trees.append(tree)
         z = z + lr * tree.apply(X)

@@ -50,12 +50,11 @@ def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> Ex
         trees.append(
             grow_tree(
                 X,
+                y,
                 max_depth=_UNBOUNDED_DEPTH,
                 max_features=max_features,
                 rng=rng,
                 find_split=make_random_entropy_finder(X, y, rng),
-                leaf_value=lambda idx: float(y[idx].mean()),
-                is_pure=lambda idx: bool(np.ptp(y[idx]) == 0.0),
             )
         )
     return ExtraTreesState(trees=trees)

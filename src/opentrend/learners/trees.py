@@ -1,10 +1,11 @@
 """Binary decision trees on numeric features.
 
-One growth engine serves three split strategies: the exhaustive gini CART
-used by DecisionTree, the random-threshold entropy splits of the
-extremely-randomized ensemble, and the exhaustive variance-reduction splits
-of boosting's regression trees.  Nodes expand depth-first, left child
-first, so any random draws happen in a fixed, reproducible order.
+One growth engine serves two split strategies: the exhaustive search, which
+scores every midpoint threshold of every candidate column by a gini
+criterion (DecisionTree) or a sum-of-squares criterion (boosting's
+regression trees), and the random-threshold entropy splits of the
+extremely-randomized ensemble.  Nodes expand depth-first, left child first,
+so any random draws happen in a fixed, reproducible order.
 
 Tie-breaking is explicit everywhere: candidate columns are scanned in
 ascending index order and only a strictly better gain displaces the
@@ -75,15 +76,19 @@ class _SplitChoice:
 
 def grow_tree(
     X: np.ndarray,
+    target: np.ndarray,
     *,
     max_depth: int,
     max_features: int | None,
     rng: np.random.Generator | None,
     find_split: Callable[[np.ndarray, np.ndarray], _SplitChoice | None],
-    leaf_value: Callable[[np.ndarray], float],
-    is_pure: Callable[[np.ndarray], bool],
+    leaf_value: Callable[[np.ndarray], float] | None = None,
 ) -> TreeArrays:
-    """Grow one tree over row indices of X with pluggable split logic."""
+    """Grow one tree over row indices of X with pluggable split logic.
+
+    A node with constant target is a leaf; a leaf holds the mean target of
+    its rows unless ``leaf_value`` maps its row indices to another value.
+    """
     n_features = X.shape[1]
     feature: list[int] = []
     threshold: list[float] = []
@@ -103,16 +108,15 @@ def grow_tree(
     stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
     while stack:
         node, idx, depth = stack.pop()
-        if depth >= max_depth or idx.size < 2 or is_pure(idx):
-            value[node] = leaf_value(idx)
-            continue
-        if max_features is not None and max_features < n_features:
-            candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
-        else:
-            candidates = np.arange(n_features)
-        choice = find_split(idx, candidates)
+        choice = None
+        if depth < max_depth and idx.size >= 2 and np.ptp(target[idx]) != 0.0:
+            if max_features is not None and max_features < n_features:
+                candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
+            else:
+                candidates = np.arange(n_features)
+            choice = find_split(idx, candidates)
         if choice is None:
-            value[node] = leaf_value(idx)
+            value[node] = float(target[idx].mean()) if leaf_value is None else leaf_value(idx)
             continue
         go_left = X[idx, choice.column] <= choice.threshold
         feature[node] = choice.column
@@ -155,13 +159,42 @@ def _best_cut_sorted(xs: np.ndarray) -> np.ndarray:
     return np.nonzero(xs[:-1] < xs[1:])[0]
 
 
-def make_gini_finder(X: np.ndarray, y: np.ndarray):
-    """Exhaustive CART split: best midpoint threshold by gini gain."""
+def _gini_best_cut(total, n, n_left, sum_left, parent):
+    n_right = n - n_left
+    sum_right = total - sum_left
+    weighted = (
+        n_left * _gini_from_counts(sum_left, n_left)
+        + n_right * _gini_from_counts(sum_right, n_right)
+    ) / n
+    j = int(np.argmin(weighted))  # first optimum: lowest threshold
+    return j, parent - float(weighted[j])
+
+
+def _sse_best_cut(total, n, n_left, sum_left, parent):
+    sum_right = total - sum_left
+    score = sum_left * sum_left / n_left + sum_right * sum_right / (n - n_left)
+    j = int(np.argmax(score))  # first optimum: lowest threshold
+    return j, float(score[j]) - parent
+
+
+# A criterion is a pair (parent term, best cut): parent_term(total, n) scores
+# the node and best_cut(total, n, n_left, sum_left, parent) returns the
+# position and gain of the first best cut.  Each criterion picks with its own
+# argmin/argmax: gini on 0/1 labels and SSE rank splits alike in exact
+# arithmetic, but rounding breaks near-ties differently.
+GINI = (_gini_from_counts, _gini_best_cut)  # class impurity of 0/1 labels
+SSE = (lambda total, n: total * total / n, _sse_best_cut)  # sum-of-squares reduction of a real target
+
+
+def make_exhaustive_finder(X: np.ndarray, target: np.ndarray, criterion):
+    """Exhaustive split: best midpoint threshold of any candidate column by criterion."""
+    parent_term, best_cut = criterion
 
     def find(idx: np.ndarray, candidates: np.ndarray) -> _SplitChoice | None:
-        y_node = y[idx]
+        t_node = target[idx]
         n = idx.size
-        parent = _gini_from_counts(y_node.sum(), n)
+        total = t_node.sum()
+        parent = parent_term(total, n)
         best: _SplitChoice | None = None
         for col in candidates:
             xs = X[idx, col]
@@ -170,17 +203,8 @@ def make_gini_finder(X: np.ndarray, y: np.ndarray):
             cuts = _best_cut_sorted(xs_sorted)
             if cuts.size == 0:
                 continue
-            ones = np.cumsum(y_node[order])
-            n_left = cuts + 1.0
-            n_right = n - n_left
-            ones_left = ones[cuts]
-            ones_right = ones[-1] - ones_left
-            weighted = (
-                n_left * _gini_from_counts(ones_left, n_left)
-                + n_right * _gini_from_counts(ones_right, n_right)
-            ) / n
-            j = int(np.argmin(weighted))  # first optimum: lowest threshold
-            gain = parent - float(weighted[j])
+            sums = np.cumsum(t_node[order])
+            j, gain = best_cut(total, n, cuts + 1.0, sums[cuts], parent)
             if gain > 0.0 and (best is None or gain > best.gain):
                 thr = (xs_sorted[cuts[j]] + xs_sorted[cuts[j] + 1]) / 2.0
                 best = _SplitChoice(column=int(col), threshold=float(thr), gain=gain)
@@ -222,37 +246,6 @@ def make_random_entropy_finder(X: np.ndarray, y: np.ndarray, rng: np.random.Gene
     return find
 
 
-def make_sse_finder(X: np.ndarray, target: np.ndarray):
-    """Exhaustive regression split: maximal sum-of-squares reduction on target."""
-
-    def find(idx: np.ndarray, candidates: np.ndarray) -> _SplitChoice | None:
-        t_node = target[idx]
-        n = idx.size
-        total = t_node.sum()
-        parent_score = total * total / n
-        best: _SplitChoice | None = None
-        for col in candidates:
-            xs = X[idx, col]
-            order = np.argsort(xs, kind="stable")
-            xs_sorted = xs[order]
-            cuts = _best_cut_sorted(xs_sorted)
-            if cuts.size == 0:
-                continue
-            sums = np.cumsum(t_node[order])
-            n_left = cuts + 1.0
-            sum_left = sums[cuts]
-            sum_right = total - sum_left
-            score = sum_left * sum_left / n_left + sum_right * sum_right / (n - n_left)
-            j = int(np.argmax(score))  # first optimum: lowest threshold
-            gain = float(score[j]) - parent_score
-            if gain > 0.0 and (best is None or gain > best.gain):
-                thr = (xs_sorted[cuts[j]] + xs_sorted[cuts[j] + 1]) / 2.0
-                best = _SplitChoice(column=int(col), threshold=float(thr), gain=gain)
-        return best
-
-    return find
-
-
 # ---------------------------------------------------------------------------
 # DecisionTree family
 # ---------------------------------------------------------------------------
@@ -278,12 +271,11 @@ def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
     rng = np.random.default_rng(seed)
     tree = grow_tree(
         X,
+        y,
         max_depth=hyper["max_depth"],
         max_features=min(hyper["max_features"], X.shape[1]),
         rng=rng,
-        find_split=make_gini_finder(X, y),
-        leaf_value=lambda idx: float(y[idx].mean()),
-        is_pure=lambda idx: bool(np.ptp(y[idx]) == 0.0),
+        find_split=make_exhaustive_finder(X, y, GINI),
     )
     return DecisionTreeState(tree=tree)
 

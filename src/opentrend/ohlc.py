@@ -121,9 +121,10 @@ class VolatilityStats:
 def parse_csv(text: str, market: str = "series") -> OhlcSeries:
     """Parse CSV text into an OhlcSeries, failing fast on any defect.
 
-    Rejects: missing/mangled header, wrong field counts, non-ISO dates,
-    non-numeric or non-positive prices, high/low bracket violations, and
-    duplicate or out-of-order dates.  Never reorders rows silently.
+    Rejects: missing/mangled header, no data rows, wrong field counts,
+    non-ISO dates, non-numeric or non-positive prices, high/low bracket
+    violations, and duplicate or out-of-order dates.  Never reorders rows
+    silently.
     """
     lines = text.lstrip("﻿").splitlines()
     # trailing blank lines are tolerated, interior ones are not
@@ -133,6 +134,8 @@ def parse_csv(text: str, market: str = "series") -> OhlcSeries:
         raise OhlcError("empty file: no header row")
     if lines[0].strip() != CSV_HEADER:
         raise OhlcError(f"bad header: expected {CSV_HEADER!r}, got {lines[0].strip()!r}")
+    if len(lines) == 1:
+        raise OhlcError("no data rows after the header")
     dates: list[dt.date] = []
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -96,7 +96,6 @@ def _shapley_cell(data: _MarketData, task: str, config: RunConfig) -> ShapleyRep
     background = background_sample(ds.matrix.values[: sp.n_train], config.shap_background, seed=seed)
     test_rows = ds.matrix.values[sp.n_train :]
     picked = row_subsample(test_rows, config.shap_rows, seed=seed)
-    test_dates = tuple(ds.matrix.dates[sp.n_train + int(i)] for i in picked)
     return global_importance(
         model,
         test_rows[picked],
@@ -105,7 +104,6 @@ def _shapley_cell(data: _MarketData, task: str, config: RunConfig) -> ShapleyRep
         mode=config.shap_mode,
         n_permutations=config.shap_permutations,
         seed=seed,
-        dates=test_dates,
     )
 
 
@@ -123,22 +121,17 @@ def _remove_stale(out_dir: Path) -> None:
         path.unlink(missing_ok=True)
 
 
-def cmd_run(config: RunConfig, series_by_market: dict[str, OhlcSeries] | None = None) -> RunOutcome:
-    """Evaluate the whole grid and write the bundle into config.out_dir.
-
-    ``series_by_market`` bypasses file loading (used by tests); normally
-    every configured input path is parsed from disk.
-    """
+def cmd_run(config: RunConfig) -> RunOutcome:
+    """Evaluate the whole grid and write the bundle into config.out_dir."""
     config = config.validate()
-    if series_by_market is None:
-        series_by_market = {}
-        for market, path in config.inputs:
-            series_by_market[market] = parse_csv(Path(path).read_text(encoding="utf-8"), market=market)
-    if not series_by_market:
+    if not config.inputs:
         raise ValueError("no inputs configured: add at least one 'input = MARKET:path' line")
 
-    markets = list(series_by_market)
-    prepared = {m: _prepare_market(m, series_by_market[m], config) for m in markets}
+    prepared = {
+        market: _prepare_market(market, parse_csv(Path(path).read_text(encoding="utf-8"), market=market), config)
+        for market, path in config.inputs
+    }
+    markets = list(prepared)
 
     records: list[EvalRecord] = []
     errors: list[tuple[str, str]] = []

@@ -64,6 +64,12 @@ class TestIngest:
         assert main(["ingest", "--input", str(bad)]) == 2
         assert "error: bar invariant violated at 2019-04-01" in capsys.readouterr().err
 
+    def test_header_only_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("date,open,high,low,close\n", encoding="utf-8")
+        assert main(["ingest", "--input", str(empty)]) == 2
+        assert "error: no data rows after the header" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["ingest", "--input", str(tmp_path / "nope.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")

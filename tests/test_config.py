@@ -97,6 +97,8 @@ class TestValidate:
         "key,value",
         [
             ("window_n", "0"),
+            ("bollinger_k", "inf"),
+            ("keltner_k", "inf"),
             ("split_ratio", "1.0"),
             ("eval_mode", "jackknife"),
             ("refit_every", "0"),

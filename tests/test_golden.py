@@ -1,9 +1,11 @@
-"""Golden digests of the design matrix and the labels on one fixed market.
+"""Golden digests of the design matrix, the labels and fitted tree models on one fixed market.
 
-The digests were recorded before the feature and label code became
-columnar.  They pin every bit: computing the NOW columns with ``np.log``
-instead of ``math.log`` changes the last bit of some values, which would
-change every result bundle built from them.
+The matrix and label digests were recorded before the feature and label
+code became columnar.  They pin every bit: computing the NOW columns with
+``np.log`` instead of ``math.log`` changes the last bit of some values,
+which would change every result bundle built from them.  The model digests
+were recorded before the exhaustive split finders were merged; any change
+to a split, a threshold or a leaf value of the tree grower changes them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import hashlib
 
 import pytest
 
-from opentrend.features import CANONICAL_COLUMNS, assemble
-from opentrend.labeling import ALL_TASKS, make_labels
+from opentrend.dataset import bind, split
+from opentrend.features import CANONICAL_COLUMNS, FeatureSetMask, assemble, select
+from opentrend.labeling import ALL_TASKS, TaskKind, make_labels
+from opentrend.learners import ClassifierSpec, fit, model_to_json, preset
 from opentrend.synth import GenSpec, generate
 
 VALUES_SHA256 = "c758fa87d37f722e36e376825c24015e2554a32b8697a1884281954ec8772ee7"
@@ -23,6 +27,18 @@ LABELS_SHA256 = {
     "hi": "8b5c3b0f4c90150c9547cd4eed0b3108eac86b909a28b3065068b6420de7666b",
     "lo": "0944e9ead5c9b67dab978c4f3795fa27a84793196e3d615a1270456fc722d5f0",
     "cl": "fd7cb1c91e21f9552ce6e3339a58e8a1de9710eba26470c88cb4ec6ab39b410a",
+}
+MODEL_SHA256 = {
+    "dt": "967f43f73387ddd02b345f343e4e986810ad54d362bd9e3bdde011e6e9c31f15",
+    "xgb": "5f93f9fe2bd879cf07c42bc5f0baa9cddda2328e68e1aa39b4286cb9c77caf9f",
+    "gbt20": "cf0274a4e45bd63311caa1dc0f4482edbb4b854e7768148af39d2ac2b3731dcd",
+    "extratrees5": "72e15a68e939a9c038e8eaf462248b73fa039635648866776927e94b307e3acb",
+}
+MODEL_SPECS = {
+    "dt": preset("dt"),
+    "xgb": preset("xgb"),
+    "gbt20": ClassifierSpec("GradientBoostedTrees", {"iterations": 20, "max_depth": 6, "learning_rate": 0.1}),
+    "extratrees5": ClassifierSpec("ExtraTrees", {"n_trees": 5}),
 }
 
 
@@ -52,3 +68,15 @@ def test_label_bits(market):
         assert vector.labels.dtype.name == "int64"
         assert vector.dates == matrix.dates[:-1]
         assert sha256(vector.labels.tobytes()) == LABELS_SHA256[task.value], task.value
+
+
+def test_tree_model_bits(market):
+    full = assemble(market)
+    labels = make_labels(market, TaskKind.OP_VS_OP, len(market) - full.n_rows)
+    ds = bind(select(full, FeatureSetMask.from_name("INT+HIST+NOW")), labels, market.market)
+    n_train = split(ds, 0.8).n_train
+    assert n_train == 989
+    X, y = ds.matrix.values[:n_train], ds.labels[:n_train]
+    for name, spec in MODEL_SPECS.items():
+        model = fit(spec, X, y, feature_names=ds.matrix.columns)
+        assert sha256(model_to_json(model).encode("utf-8")) == MODEL_SHA256[name], name

@@ -176,6 +176,11 @@ class TestParseCsv:
         with pytest.raises(OhlcError, match="empty file"):
             parse_csv("")
 
+    def test_header_only_file(self):
+        for text in (CSV_HEADER, CSV_HEADER + "\n", CSV_HEADER + "\r\n\n\n"):
+            with pytest.raises(OhlcError, match="no data rows after the header"):
+                parse_csv(text)
+
     def test_duplicate_date_rows(self):
         text = f"{CSV_HEADER}\n2019-04-01,1,2,0.5,1\n2019-04-01,1,2,0.5,1\n"
         with pytest.raises(OhlcError, match="non-increasing dates"):
