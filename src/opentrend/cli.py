@@ -107,6 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permutations", type=int, default=defaults.shap_permutations)
     p.add_argument("--split-ratio", type=float, default=defaults.split_ratio)
     p.add_argument("--window", type=int, default=defaults.window_n)
+    p.add_argument("--bollinger-k", type=float, default=defaults.bollinger_k)
+    p.add_argument("--keltner-k", type=float, default=defaults.keltner_k)
+    p.add_argument("--bollinger-paper-literal", action="store_true")
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=_cmd_explain)
@@ -234,6 +237,9 @@ def _cmd_explain(args) -> int:
     series = parse_csv(_read(args.input), market=_market_tag(args))
     config = RunConfig(
         window_n=args.window,
+        bollinger_k=args.bollinger_k,
+        keltner_k=args.keltner_k,
+        bollinger_paper_literal=args.bollinger_paper_literal,
         split_ratio=args.split_ratio,
         tasks=(args.task,),
         feature_sets=(args.feature_set,),

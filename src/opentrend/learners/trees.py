@@ -7,6 +7,16 @@ regression trees), and the random-threshold entropy splits of the
 extremely-randomized ensemble.  Nodes expand depth-first, left child first,
 so any random draws happen in a fixed, reproducible order.
 
+The exhaustive search sorts each column once per finder (XGBoost's
+pre-sorted column block, Chen & Guestrin 2016, section 4.1) and scores a
+node in one pass over a (candidate columns x node rows) block: it keeps the
+node's rows from each column's sorted order, so the search costs a fixed
+number of numpy calls per node however many columns it scores.  That
+relies on the grower's row indices being ascending, which they are: the
+root holds ``arange`` and each child is a boolean selection of its parent.
+Filtering a column's (value, row id) order to an ascending node then gives
+exactly the stable sort of the node's values, ties included.
+
 Tie-breaking is explicit everywhere: candidate columns are scanned in
 ascending index order and only a strictly better gain displaces the
 incumbent, so equal-gain ties resolve to the lowest column index; within a
@@ -16,6 +26,7 @@ wins, i.e. the lowest threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -145,70 +156,74 @@ def _gini_from_counts(n_ones, n_total):
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def _entropy_from_counts(n_ones, n_total):
+def _entropy(n_ones: float, n_total: int) -> float:
+    """Binary entropy of a node; scalar ``math`` costs less than numpy's 0-d arrays here."""
     p = n_ones / n_total
-    out = np.zeros_like(np.asarray(p, dtype=np.float64))
+    out = 0.0
     for q in (p, 1.0 - p):
-        pos = np.asarray(q) > 0
-        out = out - np.where(pos, q * np.log(np.where(pos, q, 1.0)), 0.0)
+        if q > 0:
+            out -= q * math.log(q)
     return out
 
 
-def _best_cut_sorted(xs: np.ndarray) -> np.ndarray:
-    """Positions j where a split between xs[j] and xs[j+1] is real (values differ)."""
-    return np.nonzero(xs[:-1] < xs[1:])[0]
-
-
-def _gini_best_cut(total, n, n_left, sum_left, parent):
+def _gini_best_cut(total, n, n_left, sum_left, parent, valid):
     n_right = n - n_left
     sum_right = total - sum_left
     weighted = (
         n_left * _gini_from_counts(sum_left, n_left)
         + n_right * _gini_from_counts(sum_right, n_right)
     ) / n
-    j = int(np.argmin(weighted))  # first optimum: lowest threshold
-    return j, parent - float(weighted[j])
+    weighted[~valid] = np.inf
+    j = np.argmin(weighted, axis=1)  # first optimum: lowest threshold
+    return j, parent - weighted[np.arange(j.size), j]
 
 
-def _sse_best_cut(total, n, n_left, sum_left, parent):
+def _sse_best_cut(total, n, n_left, sum_left, parent, valid):
     sum_right = total - sum_left
     score = sum_left * sum_left / n_left + sum_right * sum_right / (n - n_left)
-    j = int(np.argmax(score))  # first optimum: lowest threshold
-    return j, float(score[j]) - parent
+    score[~valid] = -np.inf
+    j = np.argmax(score, axis=1)  # first optimum: lowest threshold
+    return j, score[np.arange(j.size), j] - parent
 
 
 # A criterion is a pair (parent term, best cut): parent_term(total, n) scores
-# the node and best_cut(total, n, n_left, sum_left, parent) returns the
-# position and gain of the first best cut.  Each criterion picks with its own
-# argmin/argmax: gini on 0/1 labels and SSE rank splits alike in exact
-# arithmetic, but rounding breaks near-ties differently.
+# the node and best_cut(total, n, n_left, sum_left, parent, valid) takes one
+# row of left-hand sums per candidate column, with valid marking the cuts
+# between distinct values, and returns per column the position and gain of
+# the first best valid cut (gain -inf where a column has none).  Each
+# criterion picks with its own argmin/argmax: gini on 0/1 labels and SSE rank
+# splits alike in exact arithmetic, but rounding breaks near-ties
+# differently.
 GINI = (_gini_from_counts, _gini_best_cut)  # class impurity of 0/1 labels
 SSE = (lambda total, n: total * total / n, _sse_best_cut)  # sum-of-squares reduction of a real target
 
 
 def make_exhaustive_finder(X: np.ndarray, target: np.ndarray, criterion):
-    """Exhaustive split: best midpoint threshold of any candidate column by criterion."""
+    """Exhaustive split: best midpoint threshold of any candidate column by criterion.
+
+    The finder expects ``idx`` to hold at least two row indices in
+    ascending order, as ``grow_tree`` passes them (see the module docstring).
+    """
     parent_term, best_cut = criterion
+    order = np.argsort(X.T, axis=1, kind="stable")  # (d, N): each column's row ids by (value, row id)
 
     def find(idx: np.ndarray, candidates: np.ndarray) -> _SplitChoice | None:
-        t_node = target[idx]
         n = idx.size
-        total = t_node.sum()
+        total = target[idx].sum()
         parent = parent_term(total, n)
-        best: _SplitChoice | None = None
-        for col in candidates:
-            xs = X[idx, col]
-            order = np.argsort(xs, kind="stable")
-            xs_sorted = xs[order]
-            cuts = _best_cut_sorted(xs_sorted)
-            if cuts.size == 0:
-                continue
-            sums = np.cumsum(t_node[order])
-            j, gain = best_cut(total, n, cuts + 1.0, sums[cuts], parent)
-            if gain > 0.0 and (best is None or gain > best.gain):
-                thr = (xs_sorted[cuts[j]] + xs_sorted[cuts[j] + 1]) / 2.0
-                best = _SplitChoice(column=int(col), threshold=float(thr), gain=gain)
-        return best
+        in_node = np.zeros(X.shape[0], dtype=bool)
+        in_node[idx] = True
+        rows = order[candidates]
+        rows = rows[in_node[rows]].reshape(candidates.size, n)
+        xs = X[rows, candidates[:, None]]
+        sum_left = np.cumsum(target[rows], axis=1)[:, :-1]
+        j, gain = best_cut(total, n, np.arange(1.0, n), sum_left, parent, xs[:, :-1] < xs[:, 1:])
+        c = int(np.argmax(gain))  # first maximum: lowest column
+        if gain[c] <= 0.0:
+            return None
+        cut = j[c]
+        thr = (xs[c, cut] + xs[c, cut + 1]) / 2.0
+        return _SplitChoice(column=int(candidates[c]), threshold=float(thr), gain=float(gain[c]))
 
     return find
 
@@ -219,7 +234,7 @@ def make_random_entropy_finder(X: np.ndarray, y: np.ndarray, rng: np.random.Gene
     def find(idx: np.ndarray, candidates: np.ndarray) -> _SplitChoice | None:
         y_node = y[idx]
         n = idx.size
-        parent = float(_entropy_from_counts(y_node.sum(), n))
+        parent = _entropy(float(y_node.sum()), n)
         best: _SplitChoice | None = None
         for col in candidates:
             xs = X[idx, col]
@@ -235,8 +250,8 @@ def make_random_entropy_finder(X: np.ndarray, y: np.ndarray, rng: np.random.Gene
             ones_left = float(y_node[go_left].sum())
             ones_right = float(y_node.sum()) - ones_left
             child = (
-                n_left * float(_entropy_from_counts(ones_left, n_left))
-                + (n - n_left) * float(_entropy_from_counts(ones_right, n - n_left))
+                n_left * _entropy(ones_left, n_left)
+                + (n - n_left) * _entropy(ones_right, n - n_left)
             ) / n
             gain = parent - child
             if gain > 0.0 and (best is None or gain > best.gain):

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from opentrend import __version__
 from opentrend.cli import main
+from opentrend.config import RunConfig
 from opentrend.metrics import EvalRecord
 from opentrend.ohlc import parse_csv
-from opentrend.report import Provenance, parse_results_csv, results_csv
-from opentrend.run import cell_seed
+from opentrend.report import Provenance, parse_results_csv, results_csv, shap_csv
+from opentrend.run import _prepare_market, _shapley_cell, cell_seed
 
 
 @pytest.fixture
@@ -450,6 +452,39 @@ class TestExplain:
         root = ET.fromstring(svg_path.read_text(encoding="utf-8"))
         bars = root.findall(".//{http://www.w3.org/2000/svg}rect")
         assert len(bars) == 1 + 7  # background + one bar per feature
+
+    def test_band_flags_reach_the_attribution(self, separable_csv, tmp_path):
+        common = [
+            "explain",
+            "--input",
+            str(separable_csv),
+            "--classifier",
+            "dt",
+            "--feature-set",
+            "INT+BB",
+            "--rows",
+            "4",
+            "--background",
+            "16",
+        ]
+        assert main(common + ["--out-dir", str(tmp_path / "default")]) == 0
+        assert main(common + ["--bollinger-k", "0.5", "--out-dir", str(tmp_path / "narrow")]) == 0
+        default = (tmp_path / "default" / "shap_sep_op.csv").read_text(encoding="utf-8")
+        narrow = (tmp_path / "narrow" / "shap_sep_op.csv").read_text(encoding="utf-8")
+        assert default.splitlines()[2:] != narrow.splitlines()[2:]
+        config = RunConfig(
+            bollinger_k=0.5,
+            tasks=("op",),
+            feature_sets=("INT+BB",),
+            shap_model="dt",
+            shap_feature_set="INT+BB",
+            shap_background=16,
+            shap_rows=4,
+        ).validate()
+        series = parse_csv(separable_csv.read_text(encoding="utf-8"), market="sep")
+        report = _shapley_cell(_prepare_market("sep", series, config), "op", config)
+        provenance = Provenance(seed=config.seed, config_hash="-", version=__version__)
+        assert narrow == shap_csv(report, provenance)
 
 
 class TestParser:

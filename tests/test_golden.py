@@ -4,8 +4,10 @@ The matrix and label digests were recorded before the feature and label
 code became columnar.  They pin every bit: computing the NOW columns with
 ``np.log`` instead of ``math.log`` changes the last bit of some values,
 which would change every result bundle built from them.  The model digests
-were recorded before the exhaustive split finders were merged; any change
-to a split, a threshold or a leaf value of the tree grower changes them.
+were recorded before the exhaustive split finders were merged (16 columns)
+and before the split search scored a node's columns in one batch (4
+columns); any change to a split, a threshold or a leaf value of the tree
+grower changes them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ MODEL_SHA256 = {
     "xgb": "5f93f9fe2bd879cf07c42bc5f0baa9cddda2328e68e1aa39b4286cb9c77caf9f",
     "gbt20": "cf0274a4e45bd63311caa1dc0f4482edbb4b854e7768148af39d2ac2b3731dcd",
     "extratrees5": "72e15a68e939a9c038e8eaf462248b73fa039635648866776927e94b307e3acb",
+}
+#: dt and xgb on the 4-column INT matrix of the same span
+INT_MODEL_SHA256 = {
+    "dt": "353c34abc57ae724b2ff27ac2176042dd4f730afabd06ad91d75feeeec00ecf7",
+    "xgb": "d9fd07729acf6b0d8d00dca1da942524ad7ac0baaaaa95c07fd0871f31aff451",
 }
 MODEL_SPECS = {
     "dt": preset("dt"),
@@ -70,13 +77,26 @@ def test_label_bits(market):
         assert sha256(vector.labels.tobytes()) == LABELS_SHA256[task.value], task.value
 
 
-def test_tree_model_bits(market):
+def training_span(market, feature_set: str):
+    """The 989-row training span of task op on one named feature set."""
     full = assemble(market)
     labels = make_labels(market, TaskKind.OP_VS_OP, len(market) - full.n_rows)
-    ds = bind(select(full, FeatureSetMask.from_name("INT+HIST+NOW")), labels, market.market)
+    ds = bind(select(full, FeatureSetMask.from_name(feature_set)), labels, market.market)
     n_train = split(ds, 0.8).n_train
     assert n_train == 989
-    X, y = ds.matrix.values[:n_train], ds.labels[:n_train]
+    return ds.matrix.values[:n_train], ds.labels[:n_train], ds.matrix.columns
+
+
+def test_tree_model_bits(market):
+    X, y, columns = training_span(market, "INT+HIST+NOW")
     for name, spec in MODEL_SPECS.items():
-        model = fit(spec, X, y, feature_names=ds.matrix.columns)
+        model = fit(spec, X, y, feature_names=columns)
         assert sha256(model_to_json(model).encode("utf-8")) == MODEL_SHA256[name], name
+
+
+def test_tree_model_bits_on_four_columns(market):
+    X, y, columns = training_span(market, "INT")
+    assert X.shape == (989, 4)
+    for name, digest in INT_MODEL_SHA256.items():
+        model = fit(MODEL_SPECS[name], X, y, feature_names=columns)
+        assert sha256(model_to_json(model).encode("utf-8")) == digest, name

@@ -21,6 +21,7 @@ from opentrend.learners import (
 )
 from opentrend.learners.linear import loss_and_gradient
 from opentrend.learners.mlp import loss_and_gradients
+from opentrend.learners.trees import GINI, SSE, make_exhaustive_finder
 
 
 def blob_data(seed=42, n=200, gap=2.0):
@@ -260,6 +261,81 @@ class TestDecisionTree:
         X = np.array([[0.0], [1.0], [2.0]])
         model = fit(preset("dt"), X, np.array([1, 1, 1]))
         assert isinstance(model.state, ConstantState)
+
+
+def _gini(ones, n):
+    p = ones / n
+    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+
+def reference_split(X, target, criterion, idx, candidates):
+    """The per-column exhaustive search the batched finder replaced.
+
+    One stable argsort, cumulative sum and criterion evaluation per candidate
+    column, over the real cuts only; returns (column, threshold, gain) or None.
+    """
+    t_node = target[idx]
+    n = idx.size
+    total = t_node.sum()
+    best = None
+    for col in candidates:
+        xs = X[idx, col]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        cuts = np.nonzero(xs_sorted[:-1] < xs_sorted[1:])[0]
+        if cuts.size == 0:
+            continue
+        n_left = cuts + 1.0
+        sum_left = np.cumsum(t_node[order])[cuts]
+        sum_right = total - sum_left
+        if criterion is GINI:
+            weighted = (n_left * _gini(sum_left, n_left) + (n - n_left) * _gini(sum_right, n - n_left)) / n
+            j = int(np.argmin(weighted))
+            gain = _gini(total, n) - float(weighted[j])
+        else:
+            score = sum_left * sum_left / n_left + sum_right * sum_right / (n - n_left)
+            j = int(np.argmax(score))
+            gain = float(score[j]) - total * total / n
+        if gain > 0.0 and (best is None or gain > best[2]):
+            thr = (xs_sorted[cuts[j]] + xs_sorted[cuts[j] + 1]) / 2.0
+            best = (int(col), float(thr), gain)
+    return best
+
+
+class TestExhaustiveFinder:
+    """The column-batched finder against the per-column reference, bit for bit."""
+
+    @staticmethod
+    def split(X, target, criterion, idx, candidates):
+        choice = make_exhaustive_finder(X, target, criterion)(idx, candidates)
+        return None if choice is None else (choice.column, choice.threshold, choice.gain)
+
+    @pytest.mark.parametrize("criterion", [GINI, SSE], ids=["gini", "sse"])
+    def test_matches_per_column_search_on_tie_heavy_data(self, criterion):
+        rng = np.random.default_rng(5)
+        found = 0
+        for _ in range(1500):
+            n_rows = int(rng.integers(2, 40))
+            n_cols = int(rng.integers(1, 7))
+            X = rng.integers(0, rng.integers(1, 6), size=(n_rows, n_cols)).astype(np.float64)
+            X[:, rng.random(n_cols) < 0.2] = 3.0  # some all-tied columns
+            if criterion is GINI:
+                target = rng.integers(0, 2, size=n_rows).astype(np.float64)
+            else:
+                target = np.round(rng.normal(size=n_rows), int(rng.integers(0, 3)))
+            size = 2 if rng.random() < 0.2 else int(rng.integers(2, n_rows + 1))
+            idx = np.sort(rng.choice(n_rows, size=size, replace=False))
+            candidates = np.sort(rng.choice(n_cols, size=int(rng.integers(1, n_cols + 1)), replace=False))
+            expected = reference_split(X, target, criterion, idx, candidates)
+            assert self.split(X, target, criterion, idx, candidates) == expected
+            found += expected is not None
+        assert 500 < found < 1500  # both outcomes are exercised
+
+    @pytest.mark.parametrize("criterion", [GINI, SSE], ids=["gini", "sse"])
+    def test_all_tied_columns_have_no_split(self, criterion):
+        X = np.column_stack([np.full(6, 2.0), np.full(6, -1.0)])
+        target = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        assert self.split(X, target, criterion, np.arange(6), np.arange(2)) is None
 
 
 class TestExtraTrees:
