@@ -25,7 +25,6 @@ from opentrend.config import ConfigError, RunConfig, apply_assignments, parse_as
 from opentrend.features import export_csv
 from opentrend.labeling import ALL_TASKS
 from opentrend.learners import PRESET_NAMES
-from opentrend.metrics import ACC_THRESHOLD, MCC_THRESHOLD
 from opentrend.ohlc import OhlcError, parse_csv, serialize_csv, volatility
 from opentrend.report import Provenance, bubble_chart_svg, parse_results_csv, shap_bar_svg, shap_csv, table3_text
 from opentrend.run import _prepare_market, _shapley_cell, cmd_run, safe_name
@@ -66,10 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--market", default=None)
     p.add_argument("--feature-set", default="INT+HIST+NOW")
-    p.add_argument("--window", type=int, default=defaults.window_n)
-    p.add_argument("--bollinger-k", type=float, default=defaults.bollinger_k)
-    p.add_argument("--keltner-k", type=float, default=defaults.keltner_k)
-    p.add_argument("--bollinger-paper-literal", action="store_true")
+    _add_band_flags(p, defaults)
     p.add_argument("--no-labels", action="store_true", help="keep the final row, omit label columns")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_featurize)
@@ -85,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table3", help="reliability table from a results.csv")
     p.add_argument("--results", required=True, help="path to results.csv")
-    p.add_argument("--acc-threshold", type=float, default=ACC_THRESHOLD)
-    p.add_argument("--mcc-threshold", type=float, default=MCC_THRESHOLD)
+    p.add_argument("--acc-threshold", type=float, default=defaults.acc_threshold)
+    p.add_argument("--mcc-threshold", type=float, default=defaults.mcc_threshold)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(handler=_cmd_table3)
 
@@ -106,18 +102,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=defaults.shap_rows)
     p.add_argument("--permutations", type=int, default=defaults.shap_permutations)
     p.add_argument("--split-ratio", type=float, default=defaults.split_ratio)
-    p.add_argument("--window", type=int, default=defaults.window_n)
-    p.add_argument("--bollinger-k", type=float, default=defaults.bollinger_k)
-    p.add_argument("--keltner-k", type=float, default=defaults.keltner_k)
-    p.add_argument("--bollinger-paper-literal", action="store_true")
+    _add_band_flags(p, defaults)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=_cmd_explain)
     return parser
 
 
+def _add_band_flags(p: argparse.ArgumentParser, defaults: RunConfig) -> None:
+    """The band indicator flags that featurize and explain share."""
+    p.add_argument("--window", type=int, default=defaults.window_n)
+    p.add_argument("--bollinger-k", type=float, default=defaults.bollinger_k)
+    p.add_argument("--keltner-k", type=float, default=defaults.keltner_k)
+    p.add_argument("--bollinger-paper-literal", action="store_true")
+
+
+def _band_fields(args) -> dict:
+    """The RunConfig fields set by ``_add_band_flags``."""
+    return {
+        "window_n": args.window,
+        "bollinger_k": args.bollinger_k,
+        "keltner_k": args.keltner_k,
+        "bollinger_paper_literal": args.bollinger_paper_literal,
+    }
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _write_out(text: str, out: str | None) -> None:
+    """Write text to the ``--out`` path, or to stdout when there is none."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
 
 
 def _market_tag(args) -> str:
@@ -147,33 +167,20 @@ def _cmd_synth(args) -> int:
             raise ValueError(f"expected K=V for --param, got {raw!r}")
         params[key.strip()] = float(value)
     spec = GenSpec(kind=args.kind, days=args.days, seed=args.seed, params=params, market=args.market)
-    text = serialize_csv(generate(spec))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out(serialize_csv(generate(spec)), args.out)
     return 0
 
 
 def _cmd_featurize(args) -> int:
     series = parse_csv(_read(args.input), market=_market_tag(args))
     config = RunConfig(
-        window_n=args.window,
-        bollinger_k=args.bollinger_k,
-        keltner_k=args.keltner_k,
-        bollinger_paper_literal=args.bollinger_paper_literal,
+        **_band_fields(args),
         feature_sets=(args.feature_set,),
         tasks=() if args.no_labels else tuple(task.value for task in ALL_TASKS),
     )
     data = _prepare_market(series.market, series, config)
     labels = {vec.task.label_column: vec.labels for vec in data.labels.values()}
-    text = export_csv(data.matrices[args.feature_set], labels or None)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out(export_csv(data.matrices[args.feature_set], labels or None), args.out)
     return 0
 
 
@@ -208,13 +215,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_table3(args) -> int:
+    config = RunConfig(acc_threshold=args.acc_threshold, mcc_threshold=args.mcc_threshold).validate()
     records, provenance = parse_results_csv(_read(args.results))
-    text = table3_text(records, args.acc_threshold, args.mcc_threshold, provenance)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out(table3_text(records, config.acc_threshold, config.mcc_threshold, provenance), args.out)
     return 0
 
 
@@ -236,10 +239,7 @@ def _cmd_chart(args) -> int:
 def _cmd_explain(args) -> int:
     series = parse_csv(_read(args.input), market=_market_tag(args))
     config = RunConfig(
-        window_n=args.window,
-        bollinger_k=args.bollinger_k,
-        keltner_k=args.keltner_k,
-        bollinger_paper_literal=args.bollinger_paper_literal,
+        **_band_fields(args),
         split_ratio=args.split_ratio,
         tasks=(args.task,),
         feature_sets=(args.feature_set,),

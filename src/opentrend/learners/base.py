@@ -4,13 +4,18 @@ Every classifier family registers a fit function and a fitted-state type
 here and is used exclusively through ``fit``/``predict``.  Fitting is
 deterministic given ``ClassifierSpec.seed``; predictions threshold the model score
 (an estimate of P(y=1)) at 0.5, with ties going to class 1.
+
+A state's JSON is its dataclass fields: arrays become nested lists and are
+read back by their annotation, so a family gets serialization by declaring
+its fields with types (``np.ndarray``, ``list[...]``, a nested dataclass or
+a scalar).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -109,13 +114,6 @@ class ConstantState:
 
     def score(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], float(self.label))
-
-    def to_dict(self) -> dict:
-        return {"label": int(self.label)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstantState":
-        return cls(label=int(d["label"]))
 
 
 _STATE_TYPES[ConstantState.kind] = ConstantState
@@ -256,10 +254,8 @@ def model_to_json(model: TrainedModel) -> str:
         },
         "hyperparams": _jsonable(model.hyperparams),
         "feature_names": list(model.feature_names),
-        "standardizer": None
-        if model.standardizer is None
-        else {"mean": model.standardizer.mean.tolist(), "std": model.standardizer.std.tolist()},
-        "state": {"kind": model.state.kind, **model.state.to_dict()},
+        "standardizer": None if model.standardizer is None else _encode(model.standardizer),
+        "state": {"kind": model.state.kind, **_encode(model.state)},
     }
     return json.dumps(blob, sort_keys=True)
 
@@ -280,19 +276,49 @@ def model_from_json(text: str) -> TrainedModel:
         standardize=blob["spec"]["standardize"],
         seed=blob["spec"]["seed"],
     )
-    standardizer = None
-    if blob["standardizer"] is not None:
-        standardizer = Standardizer(
-            mean=np.array(blob["standardizer"]["mean"], dtype=np.float64),
-            std=np.array(blob["standardizer"]["std"], dtype=np.float64),
-        )
+    standardizer = blob["standardizer"]
     return TrainedModel(
         spec=spec,
         hyperparams=_tuplify(blob["hyperparams"]),
         feature_names=tuple(blob["feature_names"]),
-        standardizer=standardizer,
-        state=_STATE_TYPES[kind].from_dict(state_blob),
+        standardizer=None if standardizer is None else _decode(Standardizer, standardizer, "standardizer"),
+        state=_decode(_STATE_TYPES[kind], state_blob, f"model state {kind!r}"),
     )
+
+
+def _encode(value):
+    """Arrays to nested lists, lists item by item, dataclasses to a dict of their fields."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _decode(tp, value, where: str):
+    """Inverse of ``_encode``, driven by the annotation ``tp``.
+
+    ``np.array`` restores the dtype because the writer emits ints for
+    integer arrays and floats for float arrays.
+    """
+    if tp is np.ndarray:
+        return np.array(value)
+    if get_origin(tp) is list:
+        (item_type,) = get_args(tp)
+        return [_decode(item_type, item, where) for item in value]
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        names = [f.name for f in fields(tp)]
+        for key in names:
+            if key not in value:
+                raise ValueError(f"{where}: missing key {key!r}")
+        for key in value:
+            if key not in names:
+                raise ValueError(f"{where}: unknown key {key!r}")
+        return tp(**{key: _decode(hints[key], value[key], where) for key in names})
+    return tp(value)
 
 
 def _jsonable(d: dict) -> dict:

@@ -35,21 +35,6 @@ class BoostedTreesState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw(X))
 
-    def to_dict(self) -> dict:
-        return {
-            "base_score": self.base_score,
-            "learning_rate": self.learning_rate,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoostedTreesState":
-        return cls(
-            base_score=float(d["base_score"]),
-            learning_rate=float(d["learning_rate"]),
-            trees=[TreeArrays.from_dict(t) for t in d["trees"]],
-        )
-
 
 def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> BoostedTreesState:
     base_rate = float(y.mean())

@@ -33,13 +33,6 @@ class ExtraTreesState:
             total += tree.apply(X)
         return total / len(self.trees)
 
-    def to_dict(self) -> dict:
-        return {"trees": [t.to_dict() for t in self.trees]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExtraTreesState":
-        return cls(trees=[TreeArrays.from_dict(t) for t in d["trees"]])
-
 
 def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> ExtraTreesState:
     n_features = X.shape[1]

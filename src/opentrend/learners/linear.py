@@ -44,13 +44,6 @@ class LogisticRegressionState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw(X))
 
-    def to_dict(self) -> dict:
-        return {"weights": self.weights.tolist(), "bias": self.bias}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogisticRegressionState":
-        return cls(weights=np.array(d["weights"], dtype=np.float64), bias=float(d["bias"]))
-
 
 def _fit_logistic_regression(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> LogisticRegressionState:
     n, d = X.shape

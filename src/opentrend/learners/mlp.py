@@ -62,19 +62,6 @@ class MlpState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw(X))
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": [W.tolist() for W in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpState":
-        return cls(
-            weights=[np.array(W, dtype=np.float64) for W in d["weights"]],
-            biases=[np.array(b, dtype=np.float64) for b in d["biases"]],
-        )
-
 
 def _init_layers(sizes: list[int], rng: np.random.Generator):
     weights, biases = [], []
@@ -109,7 +96,8 @@ def _fit_mlp(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> MlpState:
                 vel_b[i] = momentum * vel_b[i] - lr * grad_b[i]
                 weights[i] = weights[i] + vel_w[i]
                 biases[i] = biases[i] + vel_b[i]
-        epoch_loss, _, _ = loss_and_gradients(weights, biases, X, y)
+        logits = MlpState(weights, biases).raw(X)
+        epoch_loss = float((softplus(logits) - y * logits).mean())
         if epoch_loss < best_loss - tol:
             best_loss = epoch_loss
             stale = 0

@@ -34,21 +34,6 @@ class GaussianNBState:
         likes = np.exp(jll - peak)
         return likes[:, 1] / likes.sum(axis=1)
 
-    def to_dict(self) -> dict:
-        return {
-            "log_prior": self.log_prior.tolist(),
-            "theta": self.theta.tolist(),
-            "var": self.var.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianNBState":
-        return cls(
-            log_prior=np.array(d["log_prior"], dtype=np.float64),
-            theta=np.array(d["theta"], dtype=np.float64),
-            var=np.array(d["var"], dtype=np.float64),
-        )
-
 
 def _fit_gaussian_nb(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> GaussianNBState:
     epsilon = max(_VAR_SMOOTHING * float(X.var(axis=0).max()), _VAR_SMOOTHING)

@@ -34,17 +34,6 @@ class KNearestState:
             out[start : start + _CHUNK_ROWS] = self.train_y[nearest].mean(axis=1)
         return out
 
-    def to_dict(self) -> dict:
-        return {"k": self.k, "train_X": self.train_X.tolist(), "train_y": self.train_y.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KNearestState":
-        return cls(
-            k=int(d["k"]),
-            train_X=np.array(d["train_X"], dtype=np.float64),
-            train_y=np.array(d["train_y"], dtype=np.float64),
-        )
-
 
 def _fit_k_nearest(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> KNearestState:
     return KNearestState(k=hyper["k"], train_X=X.copy(), train_y=y.copy())

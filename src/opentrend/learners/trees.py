@@ -58,25 +58,6 @@ class TreeArrays:
             active = active[self.feature[node[active]] >= 0]
         return self.value[node]
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeArrays":
-        return cls(
-            feature=np.array(d["feature"], dtype=np.int64),
-            threshold=np.array(d["threshold"], dtype=np.float64),
-            left=np.array(d["left"], dtype=np.int64),
-            right=np.array(d["right"], dtype=np.int64),
-            value=np.array(d["value"], dtype=np.float64),
-        )
-
 
 @dataclass(frozen=True)
 class _SplitChoice:
@@ -273,13 +254,6 @@ class DecisionTreeState:
 
     def score(self, X: np.ndarray) -> np.ndarray:
         return self.tree.apply(X)
-
-    def to_dict(self) -> dict:
-        return {"tree": self.tree.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTreeState":
-        return cls(tree=TreeArrays.from_dict(d["tree"]))
 
 
 def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> DecisionTreeState:

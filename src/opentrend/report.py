@@ -9,7 +9,7 @@ yields byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -128,20 +128,7 @@ def results_json(
 ) -> str:
     blob = {
         "provenance": {**provenance.as_dict(), "config": config_text},
-        "records": [
-            {
-                "market": r.market,
-                "task": r.task,
-                "feature_set": r.feature_set,
-                "classifier": r.classifier,
-                "accuracy": r.accuracy,
-                "mcc": r.mcc,
-                "n_train": r.n_train,
-                "n_test": r.n_test,
-                "effective": r.effective,
-            }
-            for r in records
-        ],
+        "records": [asdict(r) for r in records],
         "shapley": {
             f"{market}/{task}": {
                 "model": shap_model,

@@ -346,6 +346,25 @@ class TestTable3:
         out = capsys.readouterr().out
         assert "m,cl,open(t+1) > close(t),yes,yes,yes" in out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--acc-threshold", "nan"),
+            ("--acc-threshold", "1.5"),
+            ("--acc-threshold", "-0.1"),
+            ("--mcc-threshold", "nan"),
+            ("--mcc-threshold", "5"),
+            ("--mcc-threshold", "-2"),
+        ],
+    )
+    def test_out_of_range_threshold_refused(self, tmp_path, capsys, flag, value):
+        path = self.write_results(tmp_path, [self.record("m", "op", 0.9, 0.9)])
+        assert main(["table3", "--results", str(path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert flag[2:].replace("-", "_") in captured.err
+
     def test_output_file(self, tmp_path, capsys):
         path = self.write_results(tmp_path, [self.record("m", "op", 0.9, 0.9)])
         out_path = tmp_path / "table.txt"

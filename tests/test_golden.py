@@ -7,13 +7,16 @@ which would change every result bundle built from them.  The model digests
 were recorded before the exhaustive split finders were merged (16 columns)
 and before the split search scored a node's columns in one batch (4
 columns); any change to a split, a threshold or a leaf value of the tree
-grower changes them.
+grower changes them.  The digests of the other state kinds were recorded
+before the model JSON came from the state dataclasses' fields, so they pin
+the serialised bytes of every kind.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from opentrend.dataset import bind, split
@@ -40,6 +43,15 @@ MODEL_SHA256 = {
 INT_MODEL_SHA256 = {
     "dt": "353c34abc57ae724b2ff27ac2176042dd4f730afabd06ad91d75feeeec00ecf7",
     "xgb": "d9fd07729acf6b0d8d00dca1da942524ad7ac0baaaaa95c07fd0871f31aff451",
+}
+#: the non-tree state kinds, a single-class constant model and a zero-round GBT
+STATE_MODEL_SHA256 = {
+    "gnb": "a56c6f7b049e3879e70a865c5f86c47fc1368fe3e755ec9c7b69fa92ac47765f",
+    "knn": "ef42d331c89f2efc5c035df2ec5e26245cf88a1e8958534a23e5d09376811e66",
+    "logreg": "de4bb9f358bafc25327d89e51bc9ca2a67c9dd7b0a92889cc76e95187ad11e38",
+    "mlp16x8": "231c7de32158195645fd68f129fd8e1e8aa09f36521f4596b6b8b6eaf3909a15",
+    "constant": "d9f86296c651d902b9a57d5b242847a454f600ee3675e9363bb22b7ba2de51f4",
+    "gbt0": "47794f6f59317c924bd3a3ae3248e4855fb310013c9190c161cebe146cf2ac63",
 }
 MODEL_SPECS = {
     "dt": preset("dt"),
@@ -100,3 +112,18 @@ def test_tree_model_bits_on_four_columns(market):
     for name, digest in INT_MODEL_SHA256.items():
         model = fit(MODEL_SPECS[name], X, y, feature_names=columns)
         assert sha256(model_to_json(model).encode("utf-8")) == digest, name
+
+
+def test_model_bits_of_every_state_kind(market):
+    X, y, columns = training_span(market, "INT+HIST+NOW")
+    specs = {
+        "gnb": (preset("gnb"), y),
+        "knn": (preset("knn"), y),
+        "logreg": (preset("logreg"), y),
+        "mlp16x8": (ClassifierSpec("MLP", {"hidden_layers": (16, 8), "max_epochs": 30}, standardize=True), y),
+        "constant": (preset("logreg"), np.ones_like(y)),
+        "gbt0": (ClassifierSpec("GradientBoostedTrees", {"iterations": 0}), y),
+    }
+    for name, (spec, labels) in specs.items():
+        model = fit(spec, X, labels, feature_names=columns)
+        assert sha256(model_to_json(model).encode("utf-8")) == STATE_MODEL_SHA256[name], name

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from opentrend.learners import (
     predict,
     preset,
 )
+from opentrend.learners.base import _STATE_TYPES
 from opentrend.learners.linear import loss_and_gradient
 from opentrend.learners.mlp import loss_and_gradients
 from opentrend.learners.trees import GINI, SSE, make_exhaustive_finder
@@ -49,6 +52,33 @@ def fitted_models(blob):
     """Every preset fitted once on the shared blob."""
     X, y = blob
     return {name: fit(preset(name, seed=1), X, y) for name in PRESET_NAMES}
+
+
+@pytest.fixture(scope="module")
+def state_models(blob, fitted_models):
+    """One fitted model per registered state kind, the constant model included."""
+    X, _ = blob
+    models = {model.state.kind: model for model in fitted_models.values()}
+    constant = fit(preset("logreg"), X, np.ones(len(X), dtype=np.int64))
+    models[constant.state.kind] = constant
+    return models
+
+
+def state_arrays(model):
+    """(path, array) for every ndarray in a model's state and standardizer."""
+
+    def walk(value, path):
+        if isinstance(value, np.ndarray):
+            yield path, value
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from walk(item, f"{path}[{i}]")
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                yield from walk(getattr(value, f.name), f"{path}.{f.name}")
+
+    yield from walk(model.state, "state")
+    yield from walk(model.standardizer, "standardizer")
 
 
 class TestContract:
@@ -207,6 +237,49 @@ class TestSerialization:
         model = fit(preset("gnb"), X, np.ones(len(X), dtype=np.int64))
         again = model_from_json(model_to_json(model))
         assert np.all(again.score(X[:3]) == 1.0)
+
+    def test_every_state_kind_round_trips_to_the_same_bytes(self, state_models):
+        assert set(state_models) == set(_STATE_TYPES)
+        for kind, model in state_models.items():
+            text = model_to_json(model)
+            again = model_from_json(text)
+            assert model_to_json(again) == text, kind
+            assert type(again.state) is type(model.state), kind
+            before, after = dict(state_arrays(model)), dict(state_arrays(again))
+            assert before.keys() == after.keys(), kind
+            for path, array in before.items():
+                assert after[path].dtype == array.dtype, (kind, path)
+                np.testing.assert_array_equal(after[path], array, err_msg=f"{kind} {path}")
+        tree = model_from_json(model_to_json(state_models["decision_tree"])).state.tree
+        assert (tree.feature.dtype, tree.left.dtype, tree.right.dtype) == (np.int64,) * 3
+        assert tree.threshold.dtype == np.float64 and tree.value.dtype == np.float64
+
+    def test_missing_state_key_names_kind_and_key(self, state_models):
+        import json
+
+        for kind, model in state_models.items():
+            blob_dict = json.loads(model_to_json(model))
+            key = next(k for k in sorted(blob_dict["state"]) if k != "kind")
+            del blob_dict["state"][key]
+            with pytest.raises(ValueError, match=f"{kind}.*missing key '{key}'"):
+                model_from_json(json.dumps(blob_dict))
+
+    def test_unknown_state_key_names_kind_and_key(self, state_models):
+        import json
+
+        for kind, model in state_models.items():
+            blob_dict = json.loads(model_to_json(model))
+            blob_dict["state"]["leaf_count"] = 3
+            with pytest.raises(ValueError, match=f"{kind}.*unknown key 'leaf_count'"):
+                model_from_json(json.dumps(blob_dict))
+
+    def test_nested_tree_key_checked(self, state_models):
+        import json
+
+        blob_dict = json.loads(model_to_json(state_models["boosted_trees"]))
+        del blob_dict["state"]["trees"][0]["left"]
+        with pytest.raises(ValueError, match="boosted_trees.*missing key 'left'"):
+            model_from_json(json.dumps(blob_dict))
 
     def test_wrong_format_version_rejected(self, fitted_models):
         import json
