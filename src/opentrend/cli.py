@@ -21,7 +21,8 @@ import sys
 from pathlib import Path
 
 from opentrend import __version__
-from opentrend.config import ConfigError, RunConfig, apply_assignments, parse_assignments
+from opentrend.config import ConfigError, RunConfig, load_config
+from opentrend.explain import SHAP_EXACT, SHAP_SAMPLED
 from opentrend.features import export_csv
 from opentrend.labeling import ALL_TASKS
 from opentrend.learners import PRESET_NAMES
@@ -97,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", required=True, choices=PRESET_NAMES)
     p.add_argument("--task", default="op", choices=[t.value for t in ALL_TASKS])
     p.add_argument("--feature-set", default=defaults.shap_feature_set)
-    p.add_argument("--mode", default=defaults.shap_mode, choices=["exact", "sampled"])
+    p.add_argument("--mode", default=defaults.shap_mode, choices=[SHAP_EXACT, SHAP_SAMPLED])
     p.add_argument("--background", type=int, default=defaults.shap_background)
     p.add_argument("--rows", type=int, default=defaults.shap_rows)
     p.add_argument("--permutations", type=int, default=defaults.shap_permutations)
@@ -185,9 +186,6 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = RunConfig()
-    if args.config:
-        config = apply_assignments(config, parse_assignments(_read(args.config), source=args.config))
     overrides: list[tuple[str, str]] = []
     for raw in args.input:
         overrides.append(("input", raw))
@@ -202,7 +200,7 @@ def _cmd_run(args) -> int:
         overrides.append(("seed", str(args.seed)))
     if args.workers is not None:
         overrides.append(("workers", str(args.workers)))
-    config = apply_assignments(config, overrides, source="override").validate()
+    config = load_config(_read(args.config) if args.config else "", overrides, source=args.config or "config")
 
     outcome = cmd_run(config)
     for path in outcome.written:

@@ -9,8 +9,11 @@ Grammar (one setting per line)::
     feature_sets = INT,INT+NOW
     bollinger_paper_literal = false   booleans are true/false
 
-Unknown keys, unparseable values, and out-of-range settings all raise
-ConfigError (CLI exit code 2) naming the offending key.
+Unknown keys, unparseable values, out-of-range settings and a list entry
+that repeats another all raise ConfigError (CLI exit code 2) naming the
+offending key.  Task codes and feature-set names are made canonical
+(``OP`` -> ``op``, ``now+int`` -> ``INT+NOW``) before that check and before
+hashing.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from opentrend.dataset import ROLLING_ONE_STEP, STATIC_SPLIT
+from opentrend.explain import SHAP_EXACT, SHAP_SAMPLED
 from opentrend.features import FeatureSetMask, NAMED_FEATURE_SETS
 from opentrend.labeling import TaskKind
 from opentrend.learners import PRESET_NAMES
@@ -41,7 +46,7 @@ class RunConfig:
     keltner_k: float = 2.0
     bollinger_paper_literal: bool = False
     split_ratio: float = 0.8
-    eval_mode: str = "static"
+    eval_mode: str = STATIC_SPLIT
     refit_every: int = 1
     freeze_window: bool = False
     tasks: tuple[str, ...] = ("op", "hi", "lo", "cl")
@@ -52,7 +57,7 @@ class RunConfig:
     acc_threshold: float = ACC_THRESHOLD
     mcc_threshold: float = MCC_THRESHOLD
     shap_model: str = ""
-    shap_mode: str = "exact"
+    shap_mode: str = SHAP_EXACT
     shap_feature_set: str = SHAP_FEATURE_SET_DEFAULT
     shap_background: int = 128
     shap_rows: int = 100
@@ -60,36 +65,22 @@ class RunConfig:
     out_dir: str = "results"
 
     def validate(self) -> "RunConfig":
+        """Check every value; return the config with canonical task and feature-set names."""
         _check(self.window_n >= 1, "window_n", self.window_n)
         _check(0 <= self.bollinger_k < math.inf, "bollinger_k", self.bollinger_k)
         _check(0 <= self.keltner_k < math.inf, "keltner_k", self.keltner_k)
         _check(0.0 < self.split_ratio < 1.0, "split_ratio", self.split_ratio)
-        _check(self.eval_mode in ("static", "rolling"), "eval_mode", self.eval_mode)
+        _check(self.eval_mode in (STATIC_SPLIT, ROLLING_ONE_STEP), "eval_mode", self.eval_mode)
         _check(self.refit_every >= 1, "refit_every", self.refit_every)
-        _check(len(self.tasks) > 0, "tasks", self.tasks)
-        for code in self.tasks:
-            try:
-                TaskKind.from_code(code)
-            except ValueError as exc:
-                raise ConfigError(f"invalid config key 'tasks': {exc}") from None
-        _check(len(self.feature_sets) > 0, "feature_sets", self.feature_sets)
-        for name in self.feature_sets:
-            try:
-                FeatureSetMask.from_name(name)
-            except ValueError as exc:
-                raise ConfigError(f"invalid config key 'feature_sets': {exc}") from None
-        _check(len(self.classifiers) > 0, "classifiers", self.classifiers)
-        for name in self.classifiers:
-            _check(name in PRESET_NAMES, "classifiers", name)
+        tasks = _canonical_grid("tasks", self.tasks, lambda code: TaskKind.from_code(code).value)
+        feature_sets = _canonical_grid("feature_sets", self.feature_sets, _feature_set_name)
+        classifiers = _canonical_grid("classifiers", self.classifiers, _preset_name)
         _check(self.workers >= 1, "workers", self.workers)
         _check(0.0 <= self.acc_threshold <= 1.0, "acc_threshold", self.acc_threshold)
         _check(-1.0 <= self.mcc_threshold <= 1.0, "mcc_threshold", self.mcc_threshold)
         _check(self.shap_model in ("",) + PRESET_NAMES, "shap_model", self.shap_model)
-        _check(self.shap_mode in ("exact", "sampled"), "shap_mode", self.shap_mode)
-        try:
-            FeatureSetMask.from_name(self.shap_feature_set)
-        except ValueError as exc:
-            raise ConfigError(f"invalid config key 'shap_feature_set': {exc}") from None
+        _check(self.shap_mode in (SHAP_EXACT, SHAP_SAMPLED), "shap_mode", self.shap_mode)
+        (shap_feature_set,) = _canonical_grid("shap_feature_set", (self.shap_feature_set,), _feature_set_name)
         _check(self.shap_background >= 1, "shap_background", self.shap_background)
         _check(self.shap_rows >= 1, "shap_rows", self.shap_rows)
         _check(self.shap_permutations >= 1, "shap_permutations", self.shap_permutations)
@@ -97,7 +88,9 @@ class RunConfig:
         for market, _path in self.inputs:
             _check(market not in seen, "input", f"duplicate market {market!r}")
             seen.add(market)
-        return self
+        return replace(
+            self, tasks=tasks, feature_sets=feature_sets, classifiers=classifiers, shap_feature_set=shap_feature_set
+        )
 
     def canonical_text(self) -> str:
         """Deterministic serialization used for hashing and provenance.
@@ -130,6 +123,30 @@ class RunConfig:
 def _check(ok: bool, key: str, value) -> None:
     if not ok:
         raise ConfigError(f"invalid config key {key!r}: bad value {value!r}")
+
+
+def _canonical_grid(key: str, values: tuple[str, ...], canonical) -> tuple[str, ...]:
+    """The canonical spelling of each entry of a non-empty list; repeats are refused."""
+    _check(len(values) > 0, key, values)
+    try:
+        names = tuple(canonical(value) for value in values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config key {key!r}: {exc}") from None
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            first = values[names.index(name)]
+            raise ConfigError(f"invalid config key {key!r}: repeated entry {name!r} ({first!r}, {values[i]!r})")
+    return names
+
+
+def _feature_set_name(name: str) -> str:
+    return FeatureSetMask.from_name(name).name
+
+
+def _preset_name(name: str) -> str:
+    if name not in PRESET_NAMES:
+        raise ValueError(f"bad value {name!r}")
+    return name
 
 
 def _parse_bool(raw: str) -> bool:
@@ -201,9 +218,12 @@ def apply_assignments(config: RunConfig, pairs: list[tuple[str, str]], source: s
     return replace(config, inputs=tuple(inputs), **updates)
 
 
-def load_config(text: str, overrides: list[tuple[str, str]] | None = None) -> RunConfig:
-    """Parse config text, apply overrides on top, and validate the result."""
-    config = apply_assignments(RunConfig(), parse_assignments(text))
+def load_config(text: str, overrides: list[tuple[str, str]] | None = None, source: str = "config") -> RunConfig:
+    """Parse config text, apply overrides on top, and validate the result.
+
+    ``source`` names the text (a file path) in error messages.
+    """
+    config = apply_assignments(RunConfig(), parse_assignments(text, source), source)
     if overrides:
         config = apply_assignments(config, overrides, source="override")
     return config.validate()

@@ -6,6 +6,10 @@ Each tradeable day yields 16 values in a fixed canonical order:
 * historical (9): Donchian, Bollinger and Keltner upper/lower/middle,
 * nowcasting (3): intraday log ratios r_hi, r_lo, r_cl.
 
+A feature-set name joins groups of these columns with ``+``: INT, DC, BB,
+KC, NOW, or HIST for DC+BB+KC, in any case and order.  ``FeatureSetMask.name``
+spells it canonically (INT+HIST+NOW for ``now+int+hist``).
+
 Rows exist only where every indicator is defined (index window_n-1 onward
 for the default Bollinger mode), and every emitted value is finite.
 """
@@ -29,76 +33,52 @@ CANONICAL_COLUMNS = INTRINSIC_COLUMNS + HISTORICAL_COLUMNS + NOWCAST_COLUMNS
 #: the four coarse feature sets used in reports
 NAMED_FEATURE_SETS = ("INT", "INT+HIST", "INT+NOW", "INT+HIST+NOW")
 
+#: the feature groups and their columns, in canonical order
+FEATURE_GROUPS = {
+    "INT": INTRINSIC_COLUMNS,
+    "DC": CHANNEL_COLUMNS[DONCHIAN],
+    "BB": CHANNEL_COLUMNS[BOLLINGER],
+    "KC": CHANNEL_COLUMNS[KELTNER],
+    "NOW": NOWCAST_COLUMNS,
+}
+#: shorthand names for runs of groups
+_ALIASES = {"HIST": ("DC", "BB", "KC")}
+
 
 @dataclass(frozen=True)
 class FeatureSetMask:
-    """Which feature groups (and which band channels) are active."""
+    """The active feature groups: distinct FEATURE_GROUPS keys in canonical order."""
 
-    intrinsic: bool = True
-    donchian: bool = False
-    bollinger: bool = False
-    keltner: bool = False
-    nowcast: bool = False
+    groups: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not any((self.intrinsic, self.donchian, self.bollinger, self.keltner, self.nowcast)):
+        if not self.groups:
             raise ValueError("empty feature set: at least one group must be active")
+        if self.groups != tuple(g for g in FEATURE_GROUPS if g in self.groups):
+            raise ValueError(f"feature groups {self.groups!r} are not distinct groups in canonical order")
 
     @classmethod
     def from_name(cls, name: str) -> "FeatureSetMask":
-        """Parse names like INT, INT+HIST, INT+NOW, INT+DC+BB, HIST+NOW."""
-        flags = dict(intrinsic=False, donchian=False, bollinger=False, keltner=False, nowcast=False)
-        parts = [p.strip().upper() for p in name.split("+")]
-        for part in parts:
-            if part == "INT":
-                flags["intrinsic"] = True
-            elif part == "HIST":
-                flags["donchian"] = flags["bollinger"] = flags["keltner"] = True
-            elif part == "DC":
-                flags["donchian"] = True
-            elif part == "BB":
-                flags["bollinger"] = True
-            elif part == "KC":
-                flags["keltner"] = True
-            elif part == "NOW":
-                flags["nowcast"] = True
-            else:
+        """Parse names like INT, INT+HIST, int+now, NOW+DC+BB: parts in any case and order."""
+        chosen: set[str] = set()
+        for part in (p.strip().upper() for p in name.split("+")):
+            if part not in FEATURE_GROUPS and part not in _ALIASES:
                 raise ValueError(f"unknown feature set part {part!r} in {name!r}")
-        return cls(**flags)
+            chosen.update(_ALIASES.get(part, (part,)))
+        return cls(groups=tuple(g for g in FEATURE_GROUPS if g in chosen))
 
     @property
     def name(self) -> str:
-        parts = []
-        if self.intrinsic:
-            parts.append("INT")
-        if self.donchian and self.bollinger and self.keltner:
-            parts.append("HIST")
-        else:
-            if self.donchian:
-                parts.append("DC")
-            if self.bollinger:
-                parts.append("BB")
-            if self.keltner:
-                parts.append("KC")
-        if self.nowcast:
-            parts.append("NOW")
-        return "+".join(parts)
+        """The canonical spelling: groups in canonical order, aliases where they fit."""
+        text = "+".join(self.groups)
+        for alias, groups in _ALIASES.items():
+            text = text.replace("+".join(groups), alias)
+        return text
 
     @property
     def columns(self) -> tuple[str, ...]:
         """Active column names in canonical order."""
-        cols: list[str] = []
-        if self.intrinsic:
-            cols.extend(INTRINSIC_COLUMNS)
-        if self.donchian:
-            cols.extend(CHANNEL_COLUMNS[DONCHIAN])
-        if self.bollinger:
-            cols.extend(CHANNEL_COLUMNS[BOLLINGER])
-        if self.keltner:
-            cols.extend(CHANNEL_COLUMNS[KELTNER])
-        if self.nowcast:
-            cols.extend(NOWCAST_COLUMNS)
-        return tuple(cols)
+        return tuple(c for g in self.groups for c in FEATURE_GROUPS[g])
 
 
 @dataclass(frozen=True, eq=False)

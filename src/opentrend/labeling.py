@@ -35,10 +35,12 @@ class TaskKind(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "TaskKind":
-        for task in cls:
-            if task.value == code.strip().lower():
-                return task
-        raise ValueError(f"unknown task code {code!r} (expected one of op, hi, lo, cl)")
+        """The task of a code in any case, with surrounding spaces ignored."""
+        try:
+            return cls(code.strip().lower())
+        except ValueError:
+            expected = ", ".join(task.value for task in cls)
+            raise ValueError(f"unknown task code {code!r} (expected one of {expected})") from None
 
 
 ALL_TASKS = tuple(TaskKind)

@@ -266,16 +266,13 @@ def model_from_json(text: str) -> TrainedModel:
     version = blob.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r} (expected {MODEL_FORMAT_VERSION})")
+    _check_keys(blob, ["format_version"] + [f.name for f in fields(TrainedModel)], "model")
+    _check_keys(blob["spec"], [f.name for f in fields(ClassifierSpec)], "model spec")
     state_blob = dict(blob["state"])
-    kind = state_blob.pop("kind")
+    kind = state_blob.pop("kind", None)
     if kind not in _STATE_TYPES:
         raise ValueError(f"unknown model state kind {kind!r}")
-    spec = ClassifierSpec(
-        family=blob["spec"]["family"],
-        hyperparams=_tuplify(blob["spec"]["hyperparams"]),
-        standardize=blob["spec"]["standardize"],
-        seed=blob["spec"]["seed"],
-    )
+    spec = ClassifierSpec(**{**blob["spec"], "hyperparams": _tuplify(blob["spec"]["hyperparams"])})
     standardizer = blob["standardizer"]
     return TrainedModel(
         spec=spec,
@@ -311,14 +308,19 @@ def _decode(tp, value, where: str):
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         names = [f.name for f in fields(tp)]
-        for key in names:
-            if key not in value:
-                raise ValueError(f"{where}: missing key {key!r}")
-        for key in value:
-            if key not in names:
-                raise ValueError(f"{where}: unknown key {key!r}")
+        _check_keys(value, names, where)
         return tp(**{key: _decode(hints[key], value[key], where) for key in names})
     return tp(value)
+
+
+def _check_keys(value: dict, names: list[str], where: str) -> None:
+    """Refuse a JSON object whose keys are not exactly ``names``."""
+    for key in names:
+        if key not in value:
+            raise ValueError(f"{where}: missing key {key!r}")
+    for key in value:
+        if key not in names:
+            raise ValueError(f"{where}: unknown key {key!r}")
 
 
 def _jsonable(d: dict) -> dict:

@@ -14,17 +14,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from opentrend.explain import ShapleyReport
+from opentrend.labeling import ALL_TASKS
 from opentrend.metrics import EvalRecord
 
 RESULTS_HEADER = "market,task,feature_set,classifier,accuracy,mcc,n_train,n_test,effective"
 
 #: plain-language reading of each task's question
-TASK_IMPLICATIONS = {
-    "op": "open(t+1) > open(t)",
-    "hi": "open(t+1) > high(t)",
-    "lo": "open(t+1) > low(t)",
-    "cl": "open(t+1) > close(t)",
-}
+TASK_IMPLICATIONS = {task.value: f"open(t+1) > {task.reference_field}(t)" for task in ALL_TASKS}
 
 
 @dataclass(frozen=True)
@@ -37,14 +33,6 @@ class Provenance:
     @property
     def comment(self) -> str:
         return f"# provenance: tool={self.tool} version={self.version} seed={self.seed} config={self.config_hash}"
-
-    def as_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-        }
 
     @classmethod
     def from_comment(cls, line: str) -> "Provenance":
@@ -127,7 +115,7 @@ def results_json(
     config_text: str,
 ) -> str:
     blob = {
-        "provenance": {**provenance.as_dict(), "config": config_text},
+        "provenance": {**asdict(provenance), "config": config_text},
         "records": [asdict(r) for r in records],
         "shapley": {
             f"{market}/{task}": {

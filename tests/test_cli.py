@@ -206,6 +206,18 @@ class TestRun:
         assert main(["run", "--config", str(conf), "--set", "split_ratio=1.5"]) == 2
         assert "invalid config key 'split_ratio'" in capsys.readouterr().err
 
+    def test_repeated_spelling_refused_at_load(self, grw_csv, tmp_path, capsys):
+        conf = small_run_config(tmp_path, grw_csv)
+        assert main(["run", "--config", str(conf), "--set", "tasks=OP,op"]) == 2
+        assert "invalid config key 'tasks'" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    def test_config_file_errors_name_the_file(self, tmp_path, capsys):
+        conf = tmp_path / "broken.conf"
+        conf.write_text("seed = 1\nwindow 20\n", encoding="utf-8")
+        assert main(["run", "--config", str(conf)]) == 2
+        assert f"{conf}:2: expected 'key = value'" in capsys.readouterr().err
+
     def test_unknown_classifier_rejected(self, grw_csv, tmp_path, capsys):
         conf = small_run_config(tmp_path, grw_csv)
         assert main(["run", "--config", str(conf), "--set", "classifiers=dt,svm"]) == 2
@@ -245,6 +257,13 @@ class TestRun:
         assert names == {"results.csv", "results.json"} | set(kept)
         for name in kept:
             assert (out_dir / name).read_text(encoding="utf-8") == "left by an earlier run\n"
+
+    def test_rerun_with_task_code_in_other_case_leaves_one_shap_file(self, separable_csv, tmp_path):
+        conf = small_run_config(tmp_path, separable_csv, shap_model="dt", shap_rows="5", shap_background="16")
+        out_dir = tmp_path / "results"
+        for code in ("OP", "op"):
+            assert main(["run", "--config", str(conf), "--set", f"tasks={code}"]) == 0
+            assert sorted(p.name for p in out_dir.glob("shap_*.csv")) == ["shap_demo_op.csv"]
 
     def test_shapley_outputs(self, separable_csv, tmp_path, capsys):
         conf = small_run_config(

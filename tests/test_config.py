@@ -134,6 +134,33 @@ class TestValidate:
         with pytest.raises(ConfigError, match="duplicate market"):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "key,spelled,canonical",
+        [
+            ("tasks", "OP, Cl", "op,cl"),
+            ("feature_sets", "now+int,hist+Int", "INT+NOW,INT+HIST"),
+            ("shap_feature_set", "now+dc+kc+bb+int", "INT+HIST+NOW"),
+        ],
+    )
+    def test_names_made_canonical_before_hashing(self, key, spelled, canonical):
+        want = apply_assignments(RunConfig(), [(key, canonical)])
+        assert want.validate() == want
+        assert apply_assignments(RunConfig(), [(key, spelled)]).validate() == want
+
+    def test_task_code_case_hashes_alike(self):
+        upper = load_config("tasks = OP\n")
+        assert upper.tasks == ("op",)
+        assert upper.config_hash == load_config("tasks = op\n").config_hash
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("tasks", "op,OP"), ("feature_sets", "INT+NOW,NOW+INT"), ("classifiers", "dt,dt")],
+    )
+    def test_repeated_grid_entry_names_the_key(self, key, value):
+        config = apply_assignments(RunConfig(), [(key, value)])
+        with pytest.raises(ConfigError, match=f"'{key}': repeated entry"):
+            config.validate()
+
     def test_zero_band_multipliers_allowed(self):
         config = apply_assignments(RunConfig(), [("bollinger_k", "0"), ("keltner_k", "0")])
         config.validate()

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +25,18 @@ from opentrend.features import (
 )
 from opentrend.indicators import IndicatorParams, channel_arrays
 from opentrend.ohlc import PRICE_FIELDS, OhlcSeries
+
+
+# each canonical column's group, read from the column names alone
+_ORACLE_GROUP = {
+    c: "INT" if c in ("open", "high", "low", "close") else "NOW" if c.startswith("r_") else c[:2].upper()
+    for c in CANONICAL_COLUMNS
+}
+SUBSETS = [
+    subset
+    for k in range(1, 6)
+    for subset in itertools.combinations(("INT", "DC", "BB", "KC", "NOW"), k)
+]
 
 
 def now_columns(series):
@@ -75,7 +89,24 @@ class TestFeatureSetMask:
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="empty feature set"):
-            FeatureSetMask(intrinsic=False)
+            FeatureSetMask(groups=())
+
+    def test_groups_out_of_canonical_order_rejected(self):
+        with pytest.raises(ValueError, match="canonical order"):
+            FeatureSetMask(groups=("NOW", "INT"))
+
+    @pytest.mark.parametrize("subset", SUBSETS, ids="+".join)
+    def test_every_subset_in_any_order_and_case(self, subset):
+        """Columns follow canonical order whatever the spelling; the name round-trips."""
+        rng = random.Random("+".join(subset))
+        parts = [rng.choice((str.lower, str.upper, str.capitalize))(g) for g in subset]
+        rng.shuffle(parts)
+        mask = FeatureSetMask.from_name("+".join(parts))
+        want = tuple(c for c in CANONICAL_COLUMNS if _ORACLE_GROUP[c] in subset)
+        assert mask.groups == subset
+        assert mask.columns == want
+        again = FeatureSetMask.from_name(mask.name)
+        assert again == mask and again.name == mask.name
 
     def test_case_and_spacing_tolerant(self):
         assert FeatureSetMask.from_name(" int + now ").name == "INT+NOW"

@@ -281,6 +281,35 @@ class TestSerialization:
         with pytest.raises(ValueError, match="boosted_trees.*missing key 'left'"):
             model_from_json(json.dumps(blob_dict))
 
+    @pytest.mark.parametrize(
+        "path,change,message",
+        [
+            (("spec",), "delete", "model: missing key 'spec'"),
+            (("hyperparams",), "delete", "model: missing key 'hyperparams'"),
+            (("feature_names",), "delete", "model: missing key 'feature_names'"),
+            (("standardizer",), "delete", "model: missing key 'standardizer'"),
+            (("state",), "delete", "model: missing key 'state'"),
+            (("weights",), "add", "model: unknown key 'weights'"),
+            (("spec", "family"), "delete", "model spec: missing key 'family'"),
+            (("spec", "seed"), "delete", "model spec: missing key 'seed'"),
+            (("spec", "depth"), "add", "model spec: unknown key 'depth'"),
+        ],
+    )
+    def test_envelope_key_checked(self, fitted_models, path, change, message):
+        import json
+
+        blob_dict = json.loads(model_to_json(fitted_models["dt"]))
+        *parents, key = path
+        target = blob_dict
+        for parent in parents:
+            target = target[parent]
+        if change == "delete":
+            del target[key]
+        else:
+            target[key] = 1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            model_from_json(json.dumps(blob_dict))
+
     def test_wrong_format_version_rejected(self, fitted_models):
         import json
 
