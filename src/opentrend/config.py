@@ -9,8 +9,9 @@ Grammar (one setting per line)::
     feature_sets = INT,INT+NOW
     bollinger_paper_literal = false   booleans are true/false
 
-Unknown keys, unparseable values, out-of-range settings and a list entry
-that repeats another all raise ConfigError (CLI exit code 2) naming the
+Unknown keys, unparseable values, out-of-range settings, a list entry
+that repeats another and a market tag that holds a comma or names its files
+like another market's all raise ConfigError (CLI exit code 2) naming the
 offending key.  Task codes and feature-set names are made canonical
 (``OP`` -> ``op``, ``now+int`` -> ``INT+NOW``) before that check and before
 hashing.
@@ -84,10 +85,19 @@ class RunConfig:
         _check(self.shap_background >= 1, "shap_background", self.shap_background)
         _check(self.shap_rows >= 1, "shap_rows", self.shap_rows)
         _check(self.shap_permutations >= 1, "shap_permutations", self.shap_permutations)
-        seen = set()
+        markets: dict[str, str] = {}  # file name tag -> market; the tag names the market's artifacts
         for market, _path in self.inputs:
-            _check(market not in seen, "input", f"duplicate market {market!r}")
-            seen.add(market)
+            tag = safe_name(market)
+            if tag in markets:
+                other = markets[tag]
+                if other == market:
+                    raise ConfigError(f"invalid config key 'input': duplicate market {market!r}")
+                raise ConfigError(
+                    f"invalid config key 'input': markets {other!r} and {market!r} share file names ({tag!r})"
+                )
+            if "," in market:  # results.csv is comma-separated
+                raise ConfigError(f"invalid config key 'input': market {market!r} contains ','")
+            markets[tag] = market
         return replace(
             self, tasks=tasks, feature_sets=feature_sets, classifiers=classifiers, shap_feature_set=shap_feature_set
         )
@@ -118,6 +128,11 @@ class RunConfig:
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:16]
+
+
+def safe_name(name: str) -> str:
+    """A market tag made safe for use inside an artifact file name."""
+    return "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in name)
 
 
 def _check(ok: bool, key: str, value) -> None:

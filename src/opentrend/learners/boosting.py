@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from opentrend.learners.base import positive_int, register_family, sigmoid
-from opentrend.learners.trees import SSE, TreeArrays, grow_tree, make_exhaustive_finder
+from opentrend.learners.trees import SSE, TreeArrays, grow_tree, make_exhaustive_finder, sort_columns
 
 _HESSIAN_FLOOR = 1e-12
 
@@ -42,6 +42,7 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
     z = np.full(X.shape[0], base_score)
     lr = float(hyper["learning_rate"])
     trees: list[TreeArrays] = []
+    block = sort_columns(X)  # the features never change, only the target: one sort serves every round
     for _ in range(hyper["iterations"]):
         p = sigmoid(z)
         gradient = y - p
@@ -56,8 +57,9 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
             max_depth=hyper["max_depth"],
             max_features=None,
             rng=None,
-            find_split=make_exhaustive_finder(X, gradient, SSE),
+            find_split=make_exhaustive_finder(gradient, SSE),
             leaf_value=leaf_value,
+            block=block,
         )
         trees.append(tree)
         z = z + lr * tree.apply(X)

@@ -7,15 +7,20 @@ regression trees), and the random-threshold entropy splits of the
 extremely-randomized ensemble.  Nodes expand depth-first, left child first,
 so any random draws happen in a fixed, reproducible order.
 
-The exhaustive search sorts each column once per finder (XGBoost's
-pre-sorted column block, Chen & Guestrin 2016, section 4.1) and scores a
-node in one pass over a (candidate columns x node rows) block: it keeps the
-node's rows from each column's sorted order, so the search costs a fixed
-number of numpy calls per node however many columns it scores.  That
-relies on the grower's row indices being ascending, which they are: the
-root holds ``arange`` and each child is a boolean selection of its parent.
-Filtering a column's (value, row id) order to an ascending node then gives
-exactly the stable sort of the node's values, ties included.
+The exhaustive search sorts each column once per fit (XGBoost's pre-sorted
+column block, Chen & Guestrin 2016, section 4.1): ``sort_columns`` gives a
+(columns x rows) block of row ids, each column's ids ordered by (value, row
+id), with the matching values.  The grower hands each node its own block,
+which holds exactly the node's rows in that order: the root's block is the
+whole sort, and a split compresses its node's block row by row into the
+left and right children's blocks.  Compression keeps the order, so a
+node's block is the (value, row id) sort of its own rows, ties included,
+and the finder scores a node in one pass over its block (or over the rows
+of the block for the candidate columns) in a fixed number of numpy calls,
+without touching the rows outside the node.  A node that cannot split
+(depth limit, fewer than two rows or a constant target) gets no block.
+Node totals and leaf values are still summed over the node's row indices
+in ascending order, so they keep the bits of a per-node sum.
 
 Tie-breaking is explicit everywhere: candidate columns are scanned in
 ascending index order and only a strictly better gain displaces the
@@ -66,6 +71,18 @@ class _SplitChoice:
     gain: float
 
 
+def sort_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root block of X: per column, row ids sorted by (value, row id) and the sorted values."""
+    ids = np.argsort(X.T, axis=1, kind="stable")
+    return ids, np.take_along_axis(X.T, ids, axis=1)
+
+
+def _compress(block: tuple[np.ndarray, np.ndarray], keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of a block where keep is set; each column keeps its order."""
+    ids, values = block
+    return ids[keep].reshape(ids.shape[0], -1), values[keep].reshape(ids.shape[0], -1)
+
+
 def grow_tree(
     X: np.ndarray,
     target: np.ndarray,
@@ -73,13 +90,17 @@ def grow_tree(
     max_depth: int,
     max_features: int | None,
     rng: np.random.Generator | None,
-    find_split: Callable[[np.ndarray, np.ndarray], _SplitChoice | None],
+    find_split: Callable[[np.ndarray, np.ndarray, tuple | None], _SplitChoice | None],
     leaf_value: Callable[[np.ndarray], float] | None = None,
+    block: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TreeArrays:
     """Grow one tree over row indices of X with pluggable split logic.
 
     A node with constant target is a leaf; a leaf holds the mean target of
     its rows unless ``leaf_value`` maps its row indices to another value.
+    ``find_split(idx, candidates, node_block)`` gets the node's ascending row
+    indices, its candidate columns and, when ``block`` (``sort_columns(X)``)
+    is given, the node's block; otherwise ``node_block`` is None.
     """
     n_features = X.shape[1]
     feature: list[int] = []
@@ -87,6 +108,7 @@ def grow_tree(
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
+    in_left = np.zeros(X.shape[0], dtype=bool)  # go-left flags, valid only at the rows of the node just split
 
     def alloc() -> int:
         feature.append(-1)
@@ -96,17 +118,22 @@ def grow_tree(
         value.append(0.0)
         return len(feature) - 1
 
+    def splittable(idx: np.ndarray, depth: int) -> bool:
+        return depth < max_depth and idx.size >= 2 and np.ptp(target[idx]) != 0.0
+
     root = alloc()
-    stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
+    idx = np.arange(X.shape[0])
+    ok = splittable(idx, 0)
+    stack = [(root, idx, 0, ok, block if ok else None)]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx, depth, ok, node_block = stack.pop()
         choice = None
-        if depth < max_depth and idx.size >= 2 and np.ptp(target[idx]) != 0.0:
+        if ok:
             if max_features is not None and max_features < n_features:
                 candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
             else:
                 candidates = np.arange(n_features)
-            choice = find_split(idx, candidates)
+            choice = find_split(idx, candidates, node_block)
         if choice is None:
             value[node] = float(target[idx].mean()) if leaf_value is None else leaf_value(idx)
             continue
@@ -116,8 +143,16 @@ def grow_tree(
         left_id, right_id = alloc(), alloc()
         left[node] = left_id
         right[node] = right_id
-        stack.append((right_id, idx[~go_left], depth + 1))
-        stack.append((left_id, idx[go_left], depth + 1))  # popped first: left before right
+        left_idx, right_idx = idx[go_left], idx[~go_left]
+        left_ok, right_ok = splittable(left_idx, depth + 1), splittable(right_idx, depth + 1)
+        left_block = right_block = None
+        if node_block is not None and (left_ok or right_ok):
+            in_left[idx] = go_left
+            keep = in_left[node_block[0]]
+            left_block = _compress(node_block, keep) if left_ok else None
+            right_block = _compress(node_block, ~keep) if right_ok else None
+        stack.append((right_id, right_idx, depth + 1, right_ok, right_block))
+        stack.append((left_id, left_idx, depth + 1, left_ok, left_block))  # popped first: left before right
     return TreeArrays(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
@@ -179,24 +214,22 @@ GINI = (_gini_from_counts, _gini_best_cut)  # class impurity of 0/1 labels
 SSE = (lambda total, n: total * total / n, _sse_best_cut)  # sum-of-squares reduction of a real target
 
 
-def make_exhaustive_finder(X: np.ndarray, target: np.ndarray, criterion):
+def make_exhaustive_finder(target: np.ndarray, criterion):
     """Exhaustive split: best midpoint threshold of any candidate column by criterion.
 
-    The finder expects ``idx`` to hold at least two row indices in
-    ascending order, as ``grow_tree`` passes them (see the module docstring).
+    The finder reads the node's block from ``grow_tree`` (see the module
+    docstring); ``idx`` holds the node's at least two row indices in
+    ascending order.
     """
     parent_term, best_cut = criterion
-    order = np.argsort(X.T, axis=1, kind="stable")  # (d, N): each column's row ids by (value, row id)
 
-    def find(idx: np.ndarray, candidates: np.ndarray) -> _SplitChoice | None:
+    def find(idx: np.ndarray, candidates: np.ndarray, block: tuple[np.ndarray, np.ndarray]) -> _SplitChoice | None:
         n = idx.size
         total = target[idx].sum()
         parent = parent_term(total, n)
-        in_node = np.zeros(X.shape[0], dtype=bool)
-        in_node[idx] = True
-        rows = order[candidates]
-        rows = rows[in_node[rows]].reshape(candidates.size, n)
-        xs = X[rows, candidates[:, None]]
+        rows, xs = block
+        if candidates.size < rows.shape[0]:
+            rows, xs = rows[candidates], xs[candidates]
         sum_left = np.cumsum(target[rows], axis=1)[:, :-1]
         j, gain = best_cut(total, n, np.arange(1.0, n), sum_left, parent, xs[:, :-1] < xs[:, 1:])
         c = int(np.argmax(gain))  # first maximum: lowest column
@@ -212,7 +245,7 @@ def make_exhaustive_finder(X: np.ndarray, target: np.ndarray, criterion):
 def make_random_entropy_finder(X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
     """Extremely-randomized split: one uniform threshold per candidate column."""
 
-    def find(idx: np.ndarray, candidates: np.ndarray) -> _SplitChoice | None:
+    def find(idx: np.ndarray, candidates: np.ndarray, _block: None) -> _SplitChoice | None:
         y_node = y[idx]
         n = idx.size
         parent = _entropy(float(y_node.sum()), n)
@@ -264,7 +297,8 @@ def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
         max_depth=hyper["max_depth"],
         max_features=min(hyper["max_features"], X.shape[1]),
         rng=rng,
-        find_split=make_exhaustive_finder(X, y, GINI),
+        find_split=make_exhaustive_finder(y, GINI),
+        block=sort_columns(X),
     )
     return DecisionTreeState(tree=tree)
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
-from opentrend.config import RunConfig
+from opentrend.config import RunConfig, safe_name
 from opentrend.dataset import EvalMode, bind, rolling_predict, split
 from opentrend.explain import ShapleyReport, background_sample, global_importance, row_subsample
 from opentrend.features import FeatureMatrix, FeatureSetMask, assemble, select
@@ -105,11 +105,6 @@ def _shapley_cell(data: _MarketData, task: str, config: RunConfig) -> ShapleyRep
         n_permutations=config.shap_permutations,
         seed=seed,
     )
-
-
-def safe_name(name: str) -> str:
-    """A market tag made safe for use inside an artifact file name."""
-    return "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in name)
 
 
 def _remove_stale(out_dir: Path) -> None:

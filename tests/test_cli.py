@@ -212,6 +212,16 @@ class TestRun:
         assert "invalid config key 'tasks'" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("tags", [("a,b",), ("a.b", "a-b")], ids=["comma", "same-file-name"])
+    def test_bad_market_tags_refused_at_load(self, grw_csv, tmp_path, capsys, tags):
+        inputs = [arg for tag in tags for arg in ("--input", f"{tag}:{grw_csv}")]
+        out_dir = tmp_path / "tagged"
+        settings = ["tasks=op", "feature_sets=INT", "classifiers=gnb", "shap_model=gnb", "shap_feature_set=INT"]
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        assert main(["run", *inputs, *args, "--set", "shap_rows=1", "--out-dir", str(out_dir)]) == 2
+        assert "invalid config key 'input'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_config_file_errors_name_the_file(self, tmp_path, capsys):
         conf = tmp_path / "broken.conf"
         conf.write_text("seed = 1\nwindow 20\n", encoding="utf-8")

@@ -134,6 +134,22 @@ class TestValidate:
         with pytest.raises(ConfigError, match="duplicate market"):
             config.validate()
 
+    def test_market_tag_with_comma_refused(self):
+        # results.csv is comma-separated: the tag would add a field to its row
+        config = apply_assignments(RunConfig(), [("input", "a,b:x.csv")])
+        with pytest.raises(ConfigError, match=r"invalid config key 'input': market 'a,b' contains ','"):
+            config.validate()
+
+    @pytest.mark.parametrize("first,second", [("a.b", "a-b"), ("a b", "a/b")])
+    def test_market_tags_sharing_a_file_name_refused(self, first, second):
+        config = apply_assignments(RunConfig(), [("input", f"{first}:x.csv"), ("input", f"{second}:y.csv")])
+        with pytest.raises(ConfigError, match="invalid config key 'input'"):
+            config.validate()
+
+    def test_distinct_file_names_accepted(self):
+        config = apply_assignments(RunConfig(), [("input", "a.b:x.csv"), ("input", "a_b:y.csv")])
+        assert config.validate().inputs == (("a.b", "x.csv"), ("a_b", "y.csv"))
+
     @pytest.mark.parametrize(
         "key,spelled,canonical",
         [

@@ -9,7 +9,10 @@ and before the split search scored a node's columns in one batch (4
 columns); any change to a split, a threshold or a leaf value of the tree
 grower changes them.  The digests of the other state kinds were recorded
 before the model JSON came from the state dataclasses' fields, so they pin
-the serialised bytes of every kind.
+the serialised bytes of every kind.  The tie-heavy digests were recorded
+before each tree node carried its own sorted column block: on the training
+span rounded to two decimals many rows share a value, so they pin the
+order in which tied rows are scanned.
 """
 
 from __future__ import annotations
@@ -52,6 +55,12 @@ STATE_MODEL_SHA256 = {
     "mlp16x8": "231c7de32158195645fd68f129fd8e1e8aa09f36521f4596b6b8b6eaf3909a15",
     "constant": "d9f86296c651d902b9a57d5b242847a454f600ee3675e9363bb22b7ba2de51f4",
     "gbt0": "47794f6f59317c924bd3a3ae3248e4855fb310013c9190c161cebe146cf2ac63",
+}
+#: tree models on the 16-column span rounded to 2 decimals, where many values tie
+TIED_MODEL_SHA256 = {
+    "gbt30": "4501a8a459b9d01994f3507d2b2c3cabd087f379b32c98ad7f32134e79926735",
+    "dt16": "56dc3a9837fa397fe3093afab889c64373f27c54f1b608a55fa5d16563e144e8",
+    "dt": "74ed675a5c55a2b669b00b453535a81272cc3842d91b655b3c95ae073da88780",
 }
 MODEL_SPECS = {
     "dt": preset("dt"),
@@ -127,3 +136,16 @@ def test_model_bits_of_every_state_kind(market):
     for name, (spec, labels) in specs.items():
         model = fit(spec, X, labels, feature_names=columns)
         assert sha256(model_to_json(model).encode("utf-8")) == STATE_MODEL_SHA256[name], name
+
+
+def test_tree_model_bits_on_tied_values(market):
+    X, y, columns = training_span(market, "INT+HIST+NOW")
+    X = np.round(X, 2)
+    specs = {
+        "gbt30": ClassifierSpec("GradientBoostedTrees", {"iterations": 30, "max_depth": 6, "learning_rate": 0.1}),
+        "dt16": ClassifierSpec("DecisionTree", {"max_features": 16}),  # every column at every node
+        "dt": MODEL_SPECS["dt"],
+    }
+    for name, spec in specs.items():
+        model = fit(spec, X, y, feature_names=columns)
+        assert sha256(model_to_json(model).encode("utf-8")) == TIED_MODEL_SHA256[name], name

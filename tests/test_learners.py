@@ -24,7 +24,7 @@ from opentrend.learners import (
 from opentrend.learners.base import _STATE_TYPES
 from opentrend.learners.linear import loss_and_gradient
 from opentrend.learners.mlp import loss_and_gradients
-from opentrend.learners.trees import GINI, SSE, make_exhaustive_finder
+from opentrend.learners.trees import GINI, SSE, grow_tree, make_exhaustive_finder, sort_columns
 
 
 def blob_data(seed=42, n=200, gap=2.0):
@@ -409,7 +409,13 @@ class TestExhaustiveFinder:
 
     @staticmethod
     def split(X, target, criterion, idx, candidates):
-        choice = make_exhaustive_finder(X, target, criterion)(idx, candidates)
+        # the node's block, built by filtering each column's (value, row id) order to the node's rows
+        order = np.argsort(X.T, axis=1, kind="stable")
+        in_node = np.zeros(X.shape[0], dtype=bool)
+        in_node[idx] = True
+        ids = order[in_node[order]].reshape(X.shape[1], idx.size)
+        block = (ids, X[ids, np.arange(X.shape[1])[:, None]])
+        choice = make_exhaustive_finder(target, criterion)(idx, candidates, block)
         return None if choice is None else (choice.column, choice.threshold, choice.gain)
 
     @pytest.mark.parametrize("criterion", [GINI, SSE], ids=["gini", "sse"])
@@ -438,6 +444,116 @@ class TestExhaustiveFinder:
         X = np.column_stack([np.full(6, 2.0), np.full(6, -1.0)])
         target = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
         assert self.split(X, target, criterion, np.arange(6), np.arange(2)) is None
+
+
+def reference_tree(X, target, criterion, *, max_depth, max_features, rng, leaf_value):
+    """Depth-first growth with ``reference_split`` at every node, as flat node lists.
+
+    Nodes are numbered and candidate columns drawn in the grower's order: a
+    split allocates its left then its right child, and the left subtree is
+    grown (drawing from ``rng``) before the right one.
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def alloc():
+        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (value, 0.0)):
+            column.append(blank)
+        return len(feature) - 1
+
+    def grow(node, idx, depth):
+        choice = None
+        if depth < max_depth and idx.size >= 2 and np.ptp(target[idx]) != 0.0:
+            n_features = X.shape[1]
+            if max_features is not None and max_features < n_features:
+                candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
+            else:
+                candidates = np.arange(n_features)
+            choice = reference_split(X, target, criterion, idx, candidates)
+        if choice is None:
+            value[node] = leaf_value(idx)
+            return
+        column, thr, _gain = choice
+        go_left = X[idx, column] <= thr
+        feature[node], threshold[node] = column, thr
+        left[node], right[node] = alloc(), alloc()
+        grow(left[node], idx[go_left], depth + 1)
+        grow(right[node], idx[~go_left], depth + 1)
+
+    grow(alloc(), np.arange(X.shape[0]), 0)
+    return feature, threshold, left, right, value
+
+
+class TestGrowTree:
+    """Whole trees from ``grow_tree`` against the reference grower, bit for bit."""
+
+    @staticmethod
+    def assert_same_tree(tree, expected):
+        for name, column in zip(("feature", "threshold", "left", "right", "value"), expected):
+            got = getattr(tree, name)
+            want = np.array(column, dtype=got.dtype)
+            assert got.dtype == (np.float64 if name in ("threshold", "value") else np.int64), name
+            assert got.tobytes() == want.tobytes(), name
+
+    @staticmethod
+    def tie_heavy(rng):
+        n_rows = int(rng.integers(2, 61))
+        n_cols = int(rng.integers(1, 7))
+        X = rng.integers(0, rng.integers(1, 6), size=(n_rows, n_cols)).astype(np.float64)
+        X[:, rng.random(n_cols) < 0.15] = 3.0  # some all-tied columns
+        max_depth = 10**9 if rng.random() < 0.5 else int(rng.integers(1, 6))
+        return X, max_depth
+
+    def test_gini_with_column_subsampling(self):
+        rng = np.random.default_rng(11)
+        splits = 0
+        for case in range(300):
+            X, max_depth = self.tie_heavy(rng)
+            y = rng.integers(0, 2, size=X.shape[0]).astype(np.float64)
+            max_features = int(rng.integers(1, X.shape[1] + 1))
+            kwargs = dict(max_depth=max_depth, max_features=max_features)
+            tree = grow_tree(
+                X,
+                y,
+                **kwargs,
+                rng=np.random.default_rng(case),
+                find_split=make_exhaustive_finder(y, GINI),
+                block=sort_columns(X),
+            )
+            expected = reference_tree(
+                X, y, GINI, **kwargs, rng=np.random.default_rng(case), leaf_value=lambda idx: float(y[idx].mean())
+            )
+            self.assert_same_tree(tree, expected)
+            splits += int((tree.feature >= 0).sum())
+        assert splits > 1000
+
+    def test_sse_with_newton_leaves(self):
+        rng = np.random.default_rng(12)
+        splits = 0
+        for _ in range(300):
+            X, max_depth = self.tie_heavy(rng)
+            p = np.round(rng.uniform(0.05, 0.95, size=X.shape[0]), 1)  # tied gradients
+            gradient = rng.integers(0, 2, size=X.shape[0]) - p
+            hessian = p * (1.0 - p)
+
+            def leaf_value(idx):
+                return float(gradient[idx].sum() / (hessian[idx].sum() + 1e-12))
+
+            tree = grow_tree(
+                X,
+                gradient,
+                max_depth=max_depth,
+                max_features=None,
+                rng=None,
+                find_split=make_exhaustive_finder(gradient, SSE),
+                leaf_value=leaf_value,
+                block=sort_columns(X),
+            )
+            expected = reference_tree(
+                X, gradient, SSE, max_depth=max_depth, max_features=None, rng=None, leaf_value=leaf_value
+            )
+            self.assert_same_tree(tree, expected)
+            splits += int((tree.feature >= 0).sum())
+        assert splits > 1000
 
 
 class TestExtraTrees:
