@@ -136,6 +136,17 @@ class TrainedModel:
             values = self.standardizer.transform(values)
         return self.state.score(values)
 
+    def relevant_columns(self, x, background) -> np.ndarray | None:
+        """The state's relevant-column masks for exact Shapley, or None.
+
+        See ``TreeArrays.relevant_columns``.  None when the state has no such
+        masks or a standardizer rescales the inputs before the state sees them.
+        """
+        relevant = getattr(self.state, "relevant_columns", None)
+        if relevant is None or self.standardizer is not None:
+            return None
+        return relevant(np.asarray(x, dtype=np.float64), _check_inputs(background, self.feature_names))
+
     def predict(self, X) -> np.ndarray:
         return (self.score(X) >= 0.5).astype(np.int64)
 

@@ -52,6 +52,29 @@ class TreeArrays:
     right: np.ndarray
     value: np.ndarray
 
+    def __post_init__(self) -> None:
+        """Refuse arrays that are ragged or whose children do not follow their parent.
+
+        Children after their parent (as depth-first numbering gives them)
+        make every path through the tree end at a leaf.
+        """
+        arrays = (self.feature, self.threshold, self.left, self.right, self.value)
+        n = self.feature.size
+        if n < 1 or any(a.ndim != 1 or a.size != n for a in arrays):
+            raise ValueError(f"tree arrays must be non-empty and of equal length, got shapes {[a.shape for a in arrays]}")
+        node = np.arange(n)
+        ok = np.where(
+            self.feature >= 0,
+            (self.left > node) & (self.left < n) & (self.right > node) & (self.right < n),
+            (self.left == -1) & (self.right == -1),
+        )
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            raise ValueError(
+                f"tree node {bad} has children ({self.left[bad]}, {self.right[bad]}): "
+                f"an internal node's must lie in ({bad}, {n}), a leaf's must be -1"
+            )
+
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf value for every row (rows with feature <= threshold go left)."""
         node = np.zeros(X.shape[0], dtype=np.int64)
@@ -62,6 +85,34 @@ class TreeArrays:
             node[active] = np.where(go_left, self.left[cur], self.right[cur])
             active = active[self.feature[node[active]] >= 0]
         return self.value[node]
+
+    def relevant_columns(self, x: np.ndarray, background: np.ndarray) -> np.ndarray:
+        """(n_bg x d) masks of the columns that can move a hybrid of x and a background row.
+
+        A hybrid takes each column from x or from the background row b.  Column
+        j is set for b when some node tests j, x and b go different ways there,
+        and some hybrid of x and b may reach that node.  Elsewhere x and b go
+        the same way, so every hybrid does too: a hybrid lands in the same leaf
+        as the hybrid that takes only b's value at the unset columns.  A node is
+        counted as reachable when a parent is and x or b goes its way, a
+        superset of the nodes hybrids reach, which leaves that statement true.
+        Children follow their parent, so one pass in node order visits each
+        node after its parent.
+        """
+        internal = np.nonzero(self.feature >= 0)[0]
+        cols = self.feature[internal]
+        thr = self.threshold[internal]
+        x_left = x[cols] <= thr
+        b_left = (background[:, cols] <= thr).T  # (internal nodes, n_bg)
+        reach = np.zeros((self.feature.size, background.shape[0]), dtype=bool)
+        reach[0] = True
+        for i, node in enumerate(internal):
+            at = reach[node]
+            reach[self.left[node]] |= at & (x_left[i] | b_left[i])
+            reach[self.right[node]] |= at & ~(x_left[i] & b_left[i])
+        masks = np.zeros((background.shape[1], background.shape[0]), dtype=bool)
+        np.logical_or.at(masks, cols, reach[internal] & (b_left != x_left[:, None]))
+        return masks.T
 
 
 @dataclass(frozen=True)
@@ -287,6 +338,9 @@ class DecisionTreeState:
 
     def score(self, X: np.ndarray) -> np.ndarray:
         return self.tree.apply(X)
+
+    def relevant_columns(self, x: np.ndarray, background: np.ndarray) -> np.ndarray:
+        return self.tree.relevant_columns(x, background)
 
 
 def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> DecisionTreeState:

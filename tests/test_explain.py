@@ -1,10 +1,11 @@
-"""Shapley attributions: axioms, closed forms, and sampling behavior."""
+"""Shapley attributions: axioms, closed forms, sampling behavior, and the tree tables."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from opentrend import explain
 from opentrend.explain import (
     MAX_EXACT_FEATURES,
     ShapleyReport,
@@ -15,6 +16,9 @@ from opentrend.explain import (
     shapley_sampled,
 )
 from opentrend.learners import ClassifierSpec, fit, preset
+from opentrend.learners.trees import DecisionTreeState, TreeArrays
+
+coalition_values = explain._coalition_values
 
 
 class LinearScore:
@@ -125,6 +129,143 @@ class TestExact:
             shapley_exact(ConstantScore(), np.array([np.nan, 0.0]), np.zeros((4, 2)))
         with pytest.raises(ValueError, match="score"):
             shapley_exact(object(), np.zeros(2), np.zeros((4, 2)))
+
+
+class ScoreOnly:
+    """A model seen through score alone, so exact Shapley enumerates every hybrid row."""
+
+    def __init__(self, model):
+        self.score = model.score
+
+
+class CountingTree:
+    """A fitted tree that counts the rows it scores and passes its masks on."""
+
+    def __init__(self, model):
+        self.model = model
+        self.rows = 0
+
+    def score(self, X):
+        self.rows += len(X)
+        return self.model.score(X)
+
+    def relevant_columns(self, x, background):
+        return self.model.relevant_columns(x, background)
+
+
+def tree_problem(d, max_depth, rounded, seed=0, n=300):
+    """A dt fit on continuous or tie-heavy rounded data, with held-out rows to attribute."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    if rounded:
+        X = np.round(X, 1)
+    y = (X[:, 0] - 0.7 * X[:, d - 1] + rng.normal(scale=0.8, size=n) > 0).astype(np.int64)
+    spec = ClassifierSpec("DecisionTree", {"max_depth": max_depth, "max_features": min(5, d)}, seed=seed)
+    return fit(spec, X[:200], y[:200]), X[:200], X[200:]
+
+
+@pytest.fixture
+def assert_same_attribution(monkeypatch):
+    """Check that the table path's v(S), phi, base value and output equal the hybrid loop's, bit for bit."""
+    values = []
+
+    def recorded(model, x, background):
+        values.append(coalition_values(model, x, background))
+        return values[-1]
+
+    monkeypatch.setattr(explain, "_coalition_values", recorded)
+    monkeypatch.setattr(explain, "_TABLE_MIN_ROWS", 0)  # tables however small the problem
+
+    def check(model, x, bg):
+        assert model.relevant_columns(x, bg) is not None
+        got, want = shapley_exact(model, x, bg), shapley_exact(ScoreOnly(model), x, bg)
+        assert values[-2].tobytes() == values[-1].tobytes()
+        assert got.phi.tobytes() == want.phi.tobytes()
+        assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
+
+    return check
+
+
+class TestTreeTables:
+    """Exact Shapley of single trees from per-background-row tables against the hybrid loop."""
+
+    @pytest.mark.parametrize("rounded", [False, True], ids=["continuous", "rounded"])
+    @pytest.mark.parametrize("max_depth", [1, 10])
+    @pytest.mark.parametrize("d", [3, 10, 16])
+    @pytest.mark.parametrize("n_bg", [1, 128])
+    def test_matches_the_hybrid_loop(self, assert_same_attribution, d, max_depth, rounded, n_bg):
+        model, train, test = tree_problem(d, max_depth, rounded, seed=d + max_depth)
+        bg = background_sample(train, max_rows=n_bg, seed=1)
+        assert_same_attribution(model, test[0], bg)
+
+    def test_row_equal_to_a_background_row(self, assert_same_attribution):
+        model, train, _ = tree_problem(10, 10, rounded=True)
+        bg = background_sample(train, max_rows=32, seed=2)
+        x = bg[5]
+        assert not model.relevant_columns(x, bg)[5].any()  # identical rows never part ways
+        assert_same_attribution(model, x, bg)
+
+    def test_row_on_the_thresholds(self, assert_same_attribution):
+        model, train, _ = tree_problem(10, 10, rounded=False)
+        tree = model.state.tree
+        x = train[7].copy()
+        for node in np.nonzero(tree.feature >= 0)[0][::-1]:  # the root's threshold wins its column
+            x[tree.feature[node]] = tree.threshold[node]
+        assert_same_attribution(model, x, background_sample(train, max_rows=64, seed=3))
+
+    def test_single_leaf_tree(self, assert_same_attribution):
+        X = np.ones((40, 3))
+        y = np.arange(40) % 2  # two classes, but no column separates them
+        model = fit(preset("dt"), X, y)
+        assert isinstance(model.state, DecisionTreeState) and model.state.tree.feature.size == 1
+        bg = np.random.default_rng(4).normal(size=(16, 3))
+        assert not model.relevant_columns(np.zeros(3), bg).any()
+        assert_same_attribution(model, np.zeros(3), bg)
+
+    def test_hybrid_keeps_its_leaf_off_the_masks(self):
+        """For random S, a hybrid lands in the leaf of the hybrid over S & F_b."""
+        rng = np.random.default_rng(5)
+        for rounded in (False, True):
+            model, train, test = tree_problem(16, 10, rounded, seed=6)
+            tree = model.state.tree
+            leaf_of = TreeArrays(tree.feature, tree.threshold, tree.left, tree.right, np.arange(tree.feature.size, dtype=np.float64))
+            bg = background_sample(train, max_rows=64, seed=7)
+            for x in test[:5]:
+                masks = model.relevant_columns(x, bg)
+                assert masks.shape == bg.shape and masks.any()
+                for _ in range(20):
+                    S = rng.random(16) < 0.5
+                    full = np.where(S, x, bg)
+                    kept = np.where(S & masks, x, bg)
+                    np.testing.assert_array_equal(leaf_of.apply(full), leaf_of.apply(kept))
+
+    def test_scores_only_the_tables(self):
+        model, train, test = tree_problem(16, 10, rounded=False)
+        bg = background_sample(train, max_rows=128, seed=8)
+        counting = CountingTree(model)
+        row = shapley_exact(counting, test[0], bg)
+        table_rows = int((1 << model.relevant_columns(test[0], bg).sum(axis=1)).sum())
+        assert counting.rows == table_rows + 1  # plus the attributed row itself
+        assert table_rows < 2**16 * 128
+        assert row.efficiency_residual < 1e-9
+
+    def test_small_problems_score_every_hybrid(self):
+        model, train, test = tree_problem(3, 10, rounded=False)
+        bg = background_sample(train, max_rows=128, seed=8)
+        assert 2**3 * 128 < explain._TABLE_MIN_ROWS
+        counting = CountingTree(model)
+        shapley_exact(counting, test[0], bg)
+        assert counting.rows == 2**3 * 128 + 1
+
+    def test_only_unscaled_single_trees_give_masks(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(80, 3))
+        y = (X[:, 0] > 0).astype(np.int64)
+        x, bg = X[0], X[:8]
+        assert fit(preset("dt"), X, y).relevant_columns(x, bg).shape == (8, 3)
+        scaled = ClassifierSpec("DecisionTree", {"max_depth": 3}, standardize=True)
+        for spec in (scaled, preset("xgb"), preset("logreg"), ClassifierSpec("ExtraTrees", {"n_trees": 3})):
+            assert fit(spec, X, y).relevant_columns(x, bg) is None, spec.family
 
 
 class TestSampled:

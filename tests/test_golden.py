@@ -12,7 +12,10 @@ before the model JSON came from the state dataclasses' fields, so they pin
 the serialised bytes of every kind.  The tie-heavy digests were recorded
 before each tree node carried its own sorted column block: on the training
 span rounded to two decimals many rows share a value, so they pin the
-order in which tied rows are scanned.
+order in which tied rows are scanned.  The Shapley digests were recorded
+while exact attribution still scored every hybrid row through the model;
+they pin the bytes of phi, the base value and the output for a decision
+tree on 16 columns and a logistic model on 4.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 import pytest
 
 from opentrend.dataset import bind, split
+from opentrend.explain import background_sample, shapley_exact
 from opentrend.features import CANONICAL_COLUMNS, FeatureSetMask, assemble, select
 from opentrend.labeling import ALL_TASKS, TaskKind, make_labels
 from opentrend.learners import ClassifierSpec, fit, model_to_json, preset
@@ -61,6 +65,11 @@ TIED_MODEL_SHA256 = {
     "gbt30": "4501a8a459b9d01994f3507d2b2c3cabd087f379b32c98ad7f32134e79926735",
     "dt16": "56dc3a9837fa397fe3093afab889c64373f27c54f1b608a55fa5d16563e144e8",
     "dt": "74ed675a5c55a2b669b00b453535a81272cc3842d91b655b3c95ae073da88780",
+}
+#: exact Shapley of two training rows against a 128-row background
+SHAPLEY_SHA256 = {
+    "dt": "5bf82aa6e3c847e1f83057c39fb4fe1e161ca837d188a3b792fbad8e534aa1af",
+    "logreg": "f9d052c4af9b2711b6c20be161797782293a5ff66c7edcc93d493be04af11cb8",
 }
 MODEL_SPECS = {
     "dt": preset("dt"),
@@ -149,3 +158,16 @@ def test_tree_model_bits_on_tied_values(market):
     for name, spec in specs.items():
         model = fit(spec, X, y, feature_names=columns)
         assert sha256(model_to_json(model).encode("utf-8")) == TIED_MODEL_SHA256[name], name
+
+
+@pytest.mark.parametrize(("name", "feature_set"), [("dt", "INT+HIST+NOW"), ("logreg", "INT")])
+def test_exact_shapley_bits(market, name, feature_set):
+    X, y, columns = training_span(market, feature_set)
+    model = fit(preset(name), X, y, feature_names=columns)
+    background = background_sample(X, 128, seed=0)
+    digest = hashlib.sha256()
+    for i in (0, 988):
+        row = shapley_exact(model, X[i], background)
+        digest.update(row.phi.tobytes())
+        digest.update(np.array([row.base_value, row.model_output]).tobytes())
+    assert digest.hexdigest() == SHAPLEY_SHA256[name], name

@@ -24,7 +24,7 @@ from opentrend.learners import (
 from opentrend.learners.base import _STATE_TYPES
 from opentrend.learners.linear import loss_and_gradient
 from opentrend.learners.mlp import loss_and_gradients
-from opentrend.learners.trees import GINI, SSE, grow_tree, make_exhaustive_finder, sort_columns
+from opentrend.learners.trees import GINI, SSE, TreeArrays, grow_tree, make_exhaustive_finder, sort_columns
 
 
 def blob_data(seed=42, n=200, gap=2.0):
@@ -325,6 +325,58 @@ class TestSerialization:
         blob_dict["state"]["kind"] = "oracle"
         with pytest.raises(ValueError, match="unknown model state kind"):
             model_from_json(json.dumps(blob_dict))
+
+
+class TestTreeArrays:
+    """Malformed node arrays are refused when a tree is built, model JSON included."""
+
+    @staticmethod
+    def stump(**changes):
+        arrays = dict(
+            feature=np.array([0, -1, -1]),
+            threshold=np.array([0.5, 0.0, 0.0]),
+            left=np.array([1, -1, -1]),
+            right=np.array([2, -1, -1]),
+            value=np.array([0.0, 0.25, 0.75]),
+        )
+        arrays.update({key: np.array(value) for key, value in changes.items()})
+        return TreeArrays(**arrays)
+
+    def test_well_formed_tree_accepted(self):
+        assert self.stump().apply(np.array([[0.0], [1.0]])).tolist() == [0.25, 0.75]
+        single_leaf = TreeArrays(*(np.array([v]) for v in (-1, 0.0, -1, -1, 0.5)))
+        assert single_leaf.apply(np.zeros((2, 3))).tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"left": [1, -1]}, "equal length"),
+            ({"value": [[0.0, 0.25, 0.75]]}, "equal length"),
+            ({name: [] for name in ("feature", "threshold", "left", "right", "value")}, "non-empty"),
+            ({"left": [0, -1, -1]}, "node 0"),  # a cycle: score would never return
+            ({"right": [3, -1, -1]}, "node 0"),
+            ({"left": [-1, -1, -1]}, "node 0"),
+            ({"right": [2, 2, -1]}, "node 1"),  # a leaf with a child
+            ({"feature": [0, 0, -1], "left": [1, 0, -1], "right": [2, 1, -1]}, "node 1"),
+        ],
+    )
+    def test_malformed_arrays_refused(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            self.stump(**changes)
+
+    def test_model_json_with_a_cycle_refused(self, fitted_models):
+        import json
+
+        for name, location in (("dt", lambda state: state["tree"]), ("xgb", lambda state: state["trees"][3])):
+            blob_dict = json.loads(model_to_json(fitted_models[name]))
+            tree = location(blob_dict["state"])
+            tree["left"][0] = 0
+            with pytest.raises(ValueError, match="tree node 0 has children"):
+                model_from_json(json.dumps(blob_dict))
+            tree["left"][0] = 1
+            tree["right"] = tree["right"][:-1]
+            with pytest.raises(ValueError, match="equal length"):
+                model_from_json(json.dumps(blob_dict))
 
 
 class TestDecisionTree:
