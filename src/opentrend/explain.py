@@ -9,12 +9,13 @@ while trading exactness for speed.  The caller picks one; neither falls back
 to the other.  Attribution targets the pre-threshold score, never the 0/1
 decision.
 
-For a model that gives relevant-column masks (a single decision tree fed
-unscaled inputs), exact enumeration scores, per background row, only the
-hybrids over the columns where x and that row part ways at a node some
-hybrid reaches; every other hybrid lands in the leaf of one of these, as in
-Independent TreeSHAP (Lundberg et al. 2020).  The coalition values keep the
-bits of scoring every hybrid row, which every other model still does.
+For a model that gives relevant-column masks (a single decision tree, scaled
+or not, and a single-class constant model, whose masks are empty), exact
+enumeration scores, per background row, only the hybrids over the columns
+where x and that row part ways at a node some hybrid reaches; every other
+hybrid lands in the leaf of one of these, as in Independent TreeSHAP
+(Lundberg et al. 2020).  The coalition values keep the bits of scoring
+every hybrid row, which every other model still does.
 """
 
 from __future__ import annotations
@@ -162,22 +163,23 @@ def shapley_exact(model, x, background) -> AttributionRow:
     score = _score_fn(model)
     values = _coalition_values(model, row, bg)
 
-    masks = np.arange(2**d, dtype=np.uint64)
-    sizes = np.zeros(2**d, dtype=np.int64)
-    for j in range(d):
-        sizes += ((masks >> np.uint64(j)) & np.uint64(1)).astype(np.int64)
     d_fact = math.factorial(d)
     weight_by_size = np.array(
         [math.factorial(s) * math.factorial(d - s - 1) / d_fact for s in range(d)]
     )
+    # In C order, axis d - 1 - j of the (2,)*d grid of v(S) is bit j of S, so
+    # the two halves along it list v(S) and v(S + j) for the coalitions S
+    # without j, ascending.  Dropping bit j from those S lists all subsets of
+    # the other d - 1 columns in order, so one |S| vector serves every j.
+    sizes = np.zeros(1, dtype=np.int64)
+    for _ in range(d - 1):
+        sizes = np.concatenate((sizes, sizes + 1))  # doubling: the next bit adds one
+    weight = weight_by_size[sizes]
+    grid = values.reshape((2,) * d)
     phi = np.empty(d)
     for j in range(d):
-        bit = np.uint64(1 << j)
-        without = masks[(masks & bit) == 0]
-        with_j = without | bit
-        phi[j] = float(
-            np.sum(weight_by_size[sizes[without]] * (values[with_j.astype(np.int64)] - values[without.astype(np.int64)]))
-        )
+        gain = grid.take(1, axis=d - 1 - j) - grid.take(0, axis=d - 1 - j)
+        phi[j] = float(np.sum(weight * gain.ravel()))
     out = float(np.asarray(score(row.reshape(1, -1)), dtype=np.float64)[0])
     return AttributionRow(phi=phi, base_value=float(values[0]), model_output=out)
 

@@ -115,6 +115,10 @@ class ConstantState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], float(self.label))
 
+    def relevant_columns(self, x: np.ndarray, background: np.ndarray) -> np.ndarray:
+        """No column moves a constant score: all-false masks (see ``TreeArrays.relevant_columns``)."""
+        return np.zeros(background.shape, dtype=bool)
+
 
 _STATE_TYPES[ConstantState.kind] = ConstantState
 
@@ -137,15 +141,20 @@ class TrainedModel:
         return self.state.score(values)
 
     def relevant_columns(self, x, background) -> np.ndarray | None:
-        """The state's relevant-column masks for exact Shapley, or None.
+        """The state's relevant-column masks for exact Shapley, or None when it has none.
 
-        See ``TreeArrays.relevant_columns``.  None when the state has no such
-        masks or a standardizer rescales the inputs before the state sees them.
+        See ``TreeArrays.relevant_columns``.  The inputs are standardized as
+        ``score`` standardizes them; standardizing maps each column on its
+        own, so a hybrid of the scaled rows is the scaled hybrid.
         """
         relevant = getattr(self.state, "relevant_columns", None)
-        if relevant is None or self.standardizer is not None:
+        if relevant is None:
             return None
-        return relevant(np.asarray(x, dtype=np.float64), _check_inputs(background, self.feature_names))
+        x = np.asarray(x, dtype=np.float64)
+        background = _check_inputs(background, self.feature_names)
+        if self.standardizer is not None:
+            x, background = self.standardizer.transform(x), self.standardizer.transform(background)
+        return relevant(x, background)
 
     def predict(self, X) -> np.ndarray:
         return (self.score(X) >= 0.5).astype(np.int64)
@@ -285,12 +294,21 @@ def model_from_json(text: str) -> TrainedModel:
         raise ValueError(f"unknown model state kind {kind!r}")
     spec = ClassifierSpec(**{**blob["spec"], "hyperparams": _tuplify(blob["spec"]["hyperparams"])})
     standardizer = blob["standardizer"]
+    feature_names = tuple(blob["feature_names"])
+    where = f"model state {kind!r}"
+    state = _decode(_STATE_TYPES[kind], state_blob, where)
+    check_columns = getattr(state, "check_columns", None)
+    if check_columns is not None:
+        try:
+            check_columns(len(feature_names))
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
     return TrainedModel(
         spec=spec,
         hyperparams=_tuplify(blob["hyperparams"]),
-        feature_names=tuple(blob["feature_names"]),
+        feature_names=feature_names,
         standardizer=None if standardizer is None else _decode(Standardizer, standardizer, "standardizer"),
-        state=_decode(_STATE_TYPES[kind], state_blob, f"model state {kind!r}"),
+        state=state,
     )
 
 
@@ -320,7 +338,11 @@ def _decode(tp, value, where: str):
         hints = get_type_hints(tp)
         names = [f.name for f in fields(tp)]
         _check_keys(value, names, where)
-        return tp(**{key: _decode(hints[key], value[key], where) for key in names})
+        decoded = {key: _decode(hints[key], value[key], where) for key in names}
+        try:
+            return tp(**decoded)
+        except ValueError as err:  # the dataclass refused its fields
+            raise ValueError(f"{where}: {err}") from None
     return tp(value)
 
 

@@ -35,6 +35,10 @@ class BoostedTreesState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw(X))
 
+    def check_columns(self, n_columns: int) -> None:
+        for tree in self.trees:
+            tree.check_columns(n_columns)
+
 
 def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> BoostedTreesState:
     base_rate = float(y.mean())

@@ -19,6 +19,7 @@ from opentrend.learners.trees import (
     _UNBOUNDED_DEPTH,
     grow_tree,
     make_random_entropy_finder,
+    sort_columns,
 )
 
 
@@ -33,10 +34,15 @@ class ExtraTreesState:
             total += tree.apply(X)
         return total / len(self.trees)
 
+    def check_columns(self, n_columns: int) -> None:
+        for tree in self.trees:
+            tree.check_columns(n_columns)
+
 
 def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> ExtraTreesState:
     n_features = X.shape[1]
     max_features = max(1, int(math.sqrt(n_features) + 0.5))
+    block = sort_columns(X)  # the rows never change, only the draws: one sort serves every tree
     trees = []
     for t in range(hyper["n_trees"]):
         rng = np.random.default_rng([seed, t])
@@ -47,7 +53,8 @@ def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> Ex
                 max_depth=_UNBOUNDED_DEPTH,
                 max_features=max_features,
                 rng=rng,
-                find_split=make_random_entropy_finder(X, y, rng),
+                find_split=make_random_entropy_finder(y, rng),
+                block=block,
             )
         )
     return ExtraTreesState(trees=trees)

@@ -7,20 +7,22 @@ regression trees), and the random-threshold entropy splits of the
 extremely-randomized ensemble.  Nodes expand depth-first, left child first,
 so any random draws happen in a fixed, reproducible order.
 
-The exhaustive search sorts each column once per fit (XGBoost's pre-sorted
-column block, Chen & Guestrin 2016, section 4.1): ``sort_columns`` gives a
-(columns x rows) block of row ids, each column's ids ordered by (value, row
-id), with the matching values.  The grower hands each node its own block,
-which holds exactly the node's rows in that order: the root's block is the
-whole sort, and a split compresses its node's block row by row into the
-left and right children's blocks.  Compression keeps the order, so a
+Both strategies read columns that are sorted once per fit (XGBoost's
+pre-sorted column block, Chen & Guestrin 2016, section 4.1): ``sort_columns``
+gives a (columns x rows) block of row ids, each column's ids ordered by
+(value, row id), with the matching values.  Boosting sorts once for all its
+rounds and the ensemble once for all its trees, since only the target or
+the random draws change between them.  The grower hands each node its own
+block, which holds exactly the node's rows in that order: the root's block
+is the whole sort, and a split compresses its node's block row by row into
+the left and right children's blocks.  Compression keeps the order, so a
 node's block is the (value, row id) sort of its own rows, ties included,
-and the finder scores a node in one pass over its block (or over the rows
-of the block for the candidate columns) in a fixed number of numpy calls,
-without touching the rows outside the node.  A node that cannot split
-(depth limit, fewer than two rows or a constant target) gets no block.
-Node totals and leaf values are still summed over the node's row indices
-in ascending order, so they keep the bits of a per-node sum.
+and a finder scores a node from its block (or from the rows of the block
+for the candidate columns) without touching the rows outside the node.  A
+node that cannot split (depth limit, fewer than two rows or a constant
+target) gets no block and becomes a leaf.  Node totals and leaf values are
+still summed over the node's row indices in ascending order, so they keep
+the bits of a per-node sum.
 
 Tie-breaking is explicit everywhere: candidate columns are scanned in
 ascending index order and only a strictly better gain displaces the
@@ -62,6 +64,9 @@ class TreeArrays:
         n = self.feature.size
         if n < 1 or any(a.ndim != 1 or a.size != n for a in arrays):
             raise ValueError(f"tree arrays must be non-empty and of equal length, got shapes {[a.shape for a in arrays]}")
+        links = (self.feature, self.left, self.right)
+        if not all(np.issubdtype(a.dtype, np.integer) for a in links):
+            raise ValueError(f"tree feature, left and right must be integer arrays, got {[str(a.dtype) for a in links]}")
         node = np.arange(n)
         ok = np.where(
             self.feature >= 0,
@@ -74,6 +79,12 @@ class TreeArrays:
                 f"tree node {bad} has children ({self.left[bad]}, {self.right[bad]}): "
                 f"an internal node's must lie in ({bad}, {n}), a leaf's must be -1"
             )
+
+    def check_columns(self, n_columns: int) -> None:
+        """Refuse a tree that tests a column outside a model's n_columns."""
+        bad = np.nonzero(self.feature >= n_columns)[0]
+        if bad.size:
+            raise ValueError(f"tree node {bad[0]} tests column {self.feature[bad[0]]} of a {n_columns}-column model")
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf value for every row (rows with feature <= threshold go left)."""
@@ -141,17 +152,17 @@ def grow_tree(
     max_depth: int,
     max_features: int | None,
     rng: np.random.Generator | None,
-    find_split: Callable[[np.ndarray, np.ndarray, tuple | None], _SplitChoice | None],
+    find_split: Callable[[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]], _SplitChoice | None],
+    block: tuple[np.ndarray, np.ndarray],
     leaf_value: Callable[[np.ndarray], float] | None = None,
-    block: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TreeArrays:
     """Grow one tree over row indices of X with pluggable split logic.
 
-    A node with constant target is a leaf; a leaf holds the mean target of
-    its rows unless ``leaf_value`` maps its row indices to another value.
-    ``find_split(idx, candidates, node_block)`` gets the node's ascending row
-    indices, its candidate columns and, when ``block`` (``sort_columns(X)``)
-    is given, the node's block; otherwise ``node_block`` is None.
+    ``block`` is ``sort_columns(X)``.  A node with constant target is a
+    leaf; a leaf holds the mean target of its rows unless ``leaf_value`` maps
+    its row indices to another value.  ``find_split(idx, candidates,
+    node_block)`` gets the node's ascending row indices, its candidate
+    columns and the node's block.
     """
     n_features = X.shape[1]
     feature: list[int] = []
@@ -174,12 +185,11 @@ def grow_tree(
 
     root = alloc()
     idx = np.arange(X.shape[0])
-    ok = splittable(idx, 0)
-    stack = [(root, idx, 0, ok, block if ok else None)]
+    stack = [(root, idx, 0, block if splittable(idx, 0) else None)]  # a node without a block is a leaf
     while stack:
-        node, idx, depth, ok, node_block = stack.pop()
+        node, idx, depth, node_block = stack.pop()
         choice = None
-        if ok:
+        if node_block is not None:
             if max_features is not None and max_features < n_features:
                 candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
             else:
@@ -197,13 +207,13 @@ def grow_tree(
         left_idx, right_idx = idx[go_left], idx[~go_left]
         left_ok, right_ok = splittable(left_idx, depth + 1), splittable(right_idx, depth + 1)
         left_block = right_block = None
-        if node_block is not None and (left_ok or right_ok):
+        if left_ok or right_ok:
             in_left[idx] = go_left
             keep = in_left[node_block[0]]
             left_block = _compress(node_block, keep) if left_ok else None
             right_block = _compress(node_block, ~keep) if right_ok else None
-        stack.append((right_id, right_idx, depth + 1, right_ok, right_block))
-        stack.append((left_id, left_idx, depth + 1, left_ok, left_block))  # popped first: left before right
+        stack.append((right_id, right_idx, depth + 1, right_block))
+        stack.append((left_id, left_idx, depth + 1, left_block))  # popped first: left before right
     return TreeArrays(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
@@ -293,27 +303,32 @@ def make_exhaustive_finder(target: np.ndarray, criterion):
     return find
 
 
-def make_random_entropy_finder(X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
-    """Extremely-randomized split: one uniform threshold per candidate column."""
+def make_random_entropy_finder(y: np.ndarray, rng: np.random.Generator):
+    """Extremely-randomized split: one uniform threshold per candidate column.
 
-    def find(idx: np.ndarray, candidates: np.ndarray, _block: None) -> _SplitChoice | None:
-        y_node = y[idx]
+    The finder reads the node's block from ``grow_tree``: a column's range is
+    its first and last sorted value, and the rows left of a threshold are a
+    prefix of its sorted row ids, whose 0/1 labels sum exactly in any order.
+    """
+
+    def find(idx: np.ndarray, candidates: np.ndarray, block: tuple[np.ndarray, np.ndarray]) -> _SplitChoice | None:
         n = idx.size
-        parent = _entropy(float(y_node.sum()), n)
+        total = float(y[idx].sum())
+        parent = _entropy(total, n)
+        rows, xs = block
         best: _SplitChoice | None = None
         for col in candidates:
-            xs = X[idx, col]
-            lo = float(xs.min())
-            hi = float(xs.max())
+            col_values = xs[col]
+            lo = float(col_values[0])
+            hi = float(col_values[-1])
             if lo == hi:
                 continue
             thr = float(rng.uniform(lo, hi))
-            go_left = xs <= thr
-            n_left = int(go_left.sum())
+            n_left = int(np.searchsorted(col_values, thr, side="right"))
             if n_left == 0 or n_left == n:
                 continue
-            ones_left = float(y_node[go_left].sum())
-            ones_right = float(y_node.sum()) - ones_left
+            ones_left = float(y[rows[col, :n_left]].sum())
+            ones_right = total - ones_left
             child = (
                 n_left * _entropy(ones_left, n_left)
                 + (n - n_left) * _entropy(ones_right, n - n_left)
@@ -338,6 +353,9 @@ class DecisionTreeState:
 
     def score(self, X: np.ndarray) -> np.ndarray:
         return self.tree.apply(X)
+
+    def check_columns(self, n_columns: int) -> None:
+        self.tree.check_columns(n_columns)
 
     def relevant_columns(self, x: np.ndarray, background: np.ndarray) -> np.ndarray:
         return self.tree.relevant_columns(x, background)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from opentrend.explain import (
     shapley_exact,
     shapley_sampled,
 )
-from opentrend.learners import ClassifierSpec, fit, preset
+from opentrend.learners import ClassifierSpec, ConstantState, fit, preset
 from opentrend.learners.trees import DecisionTreeState, TreeArrays
 
 coalition_values = explain._coalition_values
@@ -107,6 +109,21 @@ class TestExact:
         np.testing.assert_allclose(row.phi, 0.0, atol=1e-12)
         assert row.base_value == pytest.approx(0.37)
 
+    @pytest.mark.parametrize("d", [1, 3, 7, 12, 16])
+    def test_phi_matches_the_mask_loop(self, monkeypatch, d):
+        """phi from the halves of the (2,)*d grid of v(S) against a loop over bit masks, bit for bit."""
+        rng = np.random.default_rng(d)
+        values = rng.normal(size=2**d) * 10.0 ** rng.integers(-3, 4, size=2**d)
+        monkeypatch.setattr(explain, "_coalition_values", lambda model, x, background: values)
+        row = shapley_exact(ConstantScore(), np.zeros(d), np.zeros((1, d)))
+        masks = np.arange(2**d)
+        sizes = np.array([bin(m).count("1") for m in masks])
+        weight_by_size = np.array([math.factorial(s) * math.factorial(d - s - 1) / math.factorial(d) for s in range(d)])
+        for j in range(d):
+            without = masks[(masks >> j) & 1 == 0]
+            expected = np.sum(weight_by_size[sizes[without]] * (values[without | (1 << j)] - values[without]))
+            assert row.phi[j] == expected, j
+
     def test_feature_limit(self):
         d = MAX_EXACT_FEATURES + 1
         with pytest.raises(ValueError, match="exact enumeration limited"):
@@ -153,14 +170,15 @@ class CountingTree:
         return self.model.relevant_columns(x, background)
 
 
-def tree_problem(d, max_depth, rounded, seed=0, n=300):
+def tree_problem(d, max_depth, rounded, seed=0, n=300, standardize=False):
     """A dt fit on continuous or tie-heavy rounded data, with held-out rows to attribute."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     if rounded:
         X = np.round(X, 1)
     y = (X[:, 0] - 0.7 * X[:, d - 1] + rng.normal(scale=0.8, size=n) > 0).astype(np.int64)
-    spec = ClassifierSpec("DecisionTree", {"max_depth": max_depth, "max_features": min(5, d)}, seed=seed)
+    hyper = {"max_depth": max_depth, "max_features": min(5, d)}
+    spec = ClassifierSpec("DecisionTree", hyper, standardize=standardize, seed=seed)
     return fit(spec, X[:200], y[:200]), X[:200], X[200:]
 
 
@@ -257,16 +275,41 @@ class TestTreeTables:
         shapley_exact(counting, test[0], bg)
         assert counting.rows == 2**3 * 128 + 1
 
-    def test_only_unscaled_single_trees_give_masks(self):
+    @pytest.mark.parametrize("rounded", [False, True], ids=["continuous", "rounded"])
+    def test_scaled_tree_matches_the_hybrid_loop(self, assert_same_attribution, rounded):
+        model, train, test = tree_problem(10, 10, rounded, seed=12, standardize=True)
+        assert model.standardizer is not None
+        assert_same_attribution(model, test[0], background_sample(train, max_rows=64, seed=13))
+        assert_same_attribution(model, train[3], background_sample(train, max_rows=64, seed=13))
+
+    @pytest.mark.parametrize("standardize", [False, True], ids=["unscaled", "scaled"])
+    def test_constant_model_matches_the_hybrid_loop(self, assert_same_attribution, standardize):
+        X = np.random.default_rng(14).normal(loc=2.0, scale=3.0, size=(80, 10))
+        model = fit(ClassifierSpec("DecisionTree", standardize=standardize), X, np.ones(80, dtype=np.int64))
+        assert isinstance(model.state, ConstantState)
+        assert_same_attribution(model, X[0], X[:32])
+
+    def test_constant_model_scores_one_row_per_background_row(self):
+        X = np.random.default_rng(15).normal(size=(200, 16))
+        model = fit(preset("logreg"), X, np.zeros(200, dtype=np.int64))  # scaled, single class
+        counting = CountingTree(model)
+        row = shapley_exact(counting, X[0], X[:128])
+        assert counting.rows == 128 + 1  # one empty table entry per background row, plus the row itself
+        assert not row.phi.any() and row.base_value == row.model_output == 0.0
+
+    def test_single_trees_and_constant_models_give_masks(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(80, 3))
         y = (X[:, 0] > 0).astype(np.int64)
         x, bg = X[0], X[:8]
-        assert fit(preset("dt"), X, y).relevant_columns(x, bg).shape == (8, 3)
         scaled = ClassifierSpec("DecisionTree", {"max_depth": 3}, standardize=True)
-        for spec in (scaled, preset("xgb"), preset("logreg"), ClassifierSpec("ExtraTrees", {"n_trees": 3})):
+        for spec in (preset("dt"), scaled):
+            assert fit(spec, X, y).relevant_columns(x, bg).shape == (8, 3), spec.standardize
+        for spec in (preset("dt"), preset("logreg")):
+            masks = fit(spec, X, np.ones_like(y)).relevant_columns(x, bg)
+            assert masks.shape == (8, 3) and not masks.any(), spec.family
+        for spec in (preset("xgb"), preset("logreg"), ClassifierSpec("ExtraTrees", {"n_trees": 3})):
             assert fit(spec, X, y).relevant_columns(x, bg) is None, spec.family
-
 
 class TestSampled:
     def test_efficiency_holds_exactly(self, fitted_pair):

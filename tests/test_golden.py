@@ -15,7 +15,11 @@ span rounded to two decimals many rows share a value, so they pin the
 order in which tied rows are scanned.  The Shapley digests were recorded
 while exact attribution still scored every hybrid row through the model;
 they pin the bytes of phi, the base value and the output for a decision
-tree on 16 columns and a logistic model on 4.
+tree on 16 columns and a logistic model on 4.  The 50-tree ExtraTrees
+digests were recorded while the random-threshold splits still gathered each
+candidate column from the node's rows instead of reading the node's sorted
+block; they pin every uniform draw, threshold and leaf of the forest on 4
+columns, on 16 and on the tied span.
 """
 
 from __future__ import annotations
@@ -70,6 +74,12 @@ TIED_MODEL_SHA256 = {
 SHAPLEY_SHA256 = {
     "dt": "5bf82aa6e3c847e1f83057c39fb4fe1e161ca837d188a3b792fbad8e534aa1af",
     "logreg": "f9d052c4af9b2711b6c20be161797782293a5ff66c7edcc93d493be04af11cb8",
+}
+#: 50-tree ExtraTrees on INT, on INT+HIST+NOW and on the 16-column span rounded to 2 decimals
+EXTRA_TREES_SHA256 = {
+    "INT": "1a7d7506c2e0674cf0da1f948333a5aec7ff2c413171f08ba65df8e85f3636a7",
+    "INT+HIST+NOW": "83c01d48ae6425e1c7690dd5aa3b53c4ad9d2ec78d52be246a2e592f98d680b8",
+    "tied": "5585f1b812af223f191ddd18d23f2a17978d627a7eda45f60951ae6c31c65332",
 }
 MODEL_SPECS = {
     "dt": preset("dt"),
@@ -158,6 +168,15 @@ def test_tree_model_bits_on_tied_values(market):
     for name, spec in specs.items():
         model = fit(spec, X, y, feature_names=columns)
         assert sha256(model_to_json(model).encode("utf-8")) == TIED_MODEL_SHA256[name], name
+
+
+@pytest.mark.parametrize("name", list(EXTRA_TREES_SHA256))
+def test_extra_trees_bits(market, name):
+    X, y, columns = training_span(market, "INT" if name == "INT" else "INT+HIST+NOW")
+    if name == "tied":
+        X = np.round(X, 2)
+    model = fit(ClassifierSpec("ExtraTrees", {"n_trees": 50}), X, y, feature_names=columns)
+    assert sha256(model_to_json(model).encode("utf-8")) == EXTRA_TREES_SHA256[name], name
 
 
 @pytest.mark.parametrize(("name", "feature_set"), [("dt", "INT+HIST+NOW"), ("logreg", "INT")])

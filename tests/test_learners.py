@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,15 @@ from opentrend.learners import (
 from opentrend.learners.base import _STATE_TYPES
 from opentrend.learners.linear import loss_and_gradient
 from opentrend.learners.mlp import loss_and_gradients
-from opentrend.learners.trees import GINI, SSE, TreeArrays, grow_tree, make_exhaustive_finder, sort_columns
+from opentrend.learners.trees import (
+    GINI,
+    SSE,
+    TreeArrays,
+    grow_tree,
+    make_exhaustive_finder,
+    make_random_entropy_finder,
+    sort_columns,
+)
 
 
 def blob_data(seed=42, n=200, gap=2.0):
@@ -378,6 +387,34 @@ class TestTreeArrays:
             with pytest.raises(ValueError, match="equal length"):
                 model_from_json(json.dumps(blob_dict))
 
+    @pytest.mark.parametrize(
+        "name,kind,location",
+        [
+            ("dt", "decision_tree", lambda state: state["tree"]),
+            ("xgb", "boosted_trees", lambda state: state["trees"][3]),
+            ("extratrees", "extra_trees", lambda state: state["trees"][1]),
+        ],
+    )
+    def test_model_json_with_bad_tree_arrays_refused(self, fitted_models, name, kind, location):
+        import json
+
+        text = model_to_json(fitted_models[name])
+        for key in ("feature", "left", "right"):
+            blob_dict = json.loads(text)
+            tree = location(blob_dict["state"])
+            tree[key] = [float(v) for v in tree[key]]
+            with pytest.raises(ValueError, match=f"^model state '{kind}': tree feature, left and right must be integer"):
+                model_from_json(json.dumps(blob_dict))
+        blob_dict = json.loads(text)
+        tree = location(blob_dict["state"])
+        n_columns = len(blob_dict["feature_names"])
+        node = max(i for i, column in enumerate(tree["feature"]) if column >= 0)
+        tree["feature"][node] = n_columns
+        with pytest.raises(ValueError, match=f"^model state '{kind}': tree node {node} tests column {n_columns} "):
+            model_from_json(json.dumps(blob_dict))
+        tree["feature"][node] = n_columns - 1
+        model_from_json(json.dumps(blob_dict))  # the last column is still the model's
+
 
 class TestDecisionTree:
     def test_duplicate_columns_tie_to_lowest_index(self):
@@ -498,8 +535,43 @@ class TestExhaustiveFinder:
         assert self.split(X, target, criterion, np.arange(6), np.arange(2)) is None
 
 
-def reference_tree(X, target, criterion, *, max_depth, max_features, rng, leaf_value):
-    """Depth-first growth with ``reference_split`` at every node, as flat node lists.
+def _entropy(ones, n):
+    p = ones / n
+    return -sum(q * math.log(q) for q in (p, 1.0 - p) if q > 0)
+
+
+def reference_random_split(X, y, idx, candidates, rng):
+    """The per-column random-threshold entropy split the block finder replaced.
+
+    One scalar uniform draw between the node's minimum and maximum per
+    non-constant candidate column, in ascending column order; returns
+    (column, threshold, gain) or None.
+    """
+    y_node = y[idx]
+    n = idx.size
+    parent = _entropy(float(y_node.sum()), n)
+    best = None
+    for col in candidates:
+        xs = X[idx, col]
+        lo, hi = float(xs.min()), float(xs.max())
+        if lo == hi:
+            continue
+        thr = float(rng.uniform(lo, hi))
+        go_left = xs <= thr
+        n_left = int(go_left.sum())
+        if n_left == 0 or n_left == n:
+            continue
+        ones_left = float(y_node[go_left].sum())
+        ones_right = float(y_node.sum()) - ones_left
+        child = (n_left * _entropy(ones_left, n_left) + (n - n_left) * _entropy(ones_right, n - n_left)) / n
+        gain = parent - child
+        if gain > 0.0 and (best is None or gain > best[2]):
+            best = (int(col), thr, gain)
+    return best
+
+
+def reference_tree(X, target, split, *, max_depth, max_features, rng, leaf_value):
+    """Depth-first growth with ``split(idx, candidates)`` at every node, as flat node lists.
 
     Nodes are numbered and candidate columns drawn in the grower's order: a
     split allocates its left then its right child, and the left subtree is
@@ -520,7 +592,7 @@ def reference_tree(X, target, criterion, *, max_depth, max_features, rng, leaf_v
                 candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
             else:
                 candidates = np.arange(n_features)
-            choice = reference_split(X, target, criterion, idx, candidates)
+            choice = split(idx, candidates)
         if choice is None:
             value[node] = leaf_value(idx)
             return
@@ -572,7 +644,12 @@ class TestGrowTree:
                 block=sort_columns(X),
             )
             expected = reference_tree(
-                X, y, GINI, **kwargs, rng=np.random.default_rng(case), leaf_value=lambda idx: float(y[idx].mean())
+                X,
+                y,
+                lambda idx, candidates: reference_split(X, y, GINI, idx, candidates),
+                **kwargs,
+                rng=np.random.default_rng(case),
+                leaf_value=lambda idx: float(y[idx].mean()),
             )
             self.assert_same_tree(tree, expected)
             splits += int((tree.feature >= 0).sum())
@@ -601,11 +678,50 @@ class TestGrowTree:
                 block=sort_columns(X),
             )
             expected = reference_tree(
-                X, gradient, SSE, max_depth=max_depth, max_features=None, rng=None, leaf_value=leaf_value
+                X,
+                gradient,
+                lambda idx, candidates: reference_split(X, gradient, SSE, idx, candidates),
+                max_depth=max_depth,
+                max_features=None,
+                rng=None,
+                leaf_value=leaf_value,
             )
             self.assert_same_tree(tree, expected)
             splits += int((tree.feature >= 0).sum())
         assert splits > 1000
+
+    def test_random_entropy_with_column_subsampling(self):
+        rng = np.random.default_rng(13)
+        splits = 0
+        node_sizes = []  # rows of every node the reference finder scored
+        for case in range(400):
+            X, max_depth = self.tie_heavy(rng)
+            if case % 10 == 0:
+                X[:] = 3.0  # every column tied: the root is a leaf
+            y = rng.integers(0, 2, size=X.shape[0]).astype(np.float64)
+            kwargs = dict(max_depth=max_depth, max_features=int(rng.integers(1, X.shape[1] + 1)))
+            tree_rng = np.random.default_rng(case)
+            tree = grow_tree(
+                X,
+                y,
+                **kwargs,
+                rng=tree_rng,
+                find_split=make_random_entropy_finder(y, tree_rng),
+                block=sort_columns(X),
+            )
+            ref_rng = np.random.default_rng(case)
+
+            def split(idx, candidates):
+                node_sizes.append(idx.size)
+                return reference_random_split(X, y, idx, candidates, ref_rng)
+
+            expected = reference_tree(
+                X, y, split, **kwargs, rng=ref_rng, leaf_value=lambda idx: float(y[idx].mean())
+            )
+            self.assert_same_tree(tree, expected)
+            assert tree_rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws, in the same order
+            splits += int((tree.feature >= 0).sum())
+        assert splits > 1000 and node_sizes.count(2) > 100
 
 
 class TestExtraTrees:
