@@ -177,7 +177,8 @@ def _cmd_featurize(args) -> int:
     config = RunConfig(
         **_band_fields(args),
         feature_sets=(args.feature_set,),
-        tasks=() if args.no_labels else tuple(task.value for task in ALL_TASKS),
+        tasks=() if args.no_labels else RunConfig.tasks,
+        shap_feature_set=args.feature_set,
     )
     data = _prepare_market(series.market, series, config)
     labels = {vec.task.label_column: vec.labels for vec in data.labels.values()}

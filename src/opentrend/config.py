@@ -23,10 +23,11 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from opentrend.dataset import ROLLING_ONE_STEP, STATIC_SPLIT
-from opentrend.explain import SHAP_EXACT, SHAP_SAMPLED
+from opentrend.dataset import ROLLING_ONE_STEP, STATIC_SPLIT, EvalMode
+from opentrend.explain import DEFAULT_BACKGROUND_SIZE, DEFAULT_ROW_SUBSAMPLE, SHAP_EXACT, SHAP_SAMPLED
 from opentrend.features import FeatureSetMask, NAMED_FEATURE_SETS
-from opentrend.labeling import TaskKind
+from opentrend.indicators import IndicatorParams
+from opentrend.labeling import ALL_TASKS, TaskKind
 from opentrend.learners import PRESET_NAMES
 from opentrend.metrics import ACC_THRESHOLD, MCC_THRESHOLD
 
@@ -42,15 +43,15 @@ class RunConfig:
     """Everything a grid run needs; every field has a CLI/file override."""
 
     inputs: tuple[tuple[str, str], ...] = ()
-    window_n: int = 20
-    bollinger_k: float = 2.0
-    keltner_k: float = 2.0
-    bollinger_paper_literal: bool = False
+    window_n: int = IndicatorParams.window_n
+    bollinger_k: float = IndicatorParams.bollinger_k
+    keltner_k: float = IndicatorParams.keltner_k
+    bollinger_paper_literal: bool = IndicatorParams.bollinger_paper_literal
     split_ratio: float = 0.8
-    eval_mode: str = STATIC_SPLIT
-    refit_every: int = 1
-    freeze_window: bool = False
-    tasks: tuple[str, ...] = ("op", "hi", "lo", "cl")
+    eval_mode: str = EvalMode.kind
+    refit_every: int = EvalMode.refit_every
+    freeze_window: bool = EvalMode.freeze_window
+    tasks: tuple[str, ...] = tuple(task.value for task in ALL_TASKS)
     feature_sets: tuple[str, ...] = NAMED_FEATURE_SETS
     classifiers: tuple[str, ...] = PRESET_NAMES
     seed: int = 0
@@ -60,8 +61,8 @@ class RunConfig:
     shap_model: str = ""
     shap_mode: str = SHAP_EXACT
     shap_feature_set: str = SHAP_FEATURE_SET_DEFAULT
-    shap_background: int = 128
-    shap_rows: int = 100
+    shap_background: int = DEFAULT_BACKGROUND_SIZE
+    shap_rows: int = DEFAULT_ROW_SUBSAMPLE
     shap_permutations: int = 200
     out_dir: str = "results"
 

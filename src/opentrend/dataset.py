@@ -10,7 +10,7 @@ is either a single static fit or a rolling one-step walk forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -71,7 +71,6 @@ class Split:
 
     n_points: int
     n_train: int
-    ratio: float
 
     def __post_init__(self) -> None:
         if not (0 < self.n_train < self.n_points):
@@ -82,10 +81,6 @@ class Split:
     @property
     def n_test(self) -> int:
         return self.n_points - self.n_train
-
-    @property
-    def train_indices(self) -> range:
-        return range(0, self.n_train)
 
     @property
     def test_indices(self) -> range:
@@ -124,7 +119,7 @@ def split(ds: LabeledDataset, ratio: float = 0.8) -> Split:
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"split ratio must be in (0, 1), got {ratio!r}")
     n_train = math.ceil(Fraction(str(ratio)) * ds.n_points)
-    return Split(n_points=ds.n_points, n_train=n_train, ratio=ratio)
+    return Split(n_points=ds.n_points, n_train=n_train)
 
 
 def rolling_predict(
@@ -132,24 +127,21 @@ def rolling_predict(
     sp: Split,
     learner: ClassifierSpec,
     mode: EvalMode | None = None,
-    seed: int | None = None,
 ) -> np.ndarray:
     """Predict every test index without ever fitting on it or anything after it.
 
     Returns the 0/1 predictions for ds rows n_train .. n_points-1 in order.
-    Deterministic given the seed (which overrides ``spec.seed`` when
-    provided).
+    Deterministic given ``learner.seed``.
     """
     mode = mode or EvalMode()
     if sp.n_points != ds.n_points:
         raise ValueError("split does not belong to this dataset")
-    spec = learner if seed is None else replace(learner, seed=seed)
     X = ds.matrix.values
     y = ds.labels
     columns = ds.matrix.columns
 
     if mode.kind == STATIC_SPLIT:
-        model = _fit_window(spec, X, y, columns, 0, sp.n_train)
+        model = _fit_window(learner, X, y, columns, 0, sp.n_train)
         return predict(model, X[sp.n_train :])
 
     predictions = np.empty(sp.n_test, dtype=np.int64)
@@ -157,7 +149,7 @@ def rolling_predict(
     for step, t in enumerate(sp.test_indices):
         if model is None or step % mode.refit_every == 0:
             start = max(0, t - sp.n_train) if mode.freeze_window else 0
-            model = _fit_window(spec, X, y, columns, start, t)
+            model = _fit_window(learner, X, y, columns, start, t)
         predictions[step] = predict(model, X[t : t + 1])[0]
     return predictions
 

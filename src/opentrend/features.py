@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from opentrend.indicators import BOLLINGER, DONCHIAN, KELTNER, CHANNEL_COLUMNS, IndicatorParams, channel_arrays
-from opentrend.ohlc import OhlcSeries
+from opentrend.ohlc import PRICE_FIELDS, OhlcSeries
 
-INTRINSIC_COLUMNS = ("open", "high", "low", "close")
+INTRINSIC_COLUMNS = PRICE_FIELDS
 HISTORICAL_COLUMNS = CHANNEL_COLUMNS[DONCHIAN] + CHANNEL_COLUMNS[BOLLINGER] + CHANNEL_COLUMNS[KELTNER]
 NOWCAST_COLUMNS = ("r_hi", "r_lo", "r_cl")
 CANONICAL_COLUMNS = INTRINSIC_COLUMNS + HISTORICAL_COLUMNS + NOWCAST_COLUMNS

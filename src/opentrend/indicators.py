@@ -49,10 +49,6 @@ class IndicatorParams:
         if not (self.keltner_k >= 0 and np.isfinite(self.keltner_k)):
             raise ValueError(f"keltner_k must be finite and non-negative, got {self.keltner_k!r}")
 
-    @property
-    def ema_alpha(self) -> float:
-        return 2.0 / (self.window_n + 1)
-
 
 # ---------------------------------------------------------------------------
 # scalar building blocks

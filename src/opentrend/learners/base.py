@@ -47,6 +47,11 @@ def positive_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
+def positive_number(v) -> bool:
+    """Hyperparameter validator: an int or float (not a bool) above 0."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+
+
 # ---------------------------------------------------------------------------
 # numerics shared across families
 # ---------------------------------------------------------------------------
@@ -268,11 +273,11 @@ def model_to_json(model: TrainedModel) -> str:
         "format_version": MODEL_FORMAT_VERSION,
         "spec": {
             "family": model.spec.family,
-            "hyperparams": _jsonable(dict(model.spec.hyperparams)),
+            "hyperparams": _encode(dict(model.spec.hyperparams)),
             "standardize": model.spec.standardize,
             "seed": model.spec.seed,
         },
-        "hyperparams": _jsonable(model.hyperparams),
+        "hyperparams": _encode(model.hyperparams),
         "feature_names": list(model.feature_names),
         "standardizer": None if model.standardizer is None else _encode(model.standardizer),
         "state": {"kind": model.state.kind, **_encode(model.state)},
@@ -313,11 +318,13 @@ def model_from_json(text: str) -> TrainedModel:
 
 
 def _encode(value):
-    """Arrays to nested lists, lists item by item, dataclasses to a dict of their fields."""
+    """Arrays and tuples to lists, lists and dicts item by item, dataclasses to a dict of their fields."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
     if is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
     return value
@@ -354,10 +361,6 @@ def _check_keys(value: dict, names: list[str], where: str) -> None:
     for key in value:
         if key not in names:
             raise ValueError(f"{where}: unknown key {key!r}")
-
-
-def _jsonable(d: dict) -> dict:
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
 
 
 def _tuplify(d: dict) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opentrend.learners.base import positive_int, register_family, sigmoid
+from opentrend.learners.base import positive_int, positive_number, register_family, sigmoid
 from opentrend.learners.trees import SSE, TreeArrays, grow_tree, make_exhaustive_finder, sort_columns
 
 _HESSIAN_FLOOR = 1e-12
@@ -77,7 +77,7 @@ register_family(
     validators={
         "iterations": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
         "max_depth": positive_int,
-        "learning_rate": lambda v: isinstance(v, (int, float)) and 0 < v <= 10,
+        "learning_rate": lambda v: positive_number(v) and v <= 10,
     },
     state_cls=BoostedTreesState,
 )

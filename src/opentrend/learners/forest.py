@@ -28,6 +28,10 @@ class ExtraTreesState:
     kind = "extra_trees"
     trees: list[TreeArrays]
 
+    def __post_init__(self) -> None:
+        if not self.trees:
+            raise ValueError("a forest needs at least one tree")
+
     def score(self, X: np.ndarray) -> np.ndarray:
         total = np.zeros(X.shape[0])
         for tree in self.trees:

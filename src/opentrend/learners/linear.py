@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opentrend.learners.base import positive_int, register_family, sigmoid, softplus
+from opentrend.learners.base import positive_int, positive_number, register_family, sigmoid, softplus
 
 _CURVATURE_FLOOR = 1e-12
 
@@ -82,8 +82,8 @@ register_family(
     _fit_logistic_regression,
     defaults={"l2": 1.0, "tol": 1e-6, "max_iter": 1000},
     validators={
-        "l2": lambda v: isinstance(v, (int, float)) and v > 0,
-        "tol": lambda v: isinstance(v, (int, float)) and v > 0,
+        "l2": positive_number,
+        "tol": positive_number,
         "max_iter": positive_int,
     },
     state_cls=LogisticRegressionState,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opentrend.learners.base import positive_int, register_family, sigmoid, softplus
+from opentrend.learners.base import positive_int, positive_number, register_family, sigmoid, softplus
 
 
 def loss_and_gradients(
@@ -109,15 +109,7 @@ def _fit_mlp(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> MlpState:
 
 
 def _layers_ok(v) -> bool:
-    return (
-        isinstance(v, (tuple, list))
-        and len(v) >= 1
-        and all(isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in v)
-    )
-
-
-def _positive_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+    return isinstance(v, (tuple, list)) and len(v) >= 1 and all(positive_int(h) for h in v)
 
 
 register_family(
@@ -134,12 +126,12 @@ register_family(
     },
     validators={
         "hidden_layers": _layers_ok,
-        "learning_rate": _positive_number,
-        "momentum": lambda v: isinstance(v, (int, float)) and 0 <= v < 1,
+        "learning_rate": positive_number,
+        "momentum": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < 1,
         "batch_size": positive_int,
         "max_epochs": positive_int,
         "patience": positive_int,
-        "tol": _positive_number,
+        "tol": positive_number,
     },
     state_cls=MlpState,
 )

@@ -23,6 +23,10 @@ class KNearestState:
     train_X: np.ndarray
     train_y: np.ndarray
 
+    def __post_init__(self) -> None:
+        if not positive_int(self.k):
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+
     def score(self, X: np.ndarray) -> np.ndarray:
         k = min(self.k, self.train_X.shape[0])
         out = np.empty(X.shape[0])

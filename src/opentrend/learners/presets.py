@@ -29,9 +29,8 @@ REPORT_LABELS = {name: (name + "*" if name in ("xgb", "catboost") else name) for
 
 
 def preset(name: str, seed: int = 0) -> ClassifierSpec:
-    """Build the ClassifierSpec for one named configuration."""
-    key = name.strip().lower()
-    if key not in _PRESETS:
+    """Build the ClassifierSpec for one named configuration; names are exact (``dt``, not ``DT``)."""
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r} (known: {PRESET_NAMES})")
-    family, hyper, standardize = _PRESETS[key]
+    family, hyper, standardize = _PRESETS[name]
     return ClassifierSpec(family=family, hyperparams=dict(hyper), standardize=standardize, seed=seed)

@@ -213,15 +213,13 @@ def bubble_chart_svg(
     task: str,
     metric: str,
     provenance: Provenance,
-    classifiers: list[str] | None = None,
-    feature_sets: list[str] | None = None,
 ) -> str:
     """Classifier x feature-set bubble grid; radius and darkness grow with the metric."""
     if metric not in ("accuracy", "mcc"):
         raise ValueError(f"unknown chart metric {metric!r}")
     cell = [r for r in records if r.market == market and r.task == task]
-    xs = classifiers or sorted({r.classifier for r in cell})
-    ys = feature_sets or sorted({r.feature_set for r in cell})
+    xs = sorted({r.classifier for r in cell})
+    ys = sorted({r.feature_set for r in cell})
     by_key = {(r.classifier, r.feature_set): r for r in cell}
     width = _LEFT + _CELL * len(xs) + 40.0
     height = _TOP + _CELL * len(ys) + 110.0

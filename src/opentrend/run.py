@@ -42,7 +42,6 @@ class _MarketData:
     market: str
     matrices: dict[str, FeatureMatrix]
     labels: dict[str, object]
-    shap_matrix: FeatureMatrix
 
 
 def cell_seed(run_seed: int, *key: str) -> int:
@@ -60,20 +59,20 @@ def _prepare_market(market: str, series: OhlcSeries, config: RunConfig) -> _Mark
     )
     full = assemble(series, params)
     first_index = len(series) - full.n_rows  # rows run to the final bar
-    matrices = {name: select(full, FeatureSetMask.from_name(name)) for name in config.feature_sets}
+    names = dict.fromkeys((*config.feature_sets, config.shap_feature_set))  # each distinct set once, in order
+    matrices = {name: select(full, FeatureSetMask.from_name(name)) for name in names}
     labels = {
         code: make_labels(series, TaskKind.from_code(code), first_index) for code in config.tasks
     }
-    shap_matrix = select(full, FeatureSetMask.from_name(config.shap_feature_set))
-    return _MarketData(market=market, matrices=matrices, labels=labels, shap_matrix=shap_matrix)
+    return _MarketData(market=market, matrices=matrices, labels=labels)
 
 
 def _evaluate_cell(data: _MarketData, task: str, feature_set: str, classifier: str, config: RunConfig) -> EvalRecord:
     ds = bind(data.matrices[feature_set], data.labels[task], data.market)
     sp = split(ds, config.split_ratio)
     mode = EvalMode(kind=config.eval_mode, refit_every=config.refit_every, freeze_window=config.freeze_window)
-    seed = cell_seed(config.seed, data.market, task, feature_set, classifier)
-    predictions = rolling_predict(ds, sp, preset(classifier), mode, seed=seed)
+    spec = preset(classifier, seed=cell_seed(config.seed, data.market, task, feature_set, classifier))
+    predictions = rolling_predict(ds, sp, spec, mode)
     cm = confusion(ds.labels[sp.n_train :], predictions)
     return EvalRecord.from_confusion(
         cm,
@@ -88,7 +87,7 @@ def _evaluate_cell(data: _MarketData, task: str, feature_set: str, classifier: s
 
 
 def _shapley_cell(data: _MarketData, task: str, config: RunConfig) -> ShapleyReport:
-    ds = bind(data.shap_matrix, data.labels[task], data.market)
+    ds = bind(data.matrices[config.shap_feature_set], data.labels[task], data.market)
     sp = split(ds, config.split_ratio)
     seed = cell_seed(config.seed, data.market, task, "shap", config.shap_model)
     spec = preset(config.shap_model, seed=seed)

@@ -66,10 +66,10 @@ class GenSpec:
         return {**_DEFAULT_PARAMS[self.kind], **self.params}
 
 
-def trading_dates(days: int, start: dt.date = _START_DATE) -> list[dt.date]:
-    """Consecutive weekdays from start, inclusive."""
+def trading_dates(days: int) -> list[dt.date]:
+    """Consecutive weekdays from _START_DATE, inclusive."""
     out: list[dt.date] = []
-    day = start
+    day = _START_DATE
     while len(out) < days:
         if day.weekday() < 5:
             out.append(day)

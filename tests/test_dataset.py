@@ -74,7 +74,7 @@ class TestCounts:
     def test_index_ranges_are_contiguous(self, make_grw):
         ds = build_dataset(make_grw(days=40, seed=5), feature_set="INT")
         sp = split(ds, 0.8)
-        assert list(sp.train_indices) + list(sp.test_indices) == list(range(ds.n_points))
+        assert sp.test_indices == range(sp.n_train, ds.n_points)
 
 
 class TestBind:
@@ -125,8 +125,8 @@ class TestEvalModes:
     def test_static_is_deterministic(self, make_grw):
         ds = build_dataset(make_grw(days=120, seed=9))
         sp = split(ds, 0.8)
-        a = rolling_predict(ds, sp, preset("dt"), EvalMode(), seed=5)
-        b = rolling_predict(ds, sp, preset("dt"), EvalMode(), seed=5)
+        a = rolling_predict(ds, sp, preset("dt", seed=5), EvalMode())
+        b = rolling_predict(ds, sp, preset("dt", seed=5), EvalMode())
         np.testing.assert_array_equal(a, b)
         assert a.shape == (sp.n_test,)
         assert set(np.unique(a)) <= {0, 1}
@@ -135,13 +135,9 @@ class TestEvalModes:
         """refit_every >= n_test with a frozen window refits once on [0, n_train)."""
         ds = build_dataset(make_grw(days=120, seed=9))
         sp = split(ds, 0.8)
-        static = rolling_predict(ds, sp, preset("gnb"), EvalMode(kind="static"), seed=5)
+        static = rolling_predict(ds, sp, preset("gnb", seed=5), EvalMode(kind="static"))
         rolling = rolling_predict(
-            ds,
-            sp,
-            preset("gnb"),
-            EvalMode(kind="rolling", refit_every=sp.n_test, freeze_window=True),
-            seed=5,
+            ds, sp, preset("gnb", seed=5), EvalMode(kind="rolling", refit_every=sp.n_test, freeze_window=True)
         )
         np.testing.assert_array_equal(static, rolling)
 
@@ -152,7 +148,7 @@ class TestEvalModes:
         ds = build_dataset(make_grw(days=80, seed=3))
         sp = split(ds, 0.8)
         spec = preset("gnb", seed=5)
-        got = rolling_predict(ds, sp, spec, EvalMode(kind="rolling"), seed=5)
+        got = rolling_predict(ds, sp, spec, EvalMode(kind="rolling"))
         expected = []
         for t in sp.test_indices:
             model = fit(spec, ds.matrix.values[:t], ds.labels[:t], feature_names=ds.matrix.columns)
@@ -165,9 +161,7 @@ class TestEvalModes:
         ds = build_dataset(make_grw(days=80, seed=3))
         sp = split(ds, 0.8)
         spec = preset("gnb", seed=5)
-        got = rolling_predict(
-            ds, sp, spec, EvalMode(kind="rolling", freeze_window=True), seed=5
-        )
+        got = rolling_predict(ds, sp, spec, EvalMode(kind="rolling", freeze_window=True))
         expected = []
         for t in sp.test_indices:
             start = max(0, t - sp.n_train)
@@ -184,7 +178,7 @@ class TestEvalModes:
         sp = split(ds, 0.8)
         spec = preset("gnb", seed=5)
         k = 3
-        got = rolling_predict(ds, sp, spec, EvalMode(kind="rolling", refit_every=k), seed=5)
+        got = rolling_predict(ds, sp, spec, EvalMode(kind="rolling", refit_every=k))
         expected = []
         model = None
         for step, t in enumerate(sp.test_indices):

@@ -19,21 +19,28 @@ tree on 16 columns and a logistic model on 4.  The 50-tree ExtraTrees
 digests were recorded while the random-threshold splits still gathered each
 candidate column from the node's rows instead of reading the node's sorted
 block; they pin every uniform draw, threshold and leaf of the forest on 4
-columns, on 16 and on the tied span.
+columns, on 16 and on the tied span.  The run-bundle digests were recorded
+before the run defaults, the cell seed and the Shapley matrix each got a
+single owner; they pin the bytes of one whole ``cmd_run`` bundle, rolling
+cells and a Shapley set outside the grid included.
 """
 
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from opentrend.config import load_config
 from opentrend.dataset import bind, split
 from opentrend.explain import background_sample, shapley_exact
 from opentrend.features import CANONICAL_COLUMNS, FeatureSetMask, assemble, select
 from opentrend.labeling import ALL_TASKS, TaskKind, make_labels
 from opentrend.learners import ClassifierSpec, fit, model_to_json, preset
+from opentrend.ohlc import serialize_csv
+from opentrend.run import cmd_run
 from opentrend.synth import GenSpec, generate
 
 VALUES_SHA256 = "c758fa87d37f722e36e376825c24015e2554a32b8697a1884281954ec8772ee7"
@@ -81,6 +88,25 @@ EXTRA_TREES_SHA256 = {
     "INT+HIST+NOW": "83c01d48ae6425e1c7690dd5aa3b53c4ad9d2ec78d52be246a2e592f98d680b8",
     "tied": "5585f1b812af223f191ddd18d23f2a17978d627a7eda45f60951ae6c31c65332",
 }
+#: one rolling run on a 120-day market, with exact Shapley on a set outside the grid
+RUN_BUNDLE_SHA256 = {
+    "results.csv": "e2b7c25ccce235c487839d9f038b0b83a5d44e5f900685cd41979931b93a09b0",
+    "results.json": "90f4d599fc9d206005b8c401746f52d491b2df9e863a4e9dbc2f3a33f881e7b1",
+    "shap_m_op.csv": "97fc35433867fb24d24fd93b3a079fd4e007029fe01ef4468c4e1e0fceceb3c5",
+}
+RUN_SETTINGS = """\
+input = m:m.csv
+tasks = op
+feature_sets = INT
+classifiers = dt,gnb
+eval_mode = rolling
+refit_every = 5
+shap_model = dt
+shap_feature_set = INT+HIST+NOW
+shap_rows = 2
+shap_background = 32
+out_dir = out
+"""
 MODEL_SPECS = {
     "dt": preset("dt"),
     "xgb": preset("xgb"),
@@ -190,3 +216,14 @@ def test_exact_shapley_bits(market, name, feature_set):
         digest.update(row.phi.tobytes())
         digest.update(np.array([row.base_value, row.model_output]).tobytes())
     assert digest.hexdigest() == SHAPLEY_SHA256[name], name
+
+
+def test_run_bundle_bits(tmp_path, monkeypatch):
+    # relative paths keep the temp directory out of the config hash the bundle records
+    monkeypatch.chdir(tmp_path)
+    market = generate(GenSpec(kind="separable", days=120, seed=4, params={"signal_strength": 0.6}))
+    (tmp_path / "m.csv").write_text(serialize_csv(market), encoding="utf-8")
+    outcome = cmd_run(load_config(RUN_SETTINGS))
+    assert not outcome.errors
+    digests = {Path(path).name: sha256(Path(path).read_bytes()) for path in outcome.written}
+    assert digests == RUN_BUNDLE_SHA256

@@ -287,9 +287,6 @@ class TestChannels:
 
 
 class TestParams:
-    def test_alpha(self):
-        assert IndicatorParams(window_n=20).ema_alpha == pytest.approx(2.0 / 21.0)
-
     def test_bad_window(self):
         with pytest.raises(ValueError, match="window_n"):
             IndicatorParams(window_n=0)

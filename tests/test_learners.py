@@ -22,7 +22,7 @@ from opentrend.learners import (
     predict,
     preset,
 )
-from opentrend.learners.base import _STATE_TYPES
+from opentrend.learners.base import _STATE_TYPES, positive_number
 from opentrend.learners.linear import loss_and_gradient
 from opentrend.learners.mlp import loss_and_gradients
 from opentrend.learners.trees import (
@@ -179,6 +179,28 @@ class TestContract:
         with pytest.raises(ValueError, match="invalid value.*'max_depth'"):
             fit(ClassifierSpec(family="DecisionTree", hyperparams={"max_depth": 0}), X, y)
 
+    @pytest.mark.parametrize(
+        "family,hyperparams",
+        [
+            ("LogisticRegression", {"l2": True}),
+            ("LogisticRegression", {"tol": True}),
+            ("GradientBoostedTrees", {"learning_rate": True}),
+            ("MLP", {"learning_rate": True}),
+            ("MLP", {"tol": True}),
+            ("MLP", {"momentum": False}),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, blob, family, hyperparams):
+        X, y = blob
+        (key,) = hyperparams
+        with pytest.raises(ValueError, match=f"invalid value for {family} hyperparameter '{key}': "):
+            fit(ClassifierSpec(family=family, hyperparams=hyperparams), X, y)
+
+    def test_positive_number(self):
+        assert positive_number(1) and positive_number(1e-6) and positive_number(math.inf)
+        for bad in (True, False, 0, 0.0, -1, math.nan, "1", None):
+            assert not positive_number(bad), bad
+
 
 class TestStandardizer:
     def test_z_scores(self):
@@ -229,6 +251,11 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset("resnet")
+
+    @pytest.mark.parametrize("name", ["DT", " dt", "dt ", "Gnb"])
+    def test_names_are_exact(self, name):
+        with pytest.raises(ValueError, match="unknown preset"):
+            preset(name)
 
 
 class TestSerialization:
@@ -317,6 +344,22 @@ class TestSerialization:
         else:
             target[key] = 1
         with pytest.raises(ValueError, match=f"^{message}$"):
+            model_from_json(json.dumps(blob_dict))
+
+    @pytest.mark.parametrize(
+        "name,kind,key,value,message",
+        [
+            ("knn", "k_nearest", "k", -3, "k must be an integer >= 1, got -3"),
+            ("knn", "k_nearest", "k", 0, "k must be an integer >= 1, got 0"),
+            ("extratrees", "extra_trees", "trees", [], "a forest needs at least one tree"),
+        ],
+    )
+    def test_states_that_cannot_score_refused(self, fitted_models, name, kind, key, value, message):
+        import json
+
+        blob_dict = json.loads(model_to_json(fitted_models[name]))
+        blob_dict["state"][key] = value
+        with pytest.raises(ValueError, match=f"^model state '{kind}': {message}$"):
             model_from_json(json.dumps(blob_dict))
 
     def test_wrong_format_version_rejected(self, fitted_models):
