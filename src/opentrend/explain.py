@@ -2,20 +2,21 @@
 
 The value of a coalition S for row x is the mean model score over a fixed
 background sample whose columns in S are overwritten with x's values.
-``shapley_exact`` enumerates all 2^d coalitions (refusing d > 20);
-``shapley_sampled`` walks seeded random feature orderings instead, which
-keeps the efficiency identity (contributions along one ordering telescope)
-while trading exactness for speed.  The caller picks one; neither falls back
-to the other.  Attribution targets the pre-threshold score, never the 0/1
-decision.
+``shapley_exact`` enumerates all 2^d coalitions (refusing d > 16, the width
+of the canonical feature row); ``shapley_sampled`` walks seeded random
+feature orderings instead, which keeps the efficiency identity
+(contributions along one ordering telescope) while trading exactness for
+speed.  The caller picks one; neither falls back to the other.  Attribution
+targets the pre-threshold score, never the 0/1 decision.
 
-For a model that gives relevant-column masks (a single decision tree, scaled
-or not, and a single-class constant model, whose masks are empty), exact
-enumeration scores, per background row, only the hybrids over the columns
-where x and that row part ways at a node some hybrid reaches; every other
-hybrid lands in the leaf of one of these, as in Independent TreeSHAP
-(Lundberg et al. 2020).  The coalition values keep the bits of scoring
-every hybrid row, which every other model still does.
+Exact enumeration scores one table of hybrids per background row, built by
+doubling.  For a model that gives relevant-column masks (a single decision
+tree, scaled or not, and a single-class constant model, whose masks are
+empty), row b's table spans only the columns where x and that row part ways
+at a node some hybrid reaches; every other hybrid lands in the leaf of one
+of these, as in Independent TreeSHAP (Lundberg et al. 2020).  Every other
+model's table spans all d columns.  Either way the coalition values keep the
+bits of scoring every hybrid row.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_EXACT_FEATURES = 20
+MAX_EXACT_FEATURES = 16  # the canonical feature row's width
 DEFAULT_BACKGROUND_SIZE = 128
 DEFAULT_ROW_SUBSAMPLE = 100
 _COALITION_CHUNK = 2048
-_TABLE_CHUNK = 1 << 16
+_TABLE_CHUNK = 1 << MAX_EXACT_FEATURES  # score-buffer rows: room for a table over every column
 _TABLE_MIN_ROWS = 1 << 13
 
 SHAP_EXACT = "exact"
@@ -89,56 +90,46 @@ def _as_background(background, d: int) -> np.ndarray:
 
 
 def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """v(S) for every bitmask S: from leaf tables when the model gives relevant-column masks.
-
-    Below ``_TABLE_MIN_ROWS`` hybrid rows (2^d times the background size)
-    scoring them all costs less than building the tables: for ``dt`` the two
-    crossed between 4,096 and 16,384 rows.
-    """
-    relevant = getattr(model, "relevant_columns", None)
-    masks = None
-    if relevant is not None and 2**x.size * background.shape[0] >= _TABLE_MIN_ROWS:
-        masks = relevant(x, background)
-    if masks is None:
-        return _hybrid_values(_score_fn(model), x, background)
-    return _table_values(_score_fn(model), x, background, masks)
-
-
-def _hybrid_values(score, x: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """v(S) for every bitmask S, batching hybrid rows through the scorer."""
-    d = x.size
-    n_bg = background.shape[0]
-    values = np.empty(2**d)
-    masks = np.arange(2**d, dtype=np.uint32)
-    for start in range(0, 2**d, _COALITION_CHUNK):
-        chunk = masks[start : start + _COALITION_CHUNK]
-        on = ((chunk[:, None] >> np.arange(d, dtype=np.uint32)) & 1).astype(bool)
-        hybrids = np.where(on[:, None, :], x[None, None, :], background[None, :, :])
-        scores = np.asarray(score(hybrids.reshape(-1, d)), dtype=np.float64)
-        values[start : start + len(chunk)] = scores.reshape(len(chunk), n_bg).mean(axis=1)
-    return values
-
-
-def _table_values(score, x: np.ndarray, background: np.ndarray, relevant: np.ndarray) -> np.ndarray:
     """v(S) for every bitmask S from one table of hybrids per background row.
 
-    ``relevant[b]`` marks the columns F_b where a hybrid of x and row b can
-    change leaf.  Row b's table holds its 2^|F_b| hybrids over F_b: entry t
-    takes x at the k-th column of F_b when bit k of t is set.  The hybrid of
-    S with row b scores as the entry whose index is S's bits at F_b packed
-    together, so each block of scores holds the floats ``_hybrid_values``
-    would score, in the same order, and reduces to the same bits.
+    Row b's table holds the 2^|F_b| hybrids over a column set F_b: entry t
+    takes x at the r-th column of F_b when bit r of t is set and row b's
+    values elsewhere.  F_b is every column unless the model gives
+    relevant-column masks (see ``TreeArrays.relevant_columns``); then the
+    hybrid of S with row b scores as the entry whose index is S's bits at F_b
+    packed together.  Each block of coalitions reduces the same floats, in
+    the same order, as scoring every hybrid row would, so v(S) keeps its
+    bits.  Below ``_TABLE_MIN_ROWS`` hybrid rows (2^d times the background
+    size) asking for masks costs more than it saves: for ``dt`` the two
+    crossed between 4,096 and 16,384 rows.
     """
     d = x.size
+    relevant = getattr(model, "relevant_columns", None)
+    masks = None
+    if relevant is not None and 2**d * background.shape[0] >= _TABLE_MIN_ROWS:
+        masks = relevant(x, background)
+    if masks is None:
+        masks = np.ones(background.shape, dtype=bool)
+    score = _score_fn(model)
     # bit of column j in row b's table index: 2^(rank of j in F_b), 0 off F_b
-    weight = relevant.astype(np.int64) << (np.cumsum(relevant, axis=1) - relevant)
-    offsets = np.concatenate(([0], np.cumsum(1 << relevant.sum(axis=1))))
+    weight = masks.astype(np.int64) << (np.cumsum(masks, axis=1) - masks)
+    sizes = 1 << masks.sum(axis=1)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
     table = np.empty(offsets[-1])
-    for start in range(0, table.size, _TABLE_CHUNK):
-        entry = np.arange(start, min(start + _TABLE_CHUNK, table.size))
-        owner = np.searchsorted(offsets, entry, side="right") - 1
-        on = ((entry - offsets[owner])[:, None] & weight[owner]) != 0
-        table[start : start + entry.size] = np.asarray(score(np.where(on, x, background[owner])), dtype=np.float64)
+    # row b's block doubles once per column of F_b; blocks fill one buffer, scored when the next would not fit
+    buffer = np.empty((_TABLE_CHUNK, d))
+    scored = filled = 0
+    for b, size in enumerate(sizes):
+        if filled + size > _TABLE_CHUNK:
+            table[scored : scored + filled] = np.asarray(score(buffer[:filled]), dtype=np.float64)
+            scored, filled = scored + filled, 0
+        block = buffer[filled : filled + size]
+        block[0] = background[b]
+        for r, j in enumerate(np.flatnonzero(masks[b])):
+            block[1 << r : 2 << r] = block[: 1 << r]
+            block[1 << r : 2 << r, j] = x[j]
+        filled += size
+    table[scored:] = np.asarray(score(buffer[:filled]), dtype=np.float64)
     # a block of coalitions S = start | i shares start's bits above i's, so an
     # index is the packed bits of i, built once by doubling, plus those of start
     n = min(_COALITION_CHUNK, 2**d)
@@ -154,7 +145,7 @@ def _table_values(score, x: np.ndarray, background: np.ndarray, relevant: np.nda
 
 
 def shapley_exact(model, x, background) -> AttributionRow:
-    """Exact Shapley values by full coalition enumeration (d <= 20)."""
+    """Exact Shapley values by full coalition enumeration (d <= 16)."""
     row = _as_row(x)
     d = row.size
     if d > MAX_EXACT_FEATURES:

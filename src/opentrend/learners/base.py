@@ -88,8 +88,8 @@ class ClassifierSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,11 +330,17 @@ def _encode(value):
     return value
 
 
+#: the JSON scalar types a field annotation accepts, where more than its own
+_JSON_KINDS = {float: (int, float)}
+
+
 def _decode(tp, value, where: str):
     """Inverse of ``_encode``, driven by the annotation ``tp``.
 
     ``np.array`` restores the dtype because the writer emits ints for
-    integer arrays and floats for float arrays.
+    integer arrays and floats for float arrays.  A scalar must already be of
+    its field's kind (an int may stand for a float, a bool is no int), so a
+    blob's ``"k": 2.7`` or ``"bias": "nan"`` is refused, not coerced.
     """
     if tp is np.ndarray:
         return np.array(value)
@@ -350,6 +356,8 @@ def _decode(tp, value, where: str):
             return tp(**decoded)
         except ValueError as err:  # the dataclass refused its fields
             raise ValueError(f"{where}: {err}") from None
+    if type(value) not in _JSON_KINDS.get(tp, (tp,)):
+        raise ValueError(f"{where}: expected {tp.__name__}, got {value!r}")
     return tp(value)
 
 

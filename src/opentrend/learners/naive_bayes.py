@@ -23,6 +23,15 @@ class GaussianNBState:
     theta: np.ndarray  # (2, d)
     var: np.ndarray  # (2, d)
 
+    def check_columns(self, n_columns: int) -> None:
+        """Refuse priors, means or variances not shaped for two classes and n_columns, or a variance <= 0."""
+        shapes = (self.log_prior.shape, self.theta.shape, self.var.shape)
+        want = ((2,), (2, n_columns), (2, n_columns))
+        if shapes != want:
+            raise ValueError(f"log_prior, theta and var must have shapes {want}, got {shapes}")
+        if not np.all(np.isfinite(self.var) & (self.var > 0)):
+            raise ValueError("var must be finite and > 0")
+
     def score(self, X: np.ndarray) -> np.ndarray:
         jll = np.empty((X.shape[0], 2))
         for c in (0, 1):

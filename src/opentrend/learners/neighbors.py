@@ -27,6 +27,14 @@ class KNearestState:
         if not positive_int(self.k):
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
 
+    def check_columns(self, n_columns: int) -> None:
+        """Refuse training rows that are not an (m, n_columns) matrix with m >= 1 and m 0/1 labels."""
+        m = self.train_X.shape[0] if self.train_X.ndim == 2 else 0
+        if m < 1 or self.train_X.shape != (m, n_columns):
+            raise ValueError(f"train_X must have shape (m, {n_columns}) with m >= 1, got {self.train_X.shape}")
+        if self.train_y.shape != (m,) or not np.all((self.train_y == 0) | (self.train_y == 1)):
+            raise ValueError(f"train_y must hold {m} labels of 0 or 1, got shape {self.train_y.shape}")
+
     def score(self, X: np.ndarray) -> np.ndarray:
         k = min(self.k, self.train_X.shape[0])
         out = np.empty(X.shape[0])

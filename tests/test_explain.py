@@ -17,6 +17,7 @@ from opentrend.explain import (
     shapley_exact,
     shapley_sampled,
 )
+from opentrend.features import CANONICAL_COLUMNS
 from opentrend.learners import ClassifierSpec, ConstantState, fit, preset
 from opentrend.learners.trees import DecisionTreeState, TreeArrays
 
@@ -125,9 +126,10 @@ class TestExact:
             assert row.phi[j] == expected, j
 
     def test_feature_limit(self):
-        d = MAX_EXACT_FEATURES + 1
-        with pytest.raises(ValueError, match="exact enumeration limited"):
-            shapley_exact(ConstantScore(), np.zeros(d), np.zeros((4, d)))
+        """The limit is the canonical row's width: 16 columns pass, 17 are refused."""
+        assert MAX_EXACT_FEATURES == len(CANONICAL_COLUMNS) == 16
+        with pytest.raises(ValueError, match="exact enumeration limited to 16 features, got 17"):
+            shapley_exact(ConstantScore(), np.zeros(17), np.zeros((4, 17)))
 
     def test_full_width_still_works(self, fitted_pair):
         """16 features (the full canonical set) stays within the exact limit."""
@@ -149,25 +151,45 @@ class TestExact:
 
 
 class ScoreOnly:
-    """A model seen through score alone, so exact Shapley enumerates every hybrid row."""
+    """A model seen through score alone, so exact Shapley tables span every column."""
 
     def __init__(self, model):
         self.score = model.score
 
 
-class CountingTree:
-    """A fitted tree that counts the rows it scores and passes its masks on."""
+class CountingScore:
+    """A model seen through score alone that counts its score calls and the rows they carry."""
 
     def __init__(self, model):
         self.model = model
+        self.calls = 0
         self.rows = 0
 
     def score(self, X):
+        self.calls += 1
         self.rows += len(X)
         return self.model.score(X)
 
+
+class CountingTree(CountingScore):
+    """A fitted tree that counts what it scores and passes its masks on."""
+
     def relevant_columns(self, x, background):
         return self.model.relevant_columns(x, background)
+
+
+def hybrid_values(model, x, background):
+    """Reference v(S): every hybrid row scored, 2,048 coalitions at a time in coalition-major order."""
+    d, n_bg = x.size, background.shape[0]
+    values = np.empty(2**d)
+    masks = np.arange(2**d, dtype=np.uint32)
+    for start in range(0, 2**d, 2048):
+        chunk = masks[start : start + 2048]
+        on = ((chunk[:, None] >> np.arange(d, dtype=np.uint32)) & 1).astype(bool)
+        hybrids = np.where(on[:, None, :], x[None, None, :], background[None, :, :])
+        scores = np.asarray(model.score(hybrids.reshape(-1, d)), dtype=np.float64)
+        values[start : start + len(chunk)] = scores.reshape(len(chunk), n_bg).mean(axis=1)
+    return values
 
 
 def tree_problem(d, max_depth, rounded, seed=0, n=300, standardize=False):
@@ -184,24 +206,80 @@ def tree_problem(d, max_depth, rounded, seed=0, n=300, standardize=False):
 
 @pytest.fixture
 def assert_same_attribution(monkeypatch):
-    """Check that the table path's v(S), phi, base value and output equal the hybrid loop's, bit for bit."""
-    values = []
+    """Check that the tables' v(S), phi, base value and output equal the hybrid loop's, bit for bit.
 
-    def recorded(model, x, background):
-        values.append(coalition_values(model, x, background))
-        return values[-1]
+    ``masked`` also checks that the model gives relevant-column masks.
+    """
+    monkeypatch.setattr(explain, "_TABLE_MIN_ROWS", 0)  # masks however small the problem
 
-    monkeypatch.setattr(explain, "_coalition_values", recorded)
-    monkeypatch.setattr(explain, "_TABLE_MIN_ROWS", 0)  # tables however small the problem
+    def attribute(values_fn, model, x, bg):
+        values = []
 
-    def check(model, x, bg):
-        assert model.relevant_columns(x, bg) is not None
-        got, want = shapley_exact(model, x, bg), shapley_exact(ScoreOnly(model), x, bg)
-        assert values[-2].tobytes() == values[-1].tobytes()
+        def recorded(model, x, background):
+            values.append(values_fn(model, x, background))
+            return values[-1]
+
+        monkeypatch.setattr(explain, "_coalition_values", recorded)
+        return shapley_exact(model, x, bg), values[0]
+
+    def check(model, x, bg, masked=True):
+        if masked:
+            assert model.relevant_columns(x, bg) is not None
+        got, got_values = attribute(coalition_values, model, x, bg)
+        want, want_values = attribute(hybrid_values, model, x, bg)
+        assert got_values.tobytes() == want_values.tobytes()
         assert got.phi.tobytes() == want.phi.tobytes()
         assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
 
     return check
+
+
+#: every preset, cut to a few trees, iterations or epochs
+SMALL_PRESETS = {
+    "dt": {},
+    "gnb": {},
+    "knn": {},
+    "logreg": {},
+    "xgb": {"iterations": 3},
+    "mlp": {"max_epochs": 3},
+    "catboost": {"iterations": 3},
+    "extratrees": {"n_trees": 3},
+}
+
+
+class TestOneTablePath:
+    """Every model's coalition values come from the tables and equal the hybrid loop's."""
+
+    @pytest.mark.parametrize("name", [*SMALL_PRESETS, "score-only"])
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_matches_the_hybrid_loop(self, assert_same_attribution, name, d):
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(140, d))
+        y = (X[:, 0] + rng.normal(scale=0.8, size=140) > 0).astype(np.int64)
+        base = preset("dt" if name == "score-only" else name, seed=d)
+        hyper = {**base.hyperparams, **SMALL_PRESETS.get(name, {})}
+        model = fit(ClassifierSpec(base.family, hyper, base.standardize, base.seed), X[:100], y[:100])
+        if name == "score-only":
+            model = ScoreOnly(model)
+        bg = background_sample(X[:100], max_rows=32, seed=d)
+        for x in X[100:103]:
+            assert_same_attribution(model, x, bg, masked=False)
+
+    @pytest.mark.parametrize("d, n_bg", [(12, 24), (16, 4)])
+    def test_full_buffers_match_the_hybrid_loop(self, assert_same_attribution, d, n_bg):
+        """Tables of 2^12 and 2^16 rows: a buffer of 16 tables plus a part-filled one, and one table per buffer."""
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(120, d))
+        model = fit(preset("logreg"), X, (X[:, 0] > 0).astype(np.int64))
+        assert_same_attribution(model, X[0], X[1 : 1 + n_bg], masked=False)
+
+    def test_score_only_model_scores_one_table_per_call(self):
+        rng = np.random.default_rng(16)
+        counting = CountingScore(LinearScore(rng.normal(size=16)))
+        row = shapley_exact(counting, rng.normal(size=16), rng.normal(size=(128, 16)))
+        assert counting.calls == 128 + 1  # one 2^16-row table per background row, plus the row itself
+        assert counting.rows == 2**16 * 128 + 1
+        assert row.efficiency_residual < 1e-9
 
 
 class TestTreeTables:

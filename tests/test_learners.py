@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,17 @@ class TestContract:
             assert isinstance(model.state, ConstantState)
             assert np.all(predict(model, X) == label)
             assert np.all(model.score(X) == float(label))
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.0])
+    def test_seed_must_be_a_non_negative_int(self, blob, fitted_models, seed):
+        import json
+
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            ClassifierSpec("DecisionTree", seed=seed)
+        blob_dict = json.loads(model_to_json(fitted_models["dt"]))
+        blob_dict["spec"]["seed"] = seed
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            model_from_json(json.dumps(blob_dict))
 
     def test_determinism_same_seed(self, blob):
         X, y = blob
@@ -352,6 +364,10 @@ class TestSerialization:
             ("knn", "k_nearest", "k", -3, "k must be an integer >= 1, got -3"),
             ("knn", "k_nearest", "k", 0, "k must be an integer >= 1, got 0"),
             ("extratrees", "extra_trees", "trees", [], "a forest needs at least one tree"),
+            ("knn", "k_nearest", "k", 2.7, "expected int, got 2.7"),
+            ("knn", "k_nearest", "k", True, "expected int, got True"),
+            ("knn", "k_nearest", "k", "3", "expected int, got '3'"),
+            ("logreg", "logistic_regression", "bias", "nan", "expected float, got 'nan'"),
         ],
     )
     def test_states_that_cannot_score_refused(self, fitted_models, name, kind, key, value, message):
@@ -360,6 +376,55 @@ class TestSerialization:
         blob_dict = json.loads(model_to_json(fitted_models[name]))
         blob_dict["state"][key] = value
         with pytest.raises(ValueError, match=f"^model state '{kind}': {message}$"):
+            model_from_json(json.dumps(blob_dict))
+
+    def test_an_int_stands_for_a_float(self, blob, fitted_models):
+        import json
+
+        X, _ = blob
+        blob_dict = json.loads(model_to_json(fitted_models["logreg"]))
+        blob_dict["state"]["bias"] = 0
+        model = model_from_json(json.dumps(blob_dict))
+        assert model.state.bias == 0.0 and np.all(np.isfinite(model.score(X)))
+
+    @pytest.mark.parametrize(
+        "name,key,change,message",
+        [
+            pytest.param(
+                "knn", "train_X", lambda v: [row[:1] for row in v],
+                "train_X must have shape (m, 2) with m >= 1, got (200, 1)", id="knn-1-column",
+            ),
+            pytest.param(
+                "knn", "train_X", lambda v: [], "train_X must have shape (m, 2) with m >= 1, got (0,)", id="knn-no-rows"
+            ),
+            pytest.param(
+                "knn", "train_y", lambda v: v[:-1], "train_y must hold 200 labels of 0 or 1, got shape (199,)", id="knn-199-labels"
+            ),
+            pytest.param(
+                "knn", "train_y", lambda v: [2.0] + v[1:], "train_y must hold 200 labels of 0 or 1, got shape (200,)", id="knn-label-2"
+            ),
+            pytest.param(
+                "gnb", "log_prior", lambda v: v + [-1.0],
+                "log_prior, theta and var must have shapes ((2,), (2, 2), (2, 2)), got ((3,), (2, 2), (2, 2))", id="gnb-3-priors",
+            ),
+            pytest.param(
+                "gnb", "theta", lambda v: [row[:1] for row in v],
+                "log_prior, theta and var must have shapes ((2,), (2, 2), (2, 2)), got ((2,), (2, 1), (2, 2))", id="gnb-1-column-theta",
+            ),
+            pytest.param(
+                "gnb", "var", lambda v: [row[:1] for row in v],
+                "log_prior, theta and var must have shapes ((2,), (2, 2), (2, 2)), got ((2,), (2, 2), (2, 1))", id="gnb-1-column-var",
+            ),
+            pytest.param("gnb", "var", lambda v: [[-1.0, v[0][1]], v[1]], "var must be finite and > 0", id="gnb-negative-var"),
+        ],
+    )
+    def test_states_of_the_wrong_shape_refused(self, fitted_models, name, key, change, message):
+        import json
+
+        model = fitted_models[name]
+        blob_dict = json.loads(model_to_json(model))
+        blob_dict["state"][key] = change(blob_dict["state"][key])
+        with pytest.raises(ValueError, match=f"^model state '{model.state.kind}': {re.escape(message)}$"):
             model_from_json(json.dumps(blob_dict))
 
     def test_wrong_format_version_rejected(self, fitted_models):
