@@ -5,17 +5,21 @@ here and is used exclusively through ``fit``/``predict``.  Fitting is
 deterministic given ``ClassifierSpec.seed``; predictions threshold the model score
 (an estimate of P(y=1)) at 0.5, with ties going to class 1.
 
-A state's JSON is its dataclass fields: arrays become nested lists and are
-read back by their annotation, so a family gets serialization by declaring
-its fields with types (``np.ndarray``, ``list[...]``, a nested dataclass or
-a scalar).
+A model's JSON is its dataclass fields, a state's included: arrays become
+nested lists and every field is read back by its annotation, so a family
+gets serialization by declaring its fields with types (``np.ndarray``,
+``list[...]``, a nested dataclass or a scalar).  After decoding, every
+dataclass in the model that has ``check_columns`` checks itself against
+the model's column count.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -109,6 +113,13 @@ class Standardizer:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (X - self.mean) / self.std
 
+    def check_columns(self, n_columns: int) -> None:
+        """Refuse a mean or std not of shape (n_columns,), or a std that is not > 0."""
+        if self.mean.shape != (n_columns,) or self.std.shape != (n_columns,):
+            raise ValueError(f"mean and std must have shape ({n_columns},), got {self.mean.shape} and {self.std.shape}")
+        if not np.all(self.std > 0):
+            raise ValueError("std must be > 0")
+
 
 @dataclass(eq=False)
 class ConstantState:
@@ -116,6 +127,10 @@ class ConstantState:
 
     kind = "constant"
     label: int
+
+    def __post_init__(self) -> None:
+        if self.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
     def score(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], float(self.label))
@@ -137,6 +152,19 @@ class TrainedModel:
     feature_names: tuple[str, ...]
     standardizer: Standardizer | None
     state: Any
+
+    def __post_init__(self) -> None:
+        """Refuse fields that disagree, as they may in edited model JSON: fit and load share these rules."""
+        if type(self.state) not in _STATE_TYPES.values():
+            raise ValueError(f"state must be a registered model state, got a {type(self.state).__name__}")
+        resolved = _resolve_hyperparams(self.spec)
+        if self.hyperparams != resolved:
+            raise ValueError(f"hyperparams {self.hyperparams!r} are not the spec's resolved {resolved!r}")
+        if (self.standardizer is None) == self.spec.standardize:
+            have = "no" if self.standardizer is None else "a"
+            raise ValueError(f"spec.standardize is {self.spec.standardize} but the model has {have} standardizer")
+        if len(set(self.feature_names)) != len(self.feature_names):
+            raise ValueError(f"feature names must be distinct, got {self.feature_names}")
 
     def score(self, X) -> np.ndarray:
         """Pre-threshold scores in [0, 1]: the model's estimate of P(y=1)."""
@@ -174,10 +202,7 @@ def fit(spec: ClassifierSpec, X, y, feature_names: tuple[str, ...] | None = None
     """Train one model.  X may be a FeatureMatrix or a 2-D float array."""
     values, names = _coerce_matrix(X, feature_names)
     labels = _coerce_labels(y, values.shape[0])
-    if spec.family not in _FAMILIES:
-        raise ValueError(f"unknown classifier family {spec.family!r} (known: {family_names()})")
-    entry = _FAMILIES[spec.family]
-    hyper = _resolve_hyperparams(spec, entry)
+    hyper = _resolve_hyperparams(spec)
 
     standardizer = Standardizer.from_data(values) if spec.standardize else None
     train = standardizer.transform(values) if standardizer is not None else values
@@ -186,7 +211,7 @@ def fit(spec: ClassifierSpec, X, y, feature_names: tuple[str, ...] | None = None
     if classes.size == 1:
         state: Any = ConstantState(label=int(classes[0]))
     else:
-        state = entry.fit(train, labels.astype(np.float64), hyper, spec.seed)
+        state = _FAMILIES[spec.family].fit(train, labels.astype(np.float64), hyper, spec.seed)
     return TrainedModel(
         spec=spec,
         hyperparams=hyper,
@@ -201,7 +226,11 @@ def predict(model: TrainedModel, X) -> np.ndarray:
     return model.predict(X)
 
 
-def _resolve_hyperparams(spec: ClassifierSpec, entry: _FamilyEntry) -> dict[str, Any]:
+def _resolve_hyperparams(spec: ClassifierSpec) -> dict[str, Any]:
+    """The family's defaults updated by the spec's hyperparameters; refuses an unknown family, key or value."""
+    if spec.family not in _FAMILIES:
+        raise ValueError(f"unknown classifier family {spec.family!r} (known: {family_names()})")
+    entry = _FAMILIES[spec.family]
     hyper = dict(entry.defaults)
     for key, value in dict(spec.hyperparams).items():
         if key not in entry.defaults:
@@ -268,65 +297,32 @@ def _check_inputs(X, feature_names: tuple[str, ...]) -> np.ndarray:
 
 
 def model_to_json(model: TrainedModel) -> str:
-    """Serialize a fitted model to a versioned JSON blob."""
-    blob = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "spec": {
-            "family": model.spec.family,
-            "hyperparams": _encode(dict(model.spec.hyperparams)),
-            "standardize": model.spec.standardize,
-            "seed": model.spec.seed,
-        },
-        "hyperparams": _encode(model.hyperparams),
-        "feature_names": list(model.feature_names),
-        "standardizer": None if model.standardizer is None else _encode(model.standardizer),
-        "state": {"kind": model.state.kind, **_encode(model.state)},
-    }
-    return json.dumps(blob, sort_keys=True)
+    """Serialize a fitted model to a versioned JSON blob of its fields."""
+    return json.dumps({"format_version": MODEL_FORMAT_VERSION, **_encode(model)}, sort_keys=True)
 
 
 def model_from_json(text: str) -> TrainedModel:
-    """Rebuild a fitted model; rejects blobs from other format versions."""
+    """Rebuild a fitted model; rejects blobs from other format versions and blobs that cannot score."""
     blob = json.loads(text)
-    version = blob.get("format_version")
+    version = blob.get("format_version") if isinstance(blob, dict) else None
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r} (expected {MODEL_FORMAT_VERSION})")
-    _check_keys(blob, ["format_version"] + [f.name for f in fields(TrainedModel)], "model")
-    _check_keys(blob["spec"], [f.name for f in fields(ClassifierSpec)], "model spec")
-    state_blob = dict(blob["state"])
-    kind = state_blob.pop("kind", None)
-    if kind not in _STATE_TYPES:
-        raise ValueError(f"unknown model state kind {kind!r}")
-    spec = ClassifierSpec(**{**blob["spec"], "hyperparams": _tuplify(blob["spec"]["hyperparams"])})
-    standardizer = blob["standardizer"]
-    feature_names = tuple(blob["feature_names"])
-    where = f"model state {kind!r}"
-    state = _decode(_STATE_TYPES[kind], state_blob, where)
-    check_columns = getattr(state, "check_columns", None)
-    if check_columns is not None:
-        try:
-            check_columns(len(feature_names))
-        except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
-    return TrainedModel(
-        spec=spec,
-        hyperparams=_tuplify(blob["hyperparams"]),
-        feature_names=feature_names,
-        standardizer=None if standardizer is None else _decode(Standardizer, standardizer, "standardizer"),
-        state=state,
-    )
+    model = _decode(TrainedModel, {key: value for key, value in blob.items() if key != "format_version"}, "model")
+    _check_columns(model, len(model.feature_names), "model")
+    return model
 
 
 def _encode(value):
-    """Arrays and tuples to lists, lists and dicts item by item, dataclasses to a dict of their fields."""
+    """Arrays and tuples to lists, lists and mappings item by item, a dataclass to a dict of its fields (and kind)."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_encode(item) for item in value]
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {key: _encode(item) for key, item in value.items()}
     if is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+        kind = {"kind": value.kind} if hasattr(value, "kind") else {}
+        return {**kind, **{f.name: _encode(getattr(value, f.name)) for f in fields(value)}}
     return value
 
 
@@ -340,29 +336,60 @@ def _decode(tp, value, where: str):
     ``np.array`` restores the dtype because the writer emits ints for
     integer arrays and floats for float arrays.  A scalar must already be of
     its field's kind (an int may stand for a float, a bool is no int), so a
-    blob's ``"k": 2.7`` or ``"bias": "nan"`` is refused, not coerced.
+    blob's ``"k": 2.7`` or ``"bias": "nan"`` is refused, not coerced.  An
+    ``Any`` dict is a state of its ``kind``; other ``Any`` values are
+    hyperparameters, lists read as tuples.  Errors are labelled ``where``
+    plus the model's field name and a state's kind ("model state 'mlp'").
     """
-    if tp is np.ndarray:
-        return np.array(value)
-    if get_origin(tp) is list:
-        (item_type,) = get_args(tp)
-        return [_decode(item_type, item, where) for item in value]
+    if tp is Any:
+        if not isinstance(value, dict):
+            return tuple(value) if isinstance(value, list) else value
+        kind = value.get("kind")
+        if kind not in _STATE_TYPES:
+            raise ValueError(f"unknown model state kind {kind!r}")
+        return _decode(_STATE_TYPES[kind], {key: item for key, item in value.items() if key != "kind"}, f"{where} {kind!r}")
+    if tp is np.ndarray:  # ints and floats only: no strings, bools, nulls or ragged rows
+        kinds = {type(item) for item in np.array(value, dtype=object).flat} - {int, float}
+        if kinds:
+            raise ValueError(f"{where}: array items must be numbers, got {', '.join(sorted(k.__name__ for k in kinds))}")
+        array = np.array(value)
+        if array.dtype.kind not in "if" or not np.isfinite(array).all():
+            raise ValueError(f"{where}: array items must be finite 64-bit numbers")
+        return array
+    origin, args = get_origin(tp), get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _decode(args[0], value, where)
+    if origin in (list, tuple):  # list[T] or tuple[T, ...]
+        _check_kind(value, list, where)
+        items = [_decode(args[0], item, where) for item in value]
+        return items if origin is list else tuple(items)
+    if origin in (dict, Mapping):  # string keys, as JSON objects have
+        _check_kind(value, dict, where)
+        return {key: _decode(args[1], item, where) for key, item in value.items()}
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         names = [f.name for f in fields(tp)]
         _check_keys(value, names, where)
-        decoded = {key: _decode(hints[key], value[key], where) for key in names}
+        decoded = {key: _decode(hints[key], value[key], f"{where} {key}" if tp is TrainedModel else where) for key in names}
         try:
             return tp(**decoded)
         except ValueError as err:  # the dataclass refused its fields
             raise ValueError(f"{where}: {err}") from None
-    if type(value) not in _JSON_KINDS.get(tp, (tp,)):
-        raise ValueError(f"{where}: expected {tp.__name__}, got {value!r}")
+    _check_kind(value, tp, where)
+    if tp is float and not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite float, got {value!r}")
     return tp(value)
 
 
+def _check_kind(value, tp: type, where: str) -> None:
+    """Refuse a JSON value that is not of type ``tp`` (or one ``_JSON_KINDS`` lets stand for it)."""
+    if type(value) not in _JSON_KINDS.get(tp, (tp,)):
+        raise ValueError(f"{where}: expected {tp.__name__}, got {value!r}")
+
+
 def _check_keys(value: dict, names: list[str], where: str) -> None:
-    """Refuse a JSON object whose keys are not exactly ``names``."""
+    """Refuse a JSON value that is not an object with exactly the keys ``names``."""
+    _check_kind(value, dict, where)
     for key in names:
         if key not in value:
             raise ValueError(f"{where}: missing key {key!r}")
@@ -371,5 +398,19 @@ def _check_keys(value: dict, names: list[str], where: str) -> None:
             raise ValueError(f"{where}: unknown key {key!r}")
 
 
-def _tuplify(d: dict) -> dict:
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+def _check_columns(value, n_columns: int, where: str) -> None:
+    """Call ``check_columns(n_columns)`` on every dataclass reached through fields and lists, labelled as ``_decode``."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _check_columns(item, n_columns, where)
+    elif is_dataclass(value):
+        where = f"{where} {value.kind!r}" if hasattr(value, "kind") else where
+        check = getattr(value, "check_columns", None)
+        if check is not None:
+            try:
+                check(n_columns)
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+        for f in fields(value):
+            inner = f"{where} {f.name}" if isinstance(value, TrainedModel) else where
+            _check_columns(getattr(value, f.name), n_columns, inner)

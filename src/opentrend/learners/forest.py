@@ -38,9 +38,6 @@ class ExtraTreesState:
             total += tree.apply(X)
         return total / len(self.trees)
 
-    def check_columns(self, n_columns: int) -> None:
-        for tree in self.trees:
-            tree.check_columns(n_columns)
 
 
 def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> ExtraTreesState:

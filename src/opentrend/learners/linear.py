@@ -38,6 +38,11 @@ class LogisticRegressionState:
     weights: np.ndarray
     bias: float
 
+    def check_columns(self, n_columns: int) -> None:
+        """Refuse weights not of shape (n_columns,)."""
+        if self.weights.shape != (n_columns,):
+            raise ValueError(f"weights must have shape ({n_columns},), got {self.weights.shape}")
+
     def raw(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights + self.bias
 

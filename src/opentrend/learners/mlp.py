@@ -52,6 +52,18 @@ class MlpState:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
+    def check_columns(self, n_columns: int) -> None:
+        """Refuse layers that do not chain n_columns -> ... -> 1, or a bias not of its layer's fan-out."""
+        if not self.weights or len(self.biases) != len(self.weights):
+            raise ValueError(f"an mlp needs a layer and one bias per layer, got {len(self.weights)} layers and {len(self.biases)} biases")
+        fan_in = n_columns
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            if W.ndim != 2 or W.shape[0] != fan_in or b.shape != W.shape[1:]:
+                raise ValueError(f"layer {i} must have weights of shape ({fan_in}, m) and a bias of (m,), got {W.shape} and {b.shape}")
+            fan_in = W.shape[1]
+        if fan_in != 1:
+            raise ValueError(f"the last layer must have one output, got {fan_in}")
+
     def raw(self, X: np.ndarray) -> np.ndarray:
         a = X
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):

@@ -354,9 +354,6 @@ class DecisionTreeState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return self.tree.apply(X)
 
-    def check_columns(self, n_columns: int) -> None:
-        self.tree.check_columns(n_columns)
-
     def relevant_columns(self, x: np.ndarray, background: np.ndarray) -> np.ndarray:
         return self.tree.relevant_columns(x, background)
 

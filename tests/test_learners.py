@@ -133,15 +133,22 @@ class TestContract:
             assert np.all(predict(model, X) == label)
             assert np.all(model.score(X) == float(label))
 
-    @pytest.mark.parametrize("seed", [True, -1, 1.0])
-    def test_seed_must_be_a_non_negative_int(self, blob, fitted_models, seed):
+    @pytest.mark.parametrize(
+        "seed,load_message",
+        [
+            pytest.param(True, "^model spec: expected int, got True$", id="True"),
+            pytest.param(-1, "seed must be an integer >= 0", id="-1"),
+            pytest.param(1.0, "^model spec: expected int, got 1.0$", id="1.0"),
+        ],
+    )
+    def test_seed_must_be_a_non_negative_int(self, blob, fitted_models, seed, load_message):
         import json
 
         with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
             ClassifierSpec("DecisionTree", seed=seed)
         blob_dict = json.loads(model_to_json(fitted_models["dt"]))
         blob_dict["spec"]["seed"] = seed
-        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        with pytest.raises(ValueError, match=load_message):
             model_from_json(json.dumps(blob_dict))
 
     def test_determinism_same_seed(self, blob):
@@ -368,6 +375,9 @@ class TestSerialization:
             ("knn", "k_nearest", "k", True, "expected int, got True"),
             ("knn", "k_nearest", "k", "3", "expected int, got '3'"),
             ("logreg", "logistic_regression", "bias", "nan", "expected float, got 'nan'"),
+            ("logreg", "logistic_regression", "bias", math.nan, "expected a finite float, got nan"),
+            ("logreg", "logistic_regression", "bias", -math.inf, "expected a finite float, got -inf"),
+            ("xgb", "boosted_trees", "learning_rate", math.inf, "expected a finite float, got inf"),
         ],
     )
     def test_states_that_cannot_score_refused(self, fitted_models, name, kind, key, value, message):
@@ -416,6 +426,32 @@ class TestSerialization:
                 "log_prior, theta and var must have shapes ((2,), (2, 2), (2, 2)), got ((2,), (2, 2), (2, 1))", id="gnb-1-column-var",
             ),
             pytest.param("gnb", "var", lambda v: [[-1.0, v[0][1]], v[1]], "var must be finite and > 0", id="gnb-negative-var"),
+            pytest.param(
+                "logreg", "weights", lambda v: [str(w) for w in v], "array items must be numbers, got str", id="logreg-string-weights"
+            ),
+            pytest.param("knn", "train_X", lambda v: [v[0][:1]] + v[1:], "array items must be numbers, got list", id="knn-ragged-rows"),
+            pytest.param(
+                "gnb", "theta", lambda v: [[None, v[0][1]], v[1]], "array items must be numbers, got NoneType", id="gnb-null-theta"
+            ),
+            pytest.param(
+                "gnb", "theta", lambda v: [[math.inf, v[0][1]], v[1]], "array items must be finite 64-bit numbers", id="gnb-inf-theta"
+            ),
+            pytest.param(
+                "knn", "train_y", lambda v: [2**64] + v[1:], "array items must be finite 64-bit numbers", id="knn-huge-label"
+            ),
+            pytest.param("logreg", "weights", lambda v: v + [0.5], "weights must have shape (2,), got (3,)", id="logreg-3-weights"),
+            pytest.param("logreg", "weights", lambda v: v[:1], "weights must have shape (2,), got (1,)", id="logreg-1-weight"),
+            pytest.param(
+                "mlp", "weights", lambda v: [v[0][:1]] + v[1:],
+                "layer 0 must have weights of shape (2, m) and a bias of (m,), got (1, 128) and (128,)", id="mlp-first-layer-fan-in",
+            ),
+            pytest.param(
+                "mlp", "weights", lambda v: v[:3] + v[4:], "an mlp needs a layer and one bias per layer, got 8 layers and 9 biases", id="mlp-missing-layer"
+            ),
+            pytest.param(
+                "mlp", "biases", lambda v: v[:2] + [v[2][:1]] + v[3:],
+                "layer 2 must have weights of shape (64, m) and a bias of (m,), got (64, 32) and (1,)", id="mlp-1-element-bias",
+            ),
         ],
     )
     def test_states_of_the_wrong_shape_refused(self, fitted_models, name, key, change, message):
@@ -426,6 +462,93 @@ class TestSerialization:
         blob_dict["state"][key] = change(blob_dict["state"][key])
         with pytest.raises(ValueError, match=f"^model state '{model.state.kind}': {re.escape(message)}$"):
             model_from_json(json.dumps(blob_dict))
+
+    @pytest.mark.parametrize(
+        "name,path,change,message",
+        [
+            pytest.param(
+                "dt", ("state", "tree", "value"), lambda v: [str(w) for w in v],
+                "model state 'decision_tree': array items must be numbers, got str", id="dt-string-values",
+            ),
+            pytest.param(
+                "dt", ("state", "tree", "feature"), lambda v: [f >= 0 for f in v],
+                "model state 'decision_tree': array items must be numbers, got bool", id="dt-bool-features",
+            ),
+            pytest.param(
+                "dt", ("state", "tree", "threshold"), lambda v: [math.nan] + v[1:],
+                "model state 'decision_tree': array items must be finite 64-bit numbers", id="dt-nan-threshold",
+            ),
+            pytest.param(
+                "mlp", ("state",), lambda v: {**v, "weights": v["weights"][:-1], "biases": v["biases"][:-1]},
+                "model state 'mlp': the last layer must have one output, got 8", id="mlp-8-outputs",
+            ),
+            pytest.param(
+                "mlp", ("state",), lambda v: {**v, "weights": [], "biases": []},
+                "model state 'mlp': an mlp needs a layer and one bias per layer, got 0 layers and 0 biases", id="mlp-no-layers",
+            ),
+            pytest.param(
+                "constant", ("state", "label"), lambda v: 5, "model state 'constant': label must be 0 or 1, got 5", id="constant-label-5"
+            ),
+            pytest.param(
+                "knn", ("standardizer", "mean"), lambda v: v[:1],
+                "model standardizer: mean and std must have shape (2,), got (1,) and (2,)", id="knn-1-element-mean",
+            ),
+            pytest.param(
+                "knn", ("standardizer", "std"), lambda v: [v[0], 0.0], "model standardizer: std must be > 0", id="knn-zero-std"
+            ),
+            pytest.param(
+                "knn", ("standardizer",), lambda v: None,
+                "model: spec.standardize is True but the model has no standardizer", id="knn-without-standardizer",
+            ),
+            pytest.param(
+                "dt", ("standardizer",), lambda v: {"mean": [0.0, 0.0], "std": [2.0, 2.0]},
+                "model: spec.standardize is False but the model has a standardizer", id="dt-with-standardizer",
+            ),
+            pytest.param(
+                "knn", ("spec", "family"), lambda v: "svm",
+                f"model: unknown classifier family 'svm' (known: {family_names()})", id="unknown-family",
+            ),
+            pytest.param(
+                "knn", ("hyperparams", "k"), lambda v: 7,
+                "model: hyperparams {'k': 7} are not the spec's resolved {'k': 5}", id="edited-k",
+            ),
+            pytest.param(
+                "knn", ("spec", "hyperparams"), lambda v: {"k": -3},
+                "model: invalid value for KNearest hyperparameter 'k': -3", id="invalid-k",
+            ),
+            pytest.param(
+                "knn", ("spec", "hyperparams"), lambda v: {**v, "depth": 3},
+                "model: unknown hyperparameter 'depth' for KNearest (known: ('k',))", id="unknown-hyperparameter",
+            ),
+            pytest.param(
+                "knn", ("feature_names",), lambda v: [v[0], v[0]],
+                "model: feature names must be distinct, got ('f0', 'f0')", id="repeated-feature-names",
+            ),
+            pytest.param(
+                "knn", ("feature_names",), lambda v: [0] + v[1:], "model feature_names: expected str, got 0", id="feature-name-0"
+            ),
+            pytest.param("knn", ("spec",), lambda v: 5, "model spec: expected dict, got 5", id="spec-5"),
+            pytest.param(
+                "knn", ("state",), lambda v: [1, 2], "model: state must be a registered model state, got a tuple", id="state-list"
+            ),
+        ],
+    )
+    def test_values_that_cannot_score_refused(self, fitted_models, state_models, name, path, change, message):
+        import json
+
+        blob_dict = json.loads(model_to_json({**fitted_models, **state_models}[name]))
+        *parents, key = path
+        target = blob_dict
+        for parent in parents:
+            target = target[parent]
+        target[key] = change(target[key])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_from_json(json.dumps(blob_dict))
+
+    def test_fit_refuses_repeated_feature_names(self, blob):
+        X, y = blob
+        with pytest.raises(ValueError, match=re.escape("feature names must be distinct, got ('a', 'a')")):
+            fit(preset("gnb"), X, y, feature_names=("a", "a"))
 
     def test_wrong_format_version_rejected(self, fitted_models):
         import json
