@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from opentrend import __version__
 from opentrend.config import ConfigError, RunConfig, load_config
-from opentrend.explain import SHAP_EXACT, SHAP_SAMPLED
 from opentrend.features import export_csv
-from opentrend.labeling import ALL_TASKS
-from opentrend.learners import PRESET_NAMES
 from opentrend.ohlc import OhlcError, parse_csv, serialize_csv, volatility
 from opentrend.report import Provenance, bubble_chart_svg, parse_results_csv, shap_bar_svg, shap_csv, table3_text
 from opentrend.run import _prepare_market, _shapley_cell, cmd_run, safe_name
@@ -43,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    defaults = RunConfig()
+    """Every flag whose dest is a RunConfig field is a config key: it keeps its raw text for ``_config``."""
     parser = argparse.ArgumentParser(prog="opentrend", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"opentrend {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="export features and labels as CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--market", default=None)
-    p.add_argument("--feature-set", default="INT+HIST+NOW")
-    _add_band_flags(p, defaults)
+    p.add_argument("--feature-set", dest="shap_feature_set")
+    _add_band_flags(p)
     p.add_argument("--no-labels", action="store_true", help="keep the final row, omit label columns")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_featurize)
@@ -75,15 +73,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="path to a key = value config file")
     p.add_argument("--input", action="append", default=[], metavar="MARKET:PATH", help="repeatable")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="config override, repeatable")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None, help="accepted for existing scripts; the grid runs serially")
+    p.add_argument("--out-dir")
+    p.add_argument("--seed")
+    p.add_argument("--workers", help="accepted for existing scripts; the grid runs serially")
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("table3", help="reliability table from a results.csv")
     p.add_argument("--results", required=True, help="path to results.csv")
-    p.add_argument("--acc-threshold", type=float, default=defaults.acc_threshold)
-    p.add_argument("--mcc-threshold", type=float, default=defaults.mcc_threshold)
+    p.add_argument("--acc-threshold")
+    p.add_argument("--mcc-threshold")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(handler=_cmd_table3)
 
@@ -95,37 +93,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="Shapley attribution for one model")
     p.add_argument("--input", required=True)
     p.add_argument("--market", default=None)
-    p.add_argument("--classifier", required=True, choices=PRESET_NAMES)
-    p.add_argument("--task", default="op", choices=[t.value for t in ALL_TASKS])
-    p.add_argument("--feature-set", default=defaults.shap_feature_set)
-    p.add_argument("--mode", default=defaults.shap_mode, choices=[SHAP_EXACT, SHAP_SAMPLED])
-    p.add_argument("--background", type=int, default=defaults.shap_background)
-    p.add_argument("--rows", type=int, default=defaults.shap_rows)
-    p.add_argument("--permutations", type=int, default=defaults.shap_permutations)
-    p.add_argument("--split-ratio", type=float, default=defaults.split_ratio)
-    _add_band_flags(p, defaults)
-    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--classifier", dest="shap_model", required=True)
+    p.add_argument("--task", dest="tasks", default="op", help="one task code")
+    p.add_argument("--feature-set", dest="shap_feature_set")
+    p.add_argument("--mode", dest="shap_mode")
+    p.add_argument("--background", dest="shap_background")
+    p.add_argument("--rows", dest="shap_rows")
+    p.add_argument("--permutations", dest="shap_permutations")
+    p.add_argument("--split-ratio")
+    _add_band_flags(p)
+    p.add_argument("--seed")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=_cmd_explain)
     return parser
 
 
-def _add_band_flags(p: argparse.ArgumentParser, defaults: RunConfig) -> None:
+def _add_band_flags(p: argparse.ArgumentParser) -> None:
     """The band indicator flags that featurize and explain share."""
-    p.add_argument("--window", type=int, default=defaults.window_n)
-    p.add_argument("--bollinger-k", type=float, default=defaults.bollinger_k)
-    p.add_argument("--keltner-k", type=float, default=defaults.keltner_k)
-    p.add_argument("--bollinger-paper-literal", action="store_true")
+    p.add_argument("--window", dest="window_n")
+    p.add_argument("--bollinger-k")
+    p.add_argument("--keltner-k")
+    p.add_argument("--bollinger-paper-literal", action="store_const", const="true")
 
 
-def _band_fields(args) -> dict:
-    """The RunConfig fields set by ``_add_band_flags``."""
-    return {
-        "window_n": args.window,
-        "bollinger_k": args.bollinger_k,
-        "keltner_k": args.keltner_k,
-        "bollinger_paper_literal": args.bollinger_paper_literal,
-    }
+def _config(args, pairs=(), text: str = "", source: str = "config") -> RunConfig:
+    """The validated run configuration: config text, then ``pairs``, then every config-key flag given."""
+    flags = [(f.name, getattr(args, f.name)) for f in fields(RunConfig) if getattr(args, f.name, None) is not None]
+    return load_config(text, [*pairs, *flags], source)
 
 
 def _read(path: str) -> str:
@@ -173,35 +167,22 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
+    config = _config(args)
     series = parse_csv(_read(args.input), market=_market_tag(args))
-    config = RunConfig(
-        **_band_fields(args),
-        feature_sets=(args.feature_set,),
-        tasks=() if args.no_labels else RunConfig.tasks,
-        shap_feature_set=args.feature_set,
-    )
-    data = _prepare_market(series.market, series, config)
+    data = _prepare_market(series.market, series, replace(config, tasks=()) if args.no_labels else config)
     labels = {vec.task.label_column: vec.labels for vec in data.labels.values()}
-    _write_out(export_csv(data.matrices[args.feature_set], labels or None), args.out)
+    _write_out(export_csv(data.matrices[config.shap_feature_set], labels or None), args.out)
     return 0
 
 
 def _cmd_run(args) -> int:
-    overrides: list[tuple[str, str]] = []
-    for raw in args.input:
-        overrides.append(("input", raw))
+    pairs = [("input", raw) for raw in args.input]
     for raw in args.set:
         key, sep, value = raw.partition("=")
         if not sep:
             raise ConfigError(f"expected KEY=VALUE for --set, got {raw!r}")
-        overrides.append((key.strip(), value.strip()))
-    if args.out_dir is not None:
-        overrides.append(("out_dir", args.out_dir))
-    if args.seed is not None:
-        overrides.append(("seed", str(args.seed)))
-    if args.workers is not None:
-        overrides.append(("workers", str(args.workers)))
-    config = load_config(_read(args.config) if args.config else "", overrides, source=args.config or "config")
+        pairs.append((key.strip(), value.strip()))
+    config = _config(args, pairs, _read(args.config) if args.config else "", args.config or "config")
 
     outcome = cmd_run(config)
     for path in outcome.written:
@@ -214,7 +195,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_table3(args) -> int:
-    config = RunConfig(acc_threshold=args.acc_threshold, mcc_threshold=args.mcc_threshold).validate()
+    config = _config(args)
     records, provenance = parse_results_csv(_read(args.results))
     _write_out(table3_text(records, config.acc_threshold, config.mcc_threshold, provenance), args.out)
     return 0
@@ -236,30 +217,23 @@ def _cmd_chart(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    config = _config(args)
+    if len(config.tasks) != 1:
+        raise ConfigError(f"invalid config key 'tasks': --task takes one task code, got {args.tasks!r}")
+    if not config.shap_model:
+        raise ConfigError("invalid config key 'shap_model': --classifier names a preset, got ''")
+    (task,) = config.tasks
     series = parse_csv(_read(args.input), market=_market_tag(args))
-    config = RunConfig(
-        **_band_fields(args),
-        split_ratio=args.split_ratio,
-        tasks=(args.task,),
-        feature_sets=(args.feature_set,),
-        seed=args.seed,
-        shap_model=args.classifier,
-        shap_mode=args.mode,
-        shap_feature_set=args.feature_set,
-        shap_background=args.background,
-        shap_rows=args.rows,
-        shap_permutations=args.permutations,
-    ).validate()
-    report = _shapley_cell(_prepare_market(series.market, series, config), args.task, config)
-    provenance = Provenance(seed=args.seed, config_hash="-", version=__version__)
-    out_dir = Path(args.out_dir)
+    report = _shapley_cell(_prepare_market(series.market, series, config), task, config)
+    provenance = Provenance(seed=config.seed, config_hash="-", version=__version__)
+    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = f"shap_{safe_name(series.market)}_{args.task}"
+    base = f"shap_{safe_name(series.market)}_{task}"
     csv_path = out_dir / f"{base}.csv"
     csv_path.write_text(shap_csv(report, provenance), encoding="utf-8", newline="\n")
     print(f"wrote {csv_path}")
     svg_path = out_dir / f"{base}.svg"
-    title = f"{series.market} / {args.task} / {args.classifier}"
+    title = f"{series.market} / {task} / {config.shap_model}"
     svg_path.write_text(shap_bar_svg(report, title, provenance), encoding="utf-8", newline="\n")
     print(f"wrote {svg_path}")
     top = report.ranking()[0]

@@ -16,7 +16,7 @@ the model's column count.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, get_args, get_origin, get_type_hints
@@ -158,8 +158,12 @@ class TrainedModel:
         if type(self.state) not in _STATE_TYPES.values():
             raise ValueError(f"state must be a registered model state, got a {type(self.state).__name__}")
         resolved = _resolve_hyperparams(self.spec)
-        if self.hyperparams != resolved:
+        if _json(self.hyperparams) != _json(resolved):
             raise ValueError(f"hyperparams {self.hyperparams!r} are not the spec's resolved {resolved!r}")
+        for f in fields(self.state):  # a state field named after a hyperparameter copies it
+            value = getattr(self.state, f.name)
+            if f.name in resolved and value != resolved[f.name]:
+                raise ValueError(f"state {f.name} {value!r} is not the hyperparameter's {resolved[f.name]!r}")
         if (self.standardizer is None) == self.spec.standardize:
             have = "no" if self.standardizer is None else "a"
             raise ValueError(f"spec.standardize is {self.spec.standardize} but the model has {have} standardizer")
@@ -301,6 +305,11 @@ def model_to_json(model: TrainedModel) -> str:
     return json.dumps({"format_version": MODEL_FORMAT_VERSION, **_encode(model)}, sort_keys=True)
 
 
+def _json(value) -> str:
+    """``value`` as model JSON writes it, for comparisons that must not treat true as 1."""
+    return json.dumps(_encode(value), sort_keys=True)
+
+
 def model_from_json(text: str) -> TrainedModel:
     """Rebuild a fitted model; rejects blobs from other format versions and blobs that cannot score."""
     blob = json.loads(text)
@@ -376,7 +385,7 @@ def _decode(tp, value, where: str):
         except ValueError as err:  # the dataclass refused its fields
             raise ValueError(f"{where}: {err}") from None
     _check_kind(value, tp, where)
-    if tp is float and not math.isfinite(value):
+    if tp is float and not -sys.float_info.max <= value <= sys.float_info.max:  # int comparisons cannot overflow
         raise ValueError(f"{where}: expected a finite float, got {value!r}")
     return tp(value)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from opentrend.config import RunConfig, safe_name
@@ -51,12 +51,7 @@ def cell_seed(run_seed: int, *key: str) -> int:
 
 
 def _prepare_market(market: str, series: OhlcSeries, config: RunConfig) -> _MarketData:
-    params = IndicatorParams(
-        window_n=config.window_n,
-        bollinger_k=config.bollinger_k,
-        keltner_k=config.keltner_k,
-        bollinger_paper_literal=config.bollinger_paper_literal,
-    )
+    params = IndicatorParams(**{f.name: getattr(config, f.name) for f in fields(IndicatorParams)})
     full = assemble(series, params)
     first_index = len(series) - full.n_rows  # rows run to the final bar
     names = dict.fromkeys((*config.feature_sets, config.shap_feature_set))  # each distinct set once, in order

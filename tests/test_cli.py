@@ -534,6 +534,12 @@ class TestExplain:
         provenance = Provenance(seed=config.seed, config_hash="-", version=__version__)
         assert narrow == shap_csv(report, provenance)
 
+    def test_task_code_in_any_case(self, separable_csv, tmp_path):
+        out_dir = tmp_path / "upper"
+        flags = ["--classifier", "dt", "--task", "OP", "--rows", "2", "--background", "4"]
+        assert main(["explain", "--input", str(separable_csv), *flags, "--out-dir", str(out_dir)]) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == ["shap_sep_op.csv", "shap_sep_op.svg"]
+
 
 class TestParser:
     def test_version_flag(self, capsys):
@@ -546,3 +552,36 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, flag, value, key",
+        [
+            ("featurize", "--window", "0", "window_n"),
+            ("featurize", "--keltner-k", "-1", "keltner_k"),
+            ("featurize", "--feature-set", "INT+VWAP", "shap_feature_set"),
+            ("explain", "--rows", "abc", "shap_rows"),
+            ("explain", "--background", "0", "shap_background"),
+            ("explain", "--classifier", "DT", "shap_model"),
+            ("explain", "--classifier", "", "shap_model"),
+            ("explain", "--mode", "fast", "shap_mode"),
+            ("explain", "--task", "xx", "tasks"),
+            ("explain", "--task", "op,hi", "tasks"),
+            ("explain", "--split-ratio", "1", "split_ratio"),
+            ("explain", "--seed", "one", "seed"),
+            ("run", "--seed", "1.5", "seed"),
+            ("run", "--workers", "0", "workers"),
+        ],
+    )
+    def test_bad_settings_flag_value_names_the_key(self, grw_csv, tmp_path, capsys, command, flag, value, key):
+        """Every settings flag is a config key, refused by load_config with one error line and exit 2."""
+        required = {
+            "featurize": ["--input", str(grw_csv)],
+            "explain": ["--input", str(grw_csv), "--classifier", "dt", "--out-dir", str(tmp_path / "out")],
+            "run": ["--input", f"demo:{grw_csv}", "--out-dir", str(tmp_path / "out")],
+        }
+        assert main([command, *required[command], flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert f"'{key}'" in captured.err
+        assert not (tmp_path / "out").exists()

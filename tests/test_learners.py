@@ -378,6 +378,12 @@ class TestSerialization:
             ("logreg", "logistic_regression", "bias", math.nan, "expected a finite float, got nan"),
             ("logreg", "logistic_regression", "bias", -math.inf, "expected a finite float, got -inf"),
             ("xgb", "boosted_trees", "learning_rate", math.inf, "expected a finite float, got inf"),
+            pytest.param(
+                "logreg", "logistic_regression", "bias", 10**400, f"expected a finite float, got {10**400}", id="bias-401-digits"
+            ),
+            pytest.param(
+                "logreg", "logistic_regression", "bias", -(10**400), f"expected a finite float, got {-(10**400)}", id="negative-bias-401-digits"
+            ),
         ],
     )
     def test_states_that_cannot_score_refused(self, fitted_models, name, kind, key, value, message):
@@ -386,6 +392,16 @@ class TestSerialization:
         blob_dict = json.loads(model_to_json(fitted_models[name]))
         blob_dict["state"][key] = value
         with pytest.raises(ValueError, match=f"^model state '{kind}': {message}$"):
+            model_from_json(json.dumps(blob_dict))
+
+    def test_a_bool_hyperparameter_is_not_its_int(self, fitted_models):
+        import json
+
+        blob_dict = json.loads(model_to_json(fitted_models["knn"]))
+        blob_dict["spec"]["hyperparams"]["k"] = blob_dict["hyperparams"]["k"] = blob_dict["state"]["k"] = 1
+        model_from_json(json.dumps(blob_dict))  # a consistent k = 1 model loads
+        blob_dict["hyperparams"]["k"] = True
+        with pytest.raises(ValueError, match=re.escape("model: hyperparams {'k': True} are not the spec's resolved {'k': 1}")):
             model_from_json(json.dumps(blob_dict))
 
     def test_an_int_stands_for_a_float(self, blob, fitted_models):
@@ -511,6 +527,13 @@ class TestSerialization:
             pytest.param(
                 "knn", ("hyperparams", "k"), lambda v: 7,
                 "model: hyperparams {'k': 7} are not the spec's resolved {'k': 5}", id="edited-k",
+            ),
+            pytest.param(
+                "knn", ("state", "k"), lambda v: 7, "model: state k 7 is not the hyperparameter's 5", id="state-k-not-hyperparameter"
+            ),
+            pytest.param(
+                "xgb", ("state", "learning_rate"), lambda v: 5.0,
+                "model: state learning_rate 5.0 is not the hyperparameter's 0.3", id="state-learning-rate-not-hyperparameter",
             ),
             pytest.param(
                 "knn", ("spec", "hyperparams"), lambda v: {"k": -3},
