@@ -119,7 +119,7 @@ def _add_band_flags(p: argparse.ArgumentParser) -> None:
 def _config(args, pairs=(), text: str = "", source: str = "config") -> RunConfig:
     """The validated run configuration: config text, then ``pairs``, then every config-key flag given."""
     flags = [(f.name, getattr(args, f.name)) for f in fields(RunConfig) if getattr(args, f.name, None) is not None]
-    return load_config(text, [*pairs, *flags], source)
+    return load_config(text, list(pairs), source, flags)
 
 
 def _read(path: str) -> str:

@@ -211,7 +211,11 @@ def parse_assignments(text: str, source: str = "config") -> list[tuple[str, str]
 
 
 def apply_assignments(config: RunConfig, pairs: list[tuple[str, str]], source: str = "config") -> RunConfig:
-    """Fold key=value pairs onto a config; later values win, inputs append."""
+    """Fold key=value pairs onto a config; later values win, inputs append.
+
+    Errors start with ``source``, or name only the key when ``source`` is empty.
+    """
+    where = f"{source}: " if source else ""
     updates: dict = {}
     inputs = list(config.inputs)
     seen: set[str] = set()
@@ -219,27 +223,36 @@ def apply_assignments(config: RunConfig, pairs: list[tuple[str, str]], source: s
         if key == "input":
             market, sep, path = raw.partition(":")
             if not sep or not market.strip() or not path.strip():
-                raise ConfigError(f"{source}: invalid config key 'input': expected MARKET:path, got {raw!r}")
+                raise ConfigError(f"{where}invalid config key 'input': expected MARKET:path, got {raw!r}")
             inputs.append((market.strip(), path.strip()))
             continue
         if key not in _FIELD_PARSERS:
-            raise ConfigError(f"{source}: unknown config key {key!r}")
+            raise ConfigError(f"{where}unknown config key {key!r}")
         if key in seen:
-            raise ConfigError(f"{source}: config key {key!r} assigned twice")
+            raise ConfigError(f"{where}config key {key!r} assigned twice")
         seen.add(key)
         try:
             updates[key] = _FIELD_PARSERS[key](raw)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{source}: invalid config key {key!r}: {exc}") from None
+            raise ConfigError(f"{where}invalid config key {key!r}: {exc}") from None
     return replace(config, inputs=tuple(inputs), **updates)
 
 
-def load_config(text: str, overrides: list[tuple[str, str]] | None = None, source: str = "config") -> RunConfig:
-    """Parse config text, apply overrides on top, and validate the result.
+def load_config(
+    text: str,
+    overrides: list[tuple[str, str]] | None = None,
+    source: str = "config",
+    flags: list[tuple[str, str]] | None = None,
+) -> RunConfig:
+    """Parse config text, apply overrides and then settings flags on top, and validate the result.
 
-    ``source`` names the text (a file path) in error messages.
+    ``source`` names the text (a file path) in error messages, and
+    ``override`` names the overrides; a settings flag stands for its own key,
+    so its errors name only the key, as ``validate``'s do.
     """
     config = apply_assignments(RunConfig(), parse_assignments(text, source), source)
     if overrides:
         config = apply_assignments(config, overrides, source="override")
+    if flags:
+        config = apply_assignments(config, flags, source="")
     return config.validate()

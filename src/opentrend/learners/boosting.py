@@ -56,8 +56,7 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
             X,
             gradient,
             max_depth=hyper["max_depth"],
-            max_features=None,
-            rng=None,
+            candidates=None,
             find_split=make_exhaustive_finder(gradient, SSE),
             leaf_value=leaf_value,
             block=block,

@@ -19,6 +19,7 @@ from opentrend.learners.trees import (
     _UNBOUNDED_DEPTH,
     grow_tree,
     make_random_entropy_finder,
+    random_candidates,
     sort_columns,
 )
 
@@ -52,8 +53,7 @@ def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> Ex
                 X,
                 y,
                 max_depth=_UNBOUNDED_DEPTH,
-                max_features=max_features,
-                rng=rng,
+                candidates=random_candidates(rng, n_features, max_features),  # interleaves with the finder's draws
                 find_split=make_random_entropy_finder(y, rng),
                 block=block,
             )

@@ -24,6 +24,16 @@ target) gets no block and becomes a leaf.  Node totals and leaf values are
 still summed over the node's row indices in ascending order, so they keep
 the bits of a per-node sum.
 
+Candidate columns come from a source ``grow_tree`` calls once per node it
+tries to split.  ExtraTrees draws them from each tree's own generator,
+because its draws interleave with the finder's uniform thresholds.  Boosting
+passes no source, so every column is a candidate.  DecisionTree's k-th draw
+depends only on its seed, the column count and ``max_features``, so its
+fits read the draws from a table for that key: all refits of a rolling cell
+share the cell seed, and the table draws each node's columns once.  The
+table holds the most recent key only and takes no lock: the grid runs its
+cells one at a time.
+
 Tie-breaking is explicit everywhere: candidate columns are scanned in
 ascending index order and only a strictly better gain displaces the
 incumbent, so equal-gain ties resolve to the lowest column index; within a
@@ -139,6 +149,13 @@ def sort_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, np.take_along_axis(X.T, ids, axis=1)
 
 
+def random_candidates(rng: np.random.Generator, d: int, m: int) -> Callable[[], np.ndarray] | None:
+    """A candidate source drawing m sorted columns of d from rng per node; None (all columns) when m >= d."""
+    if m >= d:
+        return None
+    return lambda: np.sort(rng.choice(d, size=m, replace=False))
+
+
 def _compress(block: tuple[np.ndarray, np.ndarray], keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries of a block where keep is set; each column keeps its order."""
     ids, values = block
@@ -150,8 +167,7 @@ def grow_tree(
     target: np.ndarray,
     *,
     max_depth: int,
-    max_features: int | None,
-    rng: np.random.Generator | None,
+    candidates: Callable[[], np.ndarray] | None,
     find_split: Callable[[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]], _SplitChoice | None],
     block: tuple[np.ndarray, np.ndarray],
     leaf_value: Callable[[np.ndarray], float] | None = None,
@@ -160,11 +176,12 @@ def grow_tree(
 
     ``block`` is ``sort_columns(X)``.  A node with constant target is a
     leaf; a leaf holds the mean target of its rows unless ``leaf_value`` maps
-    its row indices to another value.  ``find_split(idx, candidates,
-    node_block)`` gets the node's ascending row indices, its candidate
-    columns and the node's block.
+    its row indices to another value.  ``candidates()`` returns the next
+    node's sorted candidate columns; with no source every node gets all of
+    them.  ``find_split(idx, candidates, node_block)`` gets the node's
+    ascending row indices, its candidate columns and the node's block.
     """
-    n_features = X.shape[1]
+    all_columns = np.arange(X.shape[1])
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -181,7 +198,10 @@ def grow_tree(
         return len(feature) - 1
 
     def splittable(idx: np.ndarray, depth: int) -> bool:
-        return depth < max_depth and idx.size >= 2 and np.ptp(target[idx]) != 0.0
+        if depth >= max_depth or idx.size < 2:
+            return False
+        t = target[idx]
+        return t.max() != t.min()
 
     root = alloc()
     idx = np.arange(X.shape[0])
@@ -190,13 +210,9 @@ def grow_tree(
         node, idx, depth, node_block = stack.pop()
         choice = None
         if node_block is not None:
-            if max_features is not None and max_features < n_features:
-                candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
-            else:
-                candidates = np.arange(n_features)
-            choice = find_split(idx, candidates, node_block)
+            choice = find_split(idx, all_columns if candidates is None else candidates(), node_block)
         if choice is None:
-            value[node] = float(target[idx].mean()) if leaf_value is None else leaf_value(idx)
+            value[node] = float(target[idx].sum() / idx.size) if leaf_value is None else leaf_value(idx)
             continue
         go_left = X[idx, choice.column] <= choice.threshold
         feature[node] = choice.column
@@ -358,14 +374,58 @@ class DecisionTreeState:
         return self.tree.relevant_columns(x, background)
 
 
+class _DrawTable:
+    """Draws of ``random_candidates(default_rng(seed), d, m)`` in order, made once and read by every fit."""
+
+    def __init__(self, key: tuple[int, int, int]) -> None:
+        seed, d, m = key
+        self.key = key
+        self._draw = random_candidates(np.random.default_rng(seed), d, m)
+        self._rows = np.empty((0, m), dtype=np.int64)  # one growing array; the first _size rows are drawn
+        self._size = 0
+
+    def reader(self) -> Callable[[], np.ndarray]:
+        """A candidate source that returns draw 0, 1, 2, ... (views its caller must not write)."""
+        k = 0
+
+        def next_draw() -> np.ndarray:
+            nonlocal k
+            if k == self._size:
+                self._extend()
+            k += 1
+            return self._rows[k - 1]
+
+        return next_draw
+
+    def _extend(self) -> None:
+        if self._size == self._rows.shape[0]:
+            grown = np.empty((max(64, 2 * self._size), self._rows.shape[1]), dtype=np.int64)
+            grown[: self._size] = self._rows
+            self._rows = grown
+        self._rows[self._size] = self._draw()
+        self._size += 1
+
+
+_draws: _DrawTable | None = None  # the table of the most recent (seed, d, m) only
+
+
+def _seed_candidates(seed: int, d: int, m: int) -> Callable[[], np.ndarray] | None:
+    """``random_candidates(default_rng(seed), d, m)``, read from the draw table of (seed, d, m)."""
+    global _draws
+    if m >= d:
+        return None
+    table = _draws
+    if table is None or table.key != (seed, d, m):
+        table = _draws = _DrawTable((seed, d, m))
+    return table.reader()
+
+
 def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> DecisionTreeState:
-    rng = np.random.default_rng(seed)
     tree = grow_tree(
         X,
         y,
         max_depth=hyper["max_depth"],
-        max_features=min(hyper["max_features"], X.shape[1]),
-        rng=rng,
+        candidates=_seed_candidates(seed, X.shape[1], hyper["max_features"]),
         find_split=make_exhaustive_finder(y, GINI),
         block=sort_columns(X),
     )

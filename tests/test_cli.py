@@ -585,3 +585,30 @@ class TestParser:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert f"'{key}'" in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, key",
+        [
+            ("explain", ["--rows", "abc"], "shap_rows"),  # refused while parsing
+            ("explain", ["--rows", "0"], "shap_rows"),  # refused by validate
+            ("featurize", ["--window", "ten"], "window_n"),
+            ("run", ["--seed", "1.5"], "seed"),
+            ("run", ["--set", "seed=2", "--seed", "x"], "seed"),
+            ("table3", ["--acc-threshold", "high"], "acc_threshold"),
+        ],
+    )
+    def test_bad_settings_flag_value_has_one_form(self, grw_csv, tmp_path, capsys, command, flags, key):
+        """A settings flag is its own key: the error names the key, with no source label, however it is refused."""
+        required = {
+            "featurize": ["--input", str(grw_csv)],
+            "explain": ["--input", str(grw_csv), "--classifier", "dt", "--out-dir", str(tmp_path / "out")],
+            "run": ["--input", f"demo:{grw_csv}", "--out-dir", str(tmp_path / "out")],
+            "table3": ["--results", str(tmp_path / "results.csv")],
+        }
+        assert main([command, *required[command], *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid config key '{key}': ")
+
+    def test_bad_set_override_keeps_its_label(self, grw_csv, tmp_path, capsys):
+        out_dir = str(tmp_path / "out")
+        assert main(["run", "--input", f"demo:{grw_csv}", "--out-dir", out_dir, "--set", "seed=1.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: override: invalid config key 'seed': ")

@@ -162,12 +162,18 @@ class CountingScore:
 
     def __init__(self, model):
         self.model = model
-        self.calls = 0
-        self.rows = 0
+        self.call_rows = []
+
+    @property
+    def calls(self):
+        return len(self.call_rows)
+
+    @property
+    def rows(self):
+        return sum(self.call_rows)
 
     def score(self, X):
-        self.calls += 1
-        self.rows += len(X)
+        self.call_rows.append(len(X))
         return self.model.score(X)
 
 
@@ -431,6 +437,73 @@ class TestSampled:
     def test_permutation_count_validated(self):
         with pytest.raises(ValueError, match="n_permutations"):
             shapley_sampled(ConstantScore(), np.zeros(2), np.zeros((4, 2)), n_permutations=0)
+
+
+def stepwise_sampled(model, x, background, n_permutations, seed):
+    """Reference sampled Shapley: one score call per hybrid, setting the ordering's columns one at a time."""
+    row = np.asarray(x, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    base_value = float(np.asarray(model.score(background), dtype=np.float64).mean())
+    phi = np.zeros(row.size)
+    for _ in range(n_permutations):
+        order = rng.permutation(row.size)
+        hybrid = background.copy()
+        prev = base_value
+        for j in order:
+            hybrid[:, j] = row[j]
+            cur = float(np.asarray(model.score(hybrid), dtype=np.float64).mean())
+            phi[j] += cur - prev
+            prev = cur
+    phi /= n_permutations
+    out = float(np.asarray(model.score(row.reshape(1, -1)), dtype=np.float64)[0])
+    return explain.AttributionRow(phi=phi, base_value=base_value, model_output=out)
+
+
+class TestBatchedSampled:
+    """Sampled Shapley scores each ordering's hybrids together and keeps the stepwise loop's bits."""
+
+    @staticmethod
+    def assert_same_row(got, want):
+        assert got.phi.tobytes() == want.phi.tobytes()
+        assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(260, 16))
+        y = (X[:, 0] - 0.5 * X[:, 3] + rng.normal(scale=0.8, size=260) > 0).astype(np.int64)
+        return X[:200], y[:200], background_sample(X[:200], max_rows=128, seed=1), X[200:203]
+
+    @pytest.mark.parametrize("name", [*SMALL_PRESETS, "constant"])
+    def test_matches_the_stepwise_loop(self, problem, name):
+        X, y, bg, rows = problem
+        base = preset("dt" if name == "constant" else name, seed=4)
+        hyper = {**base.hyperparams, **SMALL_PRESETS.get(name, {})}
+        labels = np.zeros_like(y) if name == "constant" else y
+        model = fit(ClassifierSpec(base.family, hyper, base.standardize, base.seed), X, labels)
+        assert isinstance(model.state, ConstantState) == (name == "constant")
+        for i, x in enumerate(rows):
+            got = shapley_sampled(model, x, bg, n_permutations=5, seed=i)
+            self.assert_same_row(got, stepwise_sampled(model, x, bg, n_permutations=5, seed=i))
+
+    @pytest.mark.parametrize("chunk", [128, 3 * 128 + 5, 15 * 128])
+    def test_split_calls_match_the_stepwise_loop(self, problem, monkeypatch, chunk):
+        """A background too big for one buffer of d hybrids splits an ordering into calls of whole hybrids."""
+        monkeypatch.setattr(explain, "_TABLE_CHUNK", chunk)
+        X, y, bg, rows = problem
+        counting = CountingScore(fit(preset("logreg", seed=4), X, y))
+        got = shapley_sampled(counting, rows[0], bg, n_permutations=3, seed=7)
+        self.assert_same_row(got, stepwise_sampled(counting.model, rows[0], bg, n_permutations=3, seed=7))
+        assert counting.calls == 3 * math.ceil(16 / (chunk // 128)) + 2
+        assert max(counting.call_rows) <= chunk
+
+    def test_one_score_call_per_permutation(self, problem):
+        X, y, bg, rows = problem
+        counting = CountingScore(fit(preset("dt", seed=4), X, y))
+        row = shapley_sampled(counting, rows[0], bg, n_permutations=11, seed=2)
+        assert counting.calls == 11 + 2  # the background, one stack of 16 hybrids per ordering, the row
+        assert counting.rows == 128 + 11 * 16 * 128 + 1
+        assert row.efficiency_residual < 1e-9
 
 
 class TestGlobalImportance:

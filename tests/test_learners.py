@@ -33,6 +33,7 @@ from opentrend.learners.trees import (
     grow_tree,
     make_exhaustive_finder,
     make_random_entropy_finder,
+    random_candidates,
     sort_columns,
 )
 
@@ -702,6 +703,41 @@ class TestDecisionTree:
         model = fit(preset("dt", seed=0), X, y)
         assert (predict(model, X) == y).mean() >= 0.95
 
+    def test_fits_read_the_seed_draw_table(self, monkeypatch):
+        """Fits of one seed share its draws, whatever their rows, and match a generator made per fit."""
+        from opentrend.learners import trees
+
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(400, 16))
+        y = (X[:, 0] + X[:, 5] - X[:, 9] + rng.normal(scale=1.5, size=400) > 0).astype(np.int64)
+
+        def fresh_draws(seed, d, m):
+            """The grower fed a fresh ``default_rng(seed)`` per fit."""
+            gen = np.random.default_rng(seed)
+            return None if m >= d else lambda: np.sort(gen.choice(d, size=m, replace=False))
+
+        def fit_both(seed, n_rows, n_cols, max_features=5):
+            spec = ClassifierSpec("DecisionTree", {"max_depth": 12, "max_features": max_features}, seed=seed)
+            got = model_to_json(fit(spec, X[:n_rows, :n_cols], y[:n_rows]))
+            with monkeypatch.context() as m:
+                m.setattr(trees, "_seed_candidates", fresh_draws)
+                want = model_to_json(fit(spec, X[:n_rows, :n_cols], y[:n_rows]))
+            assert got == want
+            return got
+
+        a = fit_both(7, 300, 16)
+        assert trees._draws.key == (7, 16, 5)
+        fit_both(8, 300, 16)
+        assert trees._draws.key == (8, 16, 5)
+        assert fit_both(7, 300, 16) == a  # the table of seed 7 is drawn afresh
+        fit_both(7, 400, 16)  # more rows, more nodes: the table grows past the draws of the smaller fits
+        fit_both(7, 250, 16)
+        fit_both(7, 400, 4, max_features=3)
+        assert trees._draws.key == (7, 4, 3)
+        fit_both(7, 400, 16, max_features=16)  # every column is a candidate: no draws, the table stays
+        fit_both(7, 400, 4)
+        assert trees._draws.key == (7, 4, 3)
+
     def test_pure_node_is_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
         model = fit(preset("dt"), X, np.array([1, 1, 1]))
@@ -888,12 +924,11 @@ class TestGrowTree:
             X, max_depth = self.tie_heavy(rng)
             y = rng.integers(0, 2, size=X.shape[0]).astype(np.float64)
             max_features = int(rng.integers(1, X.shape[1] + 1))
-            kwargs = dict(max_depth=max_depth, max_features=max_features)
             tree = grow_tree(
                 X,
                 y,
-                **kwargs,
-                rng=np.random.default_rng(case),
+                max_depth=max_depth,
+                candidates=random_candidates(np.random.default_rng(case), X.shape[1], max_features),
                 find_split=make_exhaustive_finder(y, GINI),
                 block=sort_columns(X),
             )
@@ -901,7 +936,8 @@ class TestGrowTree:
                 X,
                 y,
                 lambda idx, candidates: reference_split(X, y, GINI, idx, candidates),
-                **kwargs,
+                max_depth=max_depth,
+                max_features=max_features,
                 rng=np.random.default_rng(case),
                 leaf_value=lambda idx: float(y[idx].mean()),
             )
@@ -925,8 +961,7 @@ class TestGrowTree:
                 X,
                 gradient,
                 max_depth=max_depth,
-                max_features=None,
-                rng=None,
+                candidates=None,
                 find_split=make_exhaustive_finder(gradient, SSE),
                 leaf_value=leaf_value,
                 block=sort_columns(X),
@@ -953,13 +988,14 @@ class TestGrowTree:
             if case % 10 == 0:
                 X[:] = 3.0  # every column tied: the root is a leaf
             y = rng.integers(0, 2, size=X.shape[0]).astype(np.float64)
-            kwargs = dict(max_depth=max_depth, max_features=int(rng.integers(1, X.shape[1] + 1)))
+            max_features = int(rng.integers(1, X.shape[1] + 1))
+            kwargs = dict(max_depth=max_depth, max_features=max_features)
             tree_rng = np.random.default_rng(case)
             tree = grow_tree(
                 X,
                 y,
-                **kwargs,
-                rng=tree_rng,
+                max_depth=max_depth,
+                candidates=random_candidates(tree_rng, X.shape[1], max_features),
                 find_split=make_random_entropy_finder(y, tree_rng),
                 block=sort_columns(X),
             )
