@@ -9,13 +9,19 @@ feature orderings instead, which keeps the efficiency identity
 speed.  The caller picks one; neither falls back to the other.  Attribution
 targets the pre-threshold score, never the 0/1 decision.
 
-Exact enumeration scores one table of hybrids per background row, built by
-doubling.  For a model that gives relevant-column masks (a single decision
-tree, scaled or not, and a single-class constant model, whose masks are
-empty), row b's table spans only the columns where x and that row part ways
-at a node some hybrid reaches; every other hybrid lands in the leaf of one
-of these, as in Independent TreeSHAP (Lundberg et al. 2020).  Every other
-model's table spans all d columns.  Either way the coalition values keep the
+Exact enumeration reads the coalition values from one table per background
+row.  A tree-shaped model fills its tables without scoring a hybrid
+(``TrainedModel.coalition_tables``): it walks each tree once per background
+row and writes every leaf's value into the coalitions that reach it, as in
+Independent TreeSHAP (Lundberg et al. 2020).  That covers a single decision
+tree, scaled or not, whose tables span only the columns where x and that row
+part ways at a node some hybrid reaches; the boosted (``xgb``, ``catboost``)
+and randomized (``extratrees``) ensembles, whose tables span all d columns
+and add the trees in the order ``score`` adds them; and a single-class
+constant model, one entry per row.  Every other model, and every problem
+below ``_TABLE_MIN_ROWS`` hybrids (2^d times the background size), scores
+tables over all d columns built by doubling.  Either way each table entry is
+the float scoring its hybrid row returns, so the coalition values keep the
 bits of scoring every hybrid row.
 """
 
@@ -29,7 +35,7 @@ import numpy as np
 MAX_EXACT_FEATURES = 16  # the canonical feature row's width
 DEFAULT_BACKGROUND_SIZE = 128
 DEFAULT_ROW_SUBSAMPLE = 100
-_COALITION_CHUNK = 2048
+_COALITION_CHUNK = 256  # coalitions per gather block: its buffers stay in cache (256 KB each at 128 background rows)
 _TABLE_CHUNK = 1 << MAX_EXACT_FEATURES  # score-buffer rows: room for a table over every column
 _TABLE_MIN_ROWS = 1 << 13
 
@@ -89,47 +95,59 @@ def _as_background(background, d: int) -> np.ndarray:
     return bg
 
 
-def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """v(S) for every bitmask S from one table of hybrids per background row.
+def _scored_tables(score, x: np.ndarray, background: np.ndarray) -> np.ndarray:
+    """Every hybrid of x and each background row, scored: row b's 2^d entries, row after row.
 
-    Row b's table holds the 2^|F_b| hybrids over a column set F_b: entry t
-    takes x at the r-th column of F_b when bit r of t is set and row b's
-    values elsewhere.  F_b is every column unless the model gives
-    relevant-column masks (see ``TreeArrays.relevant_columns``); then the
-    hybrid of S with row b scores as the entry whose index is S's bits at F_b
-    packed together.  Each block of coalitions reduces the same floats, in
-    the same order, as scoring every hybrid row would, so v(S) keeps its
-    bits.  Below ``_TABLE_MIN_ROWS`` hybrid rows (2^d times the background
-    size) asking for masks costs more than it saves: for ``dt`` the two
-    crossed between 4,096 and 16,384 rows.
+    Row b's block starts at ``background[b]`` and doubles once per column j
+    (copy the first 2^j rows, set column j to ``x[j]``), so entry t takes x
+    where t has a bit set.  Blocks fill one reused buffer of ``_TABLE_CHUNK``
+    rows, scored whenever the next block would not fit.
+    """
+    d, n_bg = x.size, background.shape[0]
+    size = 1 << d
+    per_call = min(n_bg, _TABLE_CHUNK // size)
+    table = np.empty(n_bg * size)
+    buffer = np.empty((per_call, size, d))
+    for start in range(0, n_bg, per_call):
+        rows = background[start : start + per_call]
+        blocks = buffer[: rows.shape[0]]
+        blocks[:, 0] = rows
+        for j in range(d):
+            blocks[:, 1 << j : 2 << j] = blocks[:, : 1 << j]
+            blocks[:, 1 << j : 2 << j, j] = x[j]
+        table[start * size : (start + rows.shape[0]) * size] = np.asarray(score(blocks.reshape(-1, d)), dtype=np.float64)
+    return table
+
+
+def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarray:
+    """v(S) for every bitmask S from one table of hybrid scores per background row.
+
+    Row b's table holds the scores of the 2^|F_b| hybrids over a column set
+    F_b: entry t takes x at the r-th column of F_b when bit r of t is set and
+    row b's values elsewhere.  A model with coalition tables (a tree-shaped
+    model, see ``TrainedModel.coalition_tables``) fills them itself without
+    scoring a hybrid, over F_b of its choosing; the hybrid of S with row b
+    then scores as the entry whose index is S's bits at F_b packed together.
+    Any other model gets F_b = every column and ``_scored_tables``.  Each
+    block of coalitions reduces the same floats, in the same order, as
+    scoring every hybrid row would, so v(S) keeps its bits.  Below
+    ``_TABLE_MIN_ROWS`` hybrid rows (2^d times the background size) every
+    hybrid is scored, which costs less there: for ``dt`` and ``xgb`` the
+    two crossed at about 8,192 rows.
     """
     d = x.size
-    relevant = getattr(model, "relevant_columns", None)
-    masks = None
-    if relevant is not None and 2**d * background.shape[0] >= _TABLE_MIN_ROWS:
-        masks = relevant(x, background)
-    if masks is None:
+    tables = getattr(model, "coalition_tables", None)
+    filled = None
+    if tables is not None and 2**d * background.shape[0] >= _TABLE_MIN_ROWS:
+        filled = tables(x, background)
+    if filled is None:
         masks = np.ones(background.shape, dtype=bool)
-    score = _score_fn(model)
+        table = _scored_tables(_score_fn(model), x, background)
+    else:
+        masks, table = filled
     # bit of column j in row b's table index: 2^(rank of j in F_b), 0 off F_b
     weight = masks.astype(np.int64) << (np.cumsum(masks, axis=1) - masks)
-    sizes = 1 << masks.sum(axis=1)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    table = np.empty(offsets[-1])
-    # row b's block doubles once per column of F_b; blocks fill one buffer, scored when the next would not fit
-    buffer = np.empty((_TABLE_CHUNK, d))
-    scored = filled = 0
-    for b, size in enumerate(sizes):
-        if filled + size > _TABLE_CHUNK:
-            table[scored : scored + filled] = np.asarray(score(buffer[:filled]), dtype=np.float64)
-            scored, filled = scored + filled, 0
-        block = buffer[filled : filled + size]
-        block[0] = background[b]
-        for r, j in enumerate(np.flatnonzero(masks[b])):
-            block[1 << r : 2 << r] = block[: 1 << r]
-            block[1 << r : 2 << r, j] = x[j]
-        filled += size
-    table[scored:] = np.asarray(score(buffer[:filled]), dtype=np.float64)
+    offsets = np.concatenate(([0], np.cumsum(1 << masks.sum(axis=1))))
     # a block of coalitions S = start | i shares start's bits above i's, so an
     # index is the packed bits of i, built once by doubling, plus those of start
     n = min(_COALITION_CHUNK, 2**d)
@@ -138,9 +156,14 @@ def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarra
     for j in range(n.bit_length() - 1):
         low[1 << j : 2 << j] = low[: 1 << j] + weight[:, j]
     values = np.empty(2**d)
+    # one index and one gather buffer for all blocks: fresh ones per block
+    # can cost a page fault per page each
+    index = np.empty_like(low)
+    gathered = np.empty(low.shape)
     for start in range(0, 2**d, n):
-        high = weight @ ((start >> np.arange(d)) & 1)
-        values[start : start + n] = table[low + high].mean(axis=1)
+        np.add(low, weight @ ((start >> np.arange(d)) & 1), out=index)
+        # every index is in range; "clip" only spares take a buffered copy of out
+        values[start : start + n] = np.take(table, index, out=gathered, mode="clip").mean(axis=1)
     return values
 
 

@@ -135,9 +135,9 @@ class ConstantState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], float(self.label))
 
-    def relevant_columns(self, x: np.ndarray, background: np.ndarray) -> np.ndarray:
-        """No column moves a constant score: all-false masks (see ``TreeArrays.relevant_columns``)."""
-        return np.zeros(background.shape, dtype=bool)
+    def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """No column moves a constant score: all-false masks and one entry per background row."""
+        return np.zeros(background.shape, dtype=bool), np.full(background.shape[0], float(self.label))
 
 
 _STATE_TYPES[ConstantState.kind] = ConstantState
@@ -177,21 +177,24 @@ class TrainedModel:
             values = self.standardizer.transform(values)
         return self.state.score(values)
 
-    def relevant_columns(self, x, background) -> np.ndarray | None:
-        """The state's relevant-column masks for exact Shapley, or None when it has none.
+    def coalition_tables(self, x, background) -> tuple[np.ndarray, np.ndarray] | None:
+        """The state's coalition tables for exact Shapley, or None when it has none.
 
-        See ``TreeArrays.relevant_columns``.  The inputs are standardized as
+        A tree-shaped state (a tree, a boosted or randomized ensemble, a
+        constant) fills, for each background row, the scores of the hybrids
+        of x and that row over a column mask without scoring them (see
+        ``TreeArrays.coalition_tables``).  The inputs are standardized as
         ``score`` standardizes them; standardizing maps each column on its
         own, so a hybrid of the scaled rows is the scaled hybrid.
         """
-        relevant = getattr(self.state, "relevant_columns", None)
-        if relevant is None:
+        tables = getattr(self.state, "coalition_tables", None)
+        if tables is None:
             return None
         x = np.asarray(x, dtype=np.float64)
         background = _check_inputs(background, self.feature_names)
         if self.standardizer is not None:
             x, background = self.standardizer.transform(x), self.standardizer.transform(background)
-        return relevant(x, background)
+        return tables(x, background)
 
     def predict(self, X) -> np.ndarray:
         return (self.score(X) >= 0.5).astype(np.int64)

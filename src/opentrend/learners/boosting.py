@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from opentrend.learners.base import positive_int, positive_number, register_family, sigmoid
-from opentrend.learners.trees import SSE, TreeArrays, grow_tree, make_exhaustive_finder, sort_columns
+from opentrend.learners.trees import SSE, TreeArrays, grow_tree, make_exhaustive_finder, sort_columns, summed_tables
 
 _HESSIAN_FLOOR = 1e-12
 
@@ -35,6 +35,12 @@ class BoostedTreesState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw(X))
 
+    def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``score`` of every hybrid of x and each background row, over all columns (see ``summed_tables``)."""
+        z = summed_tables(self.trees, x, background, self.base_score, self.learning_rate)
+        for row in z:  # row by row: sigmoid's temporaries stay one table long
+            row[:] = sigmoid(row)
+        return np.ones(background.shape, dtype=bool), z.ravel()
 
 
 def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> BoostedTreesState:

@@ -21,6 +21,7 @@ from opentrend.learners.trees import (
     make_random_entropy_finder,
     random_candidates,
     sort_columns,
+    summed_tables,
 )
 
 
@@ -39,6 +40,11 @@ class ExtraTreesState:
             total += tree.apply(X)
         return total / len(self.trees)
 
+    def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``score`` of every hybrid of x and each background row, over all columns (see ``summed_tables``)."""
+        total = summed_tables(self.trees, x, background, 0.0, 1.0)
+        total /= len(self.trees)
+        return np.ones(background.shape, dtype=bool), total.ravel()
 
 
 def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> ExtraTreesState:

@@ -107,7 +107,55 @@ class TreeArrays:
             active = active[self.feature[node[active]] >= 0]
         return self.value[node]
 
-    def relevant_columns(self, x: np.ndarray, background: np.ndarray) -> np.ndarray:
+    def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each background row's table of hybrid leaf values over its relevant columns.
+
+        Returns the (n_bg x d) masks of ``_relevant_columns`` and the tables,
+        row after row.  A hybrid takes each column of F_b (the set bits of
+        ``masks[b]``) from x or from b, and b's values elsewhere; entry t of
+        row b's table holds ``apply`` of the hybrid that takes x at the k-th
+        column of F_b when bit k of t is set.  No hybrid is built: the tree
+        is walked once per row.  The walk follows x and b where they go the
+        same way.  Where they part on column j, it follows bit k of j if the
+        path already fixed it, and otherwise branches: x's way with the bit
+        set, b's way with it clear.  At a leaf it writes the leaf value into
+        the entries of the coalitions the path admits: in the row's
+        ``(2,) * |F_b|`` C-order view, whose axis |F_b| - 1 - k is bit k, the
+        bits the path fixed and ``:`` for the others.  Every coalition reaches
+        exactly one leaf, the one ``apply`` gives its hybrid.
+        """
+        masks = self._relevant_columns(x, background)
+        widths = masks.sum(axis=1).tolist()
+        ends = np.cumsum(np.left_shift(1, widths)).tolist()
+        table = np.empty(ends[-1])
+        feature, left, right, value = (arr.tolist() for arr in (self.feature, self.left, self.right, self.value))
+        cols = np.maximum(self.feature, 0)  # a leaf's comparisons are never read
+        x_left = (x[cols] <= self.threshold).tolist()
+        b_lefts = background[:, cols] <= self.threshold
+        # axis of column j in row b's view: |F_b| - 1 - (rank of j in F_b)
+        axes = masks.sum(axis=1, keepdims=True) - np.cumsum(masks, axis=1)
+        free = slice(None)
+        for b, (width, end) in enumerate(zip(widths, ends)):
+            view = table[end - (1 << width) : end].reshape((2,) * width)
+            b_left = b_lefts[b].tolist()
+            axis = axes[b].tolist()
+            stack = [(0, (free,) * width)]
+            while stack:
+                node, index = stack.pop()
+                while feature[node] >= 0:
+                    go_left = x_left[node]
+                    if go_left != b_left[node]:
+                        a = axis[feature[node]]
+                        if index[a] is free:
+                            stack.append((left[node] if b_left[node] else right[node], index[:a] + (0,) + index[a + 1 :]))
+                            index = index[:a] + (1,) + index[a + 1 :]
+                        elif not index[a]:
+                            go_left = b_left[node]
+                    node = left[node] if go_left else right[node]
+                view[index] = value[node]
+        return masks, table
+
+    def _relevant_columns(self, x: np.ndarray, background: np.ndarray) -> np.ndarray:
         """(n_bg x d) masks of the columns that can move a hybrid of x and a background row.
 
         A hybrid takes each column from x or from the background row b.  Column
@@ -134,6 +182,28 @@ class TreeArrays:
         masks = np.zeros((background.shape[1], background.shape[0]), dtype=bool)
         np.logical_or.at(masks, cols, reach[internal] & (b_left != x_left[:, None]))
         return masks.T
+
+
+def summed_tables(trees: list[TreeArrays], x: np.ndarray, background: np.ndarray, start: float, weight: float) -> np.ndarray:
+    """(n_bg x 2^d) tables of start + sum over trees of weight * leaf value, for each hybrid of x and each row.
+
+    Row b, entry t holds the sum for the hybrid that takes x at column j when
+    bit j of t is set.  Each tree's own table for row b spans only its
+    relevant columns (``TreeArrays.coalition_tables``) and is broadcast over
+    the others.  The terms are added tree by tree, as an ensemble's ``score``
+    adds ``weight * tree.apply(X)``, so every entry has the bits of that sum
+    for the hybrid row.
+    """
+    d = x.size
+    sums = np.full((background.shape[0], 1 << d), float(start))
+    views = [row.reshape((2,) * d) for row in sums]
+    for tree in trees:
+        masks, table = tree.coalition_tables(x, background)
+        ends = np.cumsum(1 << masks.sum(axis=1)).tolist()
+        shapes = np.where(masks[:, ::-1], 2, 1).tolist()  # axis d - 1 - j of a view is column j
+        for view, end, shape in zip(views, ends, shapes):
+            view += weight * table[end - (1 << shape.count(2)) : end].reshape(shape)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -370,8 +440,8 @@ class DecisionTreeState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return self.tree.apply(X)
 
-    def relevant_columns(self, x: np.ndarray, background: np.ndarray) -> np.ndarray:
-        return self.tree.relevant_columns(x, background)
+    def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.tree.coalition_tables(x, background)
 
 
 class _DrawTable:

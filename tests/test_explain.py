@@ -178,10 +178,10 @@ class CountingScore:
 
 
 class CountingTree(CountingScore):
-    """A fitted tree that counts what it scores and passes its masks on."""
+    """A fitted tree-shaped model that counts what it scores and passes its coalition tables on."""
 
-    def relevant_columns(self, x, background):
-        return self.model.relevant_columns(x, background)
+    def coalition_tables(self, x, background):
+        return self.model.coalition_tables(x, background)
 
 
 def hybrid_values(model, x, background):
@@ -214,9 +214,11 @@ def tree_problem(d, max_depth, rounded, seed=0, n=300, standardize=False):
 def assert_same_attribution(monkeypatch):
     """Check that the tables' v(S), phi, base value and output equal the hybrid loop's, bit for bit.
 
-    ``masked`` also checks that the model gives relevant-column masks.
+    The check runs at the real ``_TABLE_MIN_ROWS`` and with it patched to 0,
+    so that a tree-shaped model fills its tables however small the problem.
+    ``tables`` also checks that the model has coalition tables.
     """
-    monkeypatch.setattr(explain, "_TABLE_MIN_ROWS", 0)  # masks however small the problem
+    min_rows = explain._TABLE_MIN_ROWS
 
     def attribute(values_fn, model, x, bg):
         values = []
@@ -228,14 +230,16 @@ def assert_same_attribution(monkeypatch):
         monkeypatch.setattr(explain, "_coalition_values", recorded)
         return shapley_exact(model, x, bg), values[0]
 
-    def check(model, x, bg, masked=True):
-        if masked:
-            assert model.relevant_columns(x, bg) is not None
-        got, got_values = attribute(coalition_values, model, x, bg)
+    def check(model, x, bg, tables=True):
+        if tables:
+            assert model.coalition_tables(x, bg) is not None
         want, want_values = attribute(hybrid_values, model, x, bg)
-        assert got_values.tobytes() == want_values.tobytes()
-        assert got.phi.tobytes() == want.phi.tobytes()
-        assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
+        for threshold in (min_rows, 0):
+            monkeypatch.setattr(explain, "_TABLE_MIN_ROWS", threshold)
+            got, got_values = attribute(coalition_values, model, x, bg)
+            assert got_values.tobytes() == want_values.tobytes(), threshold
+            assert got.phi.tobytes() == want.phi.tobytes(), threshold
+            assert (got.base_value, got.model_output) == (want.base_value, want.model_output), threshold
 
     return check
 
@@ -251,6 +255,30 @@ SMALL_PRESETS = {
     "catboost": {"iterations": 3},
     "extratrees": {"n_trees": 3},
 }
+
+#: presets whose fitted state fills coalition tables from its trees
+TREE_SHAPED = ("dt", "xgb", "catboost", "extratrees")
+
+
+def small_tree_model(kind, X, y, seed=0):
+    """A tree-shaped model: a SMALL_PRESETS tree or ensemble, a scaled dt, or a dt on single-class labels."""
+    if kind == "constant":
+        return fit(preset("dt", seed=seed), X, np.ones_like(y))
+    name = "dt" if kind == "dt-scaled" else kind
+    base = preset(name, seed=seed)
+    hyper = {**base.hyperparams, **SMALL_PRESETS[name]}
+    return fit(ClassifierSpec(base.family, hyper, kind == "dt-scaled", base.seed), X, y)
+
+
+#: every tree-shaped model kind ``small_tree_model`` builds
+TREE_KINDS = ("dt", "dt-scaled", "xgb", "catboost", "extratrees", "constant")
+
+
+def scaled_inputs(model, x, bg):
+    """x and the background as the model's state sees them."""
+    if model.standardizer is None:
+        return x, bg
+    return model.standardizer.transform(x), model.standardizer.transform(bg)
 
 
 class TestOneTablePath:
@@ -269,7 +297,7 @@ class TestOneTablePath:
             model = ScoreOnly(model)
         bg = background_sample(X[:100], max_rows=32, seed=d)
         for x in X[100:103]:
-            assert_same_attribution(model, x, bg, masked=False)
+            assert_same_attribution(model, x, bg, tables=name in TREE_SHAPED)
 
     @pytest.mark.parametrize("d, n_bg", [(12, 24), (16, 4)])
     def test_full_buffers_match_the_hybrid_loop(self, assert_same_attribution, d, n_bg):
@@ -277,7 +305,7 @@ class TestOneTablePath:
         rng = np.random.default_rng(d)
         X = rng.normal(size=(120, d))
         model = fit(preset("logreg"), X, (X[:, 0] > 0).astype(np.int64))
-        assert_same_attribution(model, X[0], X[1 : 1 + n_bg], masked=False)
+        assert_same_attribution(model, X[0], X[1 : 1 + n_bg], tables=False)
 
     def test_score_only_model_scores_one_table_per_call(self):
         rng = np.random.default_rng(16)
@@ -304,7 +332,7 @@ class TestTreeTables:
         model, train, _ = tree_problem(10, 10, rounded=True)
         bg = background_sample(train, max_rows=32, seed=2)
         x = bg[5]
-        assert not model.relevant_columns(x, bg)[5].any()  # identical rows never part ways
+        assert not model.coalition_tables(x, bg)[0][5].any()  # identical rows never part ways
         assert_same_attribution(model, x, bg)
 
     def test_row_on_the_thresholds(self, assert_same_attribution):
@@ -321,7 +349,7 @@ class TestTreeTables:
         model = fit(preset("dt"), X, y)
         assert isinstance(model.state, DecisionTreeState) and model.state.tree.feature.size == 1
         bg = np.random.default_rng(4).normal(size=(16, 3))
-        assert not model.relevant_columns(np.zeros(3), bg).any()
+        assert not model.coalition_tables(np.zeros(3), bg)[0].any()
         assert_same_attribution(model, np.zeros(3), bg)
 
     def test_hybrid_keeps_its_leaf_off_the_masks(self):
@@ -333,7 +361,7 @@ class TestTreeTables:
             leaf_of = TreeArrays(tree.feature, tree.threshold, tree.left, tree.right, np.arange(tree.feature.size, dtype=np.float64))
             bg = background_sample(train, max_rows=64, seed=7)
             for x in test[:5]:
-                masks = model.relevant_columns(x, bg)
+                masks, _ = model.coalition_tables(x, bg)
                 assert masks.shape == bg.shape and masks.any()
                 for _ in range(20):
                     S = rng.random(16) < 0.5
@@ -346,9 +374,9 @@ class TestTreeTables:
         bg = background_sample(train, max_rows=128, seed=8)
         counting = CountingTree(model)
         row = shapley_exact(counting, test[0], bg)
-        table_rows = int((1 << model.relevant_columns(test[0], bg).sum(axis=1)).sum())
-        assert counting.rows == table_rows + 1  # plus the attributed row itself
-        assert table_rows < 2**16 * 128
+        masks, table = model.coalition_tables(test[0], bg)
+        assert table.size == int((1 << masks.sum(axis=1)).sum()) < 2**16 * 128
+        assert counting.call_rows == [1]  # the tables are walked, not scored: only the attributed row is
         assert row.efficiency_residual < 1e-9
 
     def test_small_problems_score_every_hybrid(self):
@@ -378,22 +406,93 @@ class TestTreeTables:
         model = fit(preset("logreg"), X, np.zeros(200, dtype=np.int64))  # scaled, single class
         counting = CountingTree(model)
         row = shapley_exact(counting, X[0], X[:128])
-        assert counting.rows == 128 + 1  # one empty table entry per background row, plus the row itself
+        masks, table = model.coalition_tables(X[0], X[:128])
+        assert not masks.any() and table.tolist() == [0.0] * 128  # one empty table entry per background row
+        assert counting.call_rows == [1]  # filled, not scored: only the attributed row is
         assert not row.phi.any() and row.base_value == row.model_output == 0.0
 
-    def test_single_trees_and_constant_models_give_masks(self):
+    def test_tree_shaped_models_give_tables(self):
+        """Trees, ensembles and constant models fill tables; a single tree's span its relevant columns."""
         rng = np.random.default_rng(9)
         X = rng.normal(size=(80, 3))
         y = (X[:, 0] > 0).astype(np.int64)
         x, bg = X[0], X[:8]
-        scaled = ClassifierSpec("DecisionTree", {"max_depth": 3}, standardize=True)
-        for spec in (preset("dt"), scaled):
-            assert fit(spec, X, y).relevant_columns(x, bg).shape == (8, 3), spec.standardize
+        for kind in ("dt", "dt-scaled"):
+            model = small_tree_model(kind, X, y)
+            masks, table = model.coalition_tables(x, bg)
+            assert masks.shape == (8, 3) and table.shape == ((1 << masks.sum(axis=1)).sum(),), kind
+            np.testing.assert_array_equal(masks, model.state.tree._relevant_columns(*scaled_inputs(model, x, bg)))
+        for kind in ("xgb", "catboost", "extratrees"):
+            masks, table = small_tree_model(kind, X, y).coalition_tables(x, bg)
+            assert masks.shape == (8, 3) and masks.all() and table.shape == (8 * 2**3,), kind
         for spec in (preset("dt"), preset("logreg")):
-            masks = fit(spec, X, np.ones_like(y)).relevant_columns(x, bg)
-            assert masks.shape == (8, 3) and not masks.any(), spec.family
-        for spec in (preset("xgb"), preset("logreg"), ClassifierSpec("ExtraTrees", {"n_trees": 3})):
-            assert fit(spec, X, y).relevant_columns(x, bg) is None, spec.family
+            model = fit(spec, X, np.ones_like(y))
+            masks, table = model.coalition_tables(x, bg)
+            assert masks.shape == (8, 3) and not masks.any() and table.tolist() == [1.0] * 8, spec.family
+        for name in ("logreg", "gnb", "knn"):
+            assert fit(preset(name), X, y).coalition_tables(x, bg) is None, name
+
+    def test_tree_shaped_models_score_only_the_row(self):
+        """At or above the threshold a tree-shaped model makes one score call: the attributed row."""
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(200, 16))
+        y = (X[:, 0] - 0.5 * X[:, 3] + rng.normal(scale=0.8, size=200) > 0).astype(np.int64)
+        bg = X[:128]
+        assert 2**16 * 128 >= explain._TABLE_MIN_ROWS
+        for kind in TREE_KINDS:
+            counting = CountingTree(small_tree_model(kind, X, y))
+            row = shapley_exact(counting, X[150], bg)
+            assert counting.call_rows == [1], kind
+            assert row.efficiency_residual < 1e-9, kind
+
+    @pytest.mark.parametrize("kind", ["dt-scaled", "xgb", "catboost", "extratrees", "constant"])
+    def test_small_problems_score_every_hybrid_of_any_tree_shape(self, kind):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(200, 4))
+        y = (X[:, 0] > 0).astype(np.int64)
+        assert 2**4 * 128 < explain._TABLE_MIN_ROWS
+        counting = CountingTree(small_tree_model(kind, X, y))
+        shapley_exact(counting, X[150], X[:128])
+        assert counting.rows == 2**4 * 128 + 1
+
+
+class TestTreeWalk:
+    """Tables walked from every tree-shaped model against the hybrid loop, bit for bit."""
+
+    @staticmethod
+    def problem(d, rounded, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(240, d))
+        if rounded:
+            X = np.round(X, 1)  # tie-heavy: many rows share each value
+        y = (X[:, 0] - 0.7 * X[:, d - 1] + rng.normal(scale=0.8, size=240) > 0).astype(np.int64)
+        return X[:200], y[:200], X[200:]
+
+    @pytest.mark.parametrize("rounded", [False, True], ids=["continuous", "rounded"])
+    @pytest.mark.parametrize("d, n_bg", [(9, 4), (9, 32), (16, 4), (16, 12)])
+    @pytest.mark.parametrize("kind", TREE_KINDS)
+    def test_matches_the_hybrid_loop(self, assert_same_attribution, kind, d, n_bg, rounded):
+        X, y, test = self.problem(d, rounded, seed=d + n_bg)
+        model = small_tree_model(kind, X, y, seed=d)
+        assert_same_attribution(model, test[0], background_sample(X, max_rows=n_bg, seed=1))
+
+    @pytest.mark.parametrize("kind", TREE_KINDS)
+    def test_row_on_the_thresholds(self, assert_same_attribution, kind):
+        """The row sits on thresholds, a background row equals it and another shares half its columns."""
+        X, y, _ = self.problem(9, False, seed=17)
+        model = small_tree_model(kind, X, y, seed=3)
+        state = model.state
+        trees = getattr(state, "trees", [state.tree] if hasattr(state, "tree") else [])
+        x, bg = scaled_inputs(model, X[7].copy(), background_sample(X, max_rows=32, seed=4))
+        for tree in trees[::-1]:  # the first tree's root threshold wins its column
+            for node in np.nonzero(tree.feature >= 0)[0][::-1]:
+                x[tree.feature[node]] = tree.threshold[node]
+        bg[0] = x
+        bg[1, ::2] = x[::2]
+        if model.standardizer is not None:  # raw values that scale onto the thresholds, up to rounding
+            x, bg = (v * model.standardizer.std + model.standardizer.mean for v in (x, bg))
+        assert_same_attribution(model, x, bg)
+
 
 class TestSampled:
     def test_efficiency_holds_exactly(self, fitted_pair):
