@@ -20,10 +20,9 @@ hashing.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field, fields, replace
 
-from opentrend.dataset import ROLLING_ONE_STEP, STATIC_SPLIT, EvalMode
+from opentrend.dataset import EvalMode
 from opentrend.explain import DEFAULT_BACKGROUND_SIZE, DEFAULT_ROW_SUBSAMPLE, SHAP_EXACT, SHAP_SAMPLED
 from opentrend.features import FeatureSetMask, NAMED_FEATURE_SETS
 from opentrend.indicators import IndicatorParams
@@ -68,12 +67,12 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Check every value; return the config with canonical task and feature-set names."""
-        _check(self.window_n >= 1, "window_n", self.window_n)
-        _check(0 <= self.bollinger_k < math.inf, "bollinger_k", self.bollinger_k)
-        _check(0 <= self.keltner_k < math.inf, "keltner_k", self.keltner_k)
+        _keyed("window_n", IndicatorParams, window_n=self.window_n)
+        _keyed("bollinger_k", IndicatorParams, bollinger_k=self.bollinger_k)
+        _keyed("keltner_k", IndicatorParams, keltner_k=self.keltner_k)
         _check(0.0 < self.split_ratio < 1.0, "split_ratio", self.split_ratio)
-        _check(self.eval_mode in (STATIC_SPLIT, ROLLING_ONE_STEP), "eval_mode", self.eval_mode)
-        _check(self.refit_every >= 1, "refit_every", self.refit_every)
+        _keyed("eval_mode", EvalMode, kind=self.eval_mode)
+        _keyed("refit_every", EvalMode, refit_every=self.refit_every)
         tasks = _canonical_grid("tasks", self.tasks, lambda code: TaskKind.from_code(code).value)
         feature_sets = _canonical_grid("feature_sets", self.feature_sets, _feature_set_name)
         classifiers = _canonical_grid("classifiers", self.classifiers, _preset_name)
@@ -141,13 +140,18 @@ def _check(ok: bool, key: str, value) -> None:
         raise ConfigError(f"invalid config key {key!r}: bad value {value!r}")
 
 
+def _keyed(key: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError it raises turned into a ConfigError naming key."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config key {key!r}: {exc}") from None
+
+
 def _canonical_grid(key: str, values: tuple[str, ...], canonical) -> tuple[str, ...]:
     """The canonical spelling of each entry of a non-empty list; repeats are refused."""
     _check(len(values) > 0, key, values)
-    try:
-        names = tuple(canonical(value) for value in values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid config key {key!r}: {exc}") from None
+    names = _keyed(key, tuple, map(canonical, values))
     for i, name in enumerate(names):
         if name in names[:i]:
             first = values[names.index(name)]

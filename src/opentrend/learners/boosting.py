@@ -50,13 +50,16 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
     lr = float(hyper["learning_rate"])
     trees: list[TreeArrays] = []
     block = sort_columns(X)  # the features never change, only the target: one sort serves every round
+    step = np.empty(X.shape[0])  # each row's leaf value in the current round's tree
     for _ in range(hyper["iterations"]):
         p = sigmoid(z)
         gradient = y - p
         hessian = p * (1.0 - p)
 
         def leaf_value(idx: np.ndarray) -> float:
-            return float(gradient[idx].sum() / (hessian[idx].sum() + _HESSIAN_FLOOR))
+            value = float(gradient[idx].sum() / (hessian[idx].sum() + _HESSIAN_FLOOR))
+            step[idx] = value  # the leaves partition the rows, as tree.apply(X) would
+            return value
 
         tree = grow_tree(
             X,
@@ -68,7 +71,7 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
             block=block,
         )
         trees.append(tree)
-        z = z + lr * tree.apply(X)
+        z = z + lr * step
     return BoostedTreesState(base_score=base_score, learning_rate=lr, trees=trees)
 
 

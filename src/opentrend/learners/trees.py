@@ -24,6 +24,22 @@ target) gets no block and becomes a leaf.  Node totals and leaf values are
 still summed over the node's row indices in ascending order, so they keep
 the bits of a per-node sum.
 
+A node costs a few dozen numpy calls on a few dozen to a few hundred rows,
+so the grower pays for calls and index machinery more than for arithmetic.
+Blocks are therefore gathered through flat indices: a child's block is one
+``take`` at the flat positions of its go-left flags in the parent's block (a
+2-D boolean mask costs several times more), and the exhaustive finder reads
+the candidate columns' rows and their targets with ``take``.  It then
+scores the cuts in place in the gathered buffer, each element through the
+operations of the plain array expression in its order, so no bit depends
+on the buffering.
+
+The exhaustive finder cuts between two adjacent distinct sorted values lo <
+hi at their midpoint (lo + hi) / 2.  For neighbouring doubles that midpoint
+can round onto hi (or overflow to an infinity), which would send every row
+to one side; then the threshold is lo, as scikit-learn does.  Either way
+rows with values <= lo go left and rows with values >= hi go right.
+
 Candidate columns come from a source ``grow_tree`` calls once per node it
 tries to split.  ExtraTrees draws them from each tree's own generator,
 because its draws interleave with the finder's uniform thresholds.  Boosting
@@ -229,7 +245,8 @@ def random_candidates(rng: np.random.Generator, d: int, m: int) -> Callable[[], 
 def _compress(block: tuple[np.ndarray, np.ndarray], keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries of a block where keep is set; each column keeps its order."""
     ids, values = block
-    return ids[keep].reshape(ids.shape[0], -1), values[keep].reshape(ids.shape[0], -1)
+    flat = keep.ravel().nonzero()[0]  # one flat gather costs a fraction of a 2-D boolean mask
+    return ids.take(flat).reshape(ids.shape[0], -1), values.take(flat).reshape(ids.shape[0], -1)
 
 
 def grow_tree(
@@ -295,7 +312,7 @@ def grow_tree(
         left_block = right_block = None
         if left_ok or right_ok:
             in_left[idx] = go_left
-            keep = in_left[node_block[0]]
+            keep = in_left.take(node_block[0])
             left_block = _compress(node_block, keep) if left_ok else None
             right_block = _compress(node_block, ~keep) if right_ok else None
         stack.append((right_id, right_idx, depth + 1, right_block))
@@ -329,36 +346,52 @@ def _entropy(n_ones: float, n_total: int) -> float:
     return out
 
 
-def _gini_best_cut(total, n, n_left, sum_left, parent, valid):
-    n_right = n - n_left
-    sum_right = total - sum_left
-    weighted = (
-        n_left * _gini_from_counts(sum_left, n_left)
-        + n_right * _gini_from_counts(sum_right, n_right)
-    ) / n
-    weighted[~valid] = np.inf
-    j = np.argmin(weighted, axis=1)  # first optimum: lowest threshold
-    return j, parent - weighted[np.arange(j.size), j]
+def _gini_best_cut(total, n, n_left, n_right, scores, parent, ties):
+    """In place, left sums become (n_left * gini(left) + n_right * gini(right)) / n.
+
+    Each element goes through ``_gini_from_counts``'s operations in its
+    order, so it has the bits of that expression on fresh arrays.
+    """
+    right = np.subtract(total, scores)
+    tmp = np.empty_like(scores)
+    for side, count in ((scores, n_left), (right, n_right)):
+        side /= count  # p
+        np.subtract(1.0, side, out=tmp)
+        tmp *= tmp  # (1 - p)^2
+        side *= side
+        np.subtract(1.0, side, out=side)
+        side -= tmp  # 1 - p^2 - (1 - p)^2
+        side *= count
+    scores += right
+    scores /= n
+    np.copyto(scores, np.inf, where=ties)
+    return parent - scores.min(axis=1)
 
 
-def _sse_best_cut(total, n, n_left, sum_left, parent, valid):
-    sum_right = total - sum_left
-    score = sum_left * sum_left / n_left + sum_right * sum_right / (n - n_left)
-    score[~valid] = -np.inf
-    j = np.argmax(score, axis=1)  # first optimum: lowest threshold
-    return j, score[np.arange(j.size), j] - parent
+def _sse_best_cut(total, n, n_left, n_right, scores, parent, ties):
+    """In place, left sums s_L become s_L^2 / n_left + s_R^2 / n_right."""
+    right = np.subtract(total, scores)
+    scores *= scores
+    scores /= n_left
+    right *= right
+    right /= n_right
+    scores += right
+    np.copyto(scores, -np.inf, where=ties)
+    return scores.max(axis=1) - parent
 
 
-# A criterion is a pair (parent term, best cut): parent_term(total, n) scores
-# the node and best_cut(total, n, n_left, sum_left, parent, valid) takes one
-# row of left-hand sums per candidate column, with valid marking the cuts
-# between distinct values, and returns per column the position and gain of
-# the first best valid cut (gain -inf where a column has none).  Each
-# criterion picks with its own argmin/argmax: gini on 0/1 labels and SSE rank
+# A criterion is a triple (parent term, best cut, best position):
+# parent_term(total, n) scores the node; best_cut(total, n, n_left, n_right,
+# scores, parent, ties) overwrites one row of left-hand sums per candidate
+# column with each cut's score, ties marking the cuts between equal values,
+# and returns per column the gain of its best cut (-inf where a column has
+# none); best_position(row) is the first best cut of one overwritten row.
+# Each criterion picks with its own min/max: gini on 0/1 labels and SSE rank
 # splits alike in exact arithmetic, but rounding breaks near-ties
 # differently.
-GINI = (_gini_from_counts, _gini_best_cut)  # class impurity of 0/1 labels
-SSE = (lambda total, n: total * total / n, _sse_best_cut)  # sum-of-squares reduction of a real target
+GINI = (_gini_from_counts, _gini_best_cut, np.ndarray.argmin)  # class impurity of 0/1 labels
+# sum-of-squares reduction of a real target
+SSE = (lambda total, n: total * total / n, _sse_best_cut, np.ndarray.argmax)
 
 
 def make_exhaustive_finder(target: np.ndarray, criterion):
@@ -366,25 +399,31 @@ def make_exhaustive_finder(target: np.ndarray, criterion):
 
     The finder reads the node's block from ``grow_tree`` (see the module
     docstring); ``idx`` holds the node's at least two row indices in
-    ascending order.
+    ascending order.  ``target`` is a float64 array.
     """
-    parent_term, best_cut = criterion
+    parent_term, best_cut, best_position = criterion
+    counts = np.arange(1.0, target.size)  # n_left of every cut; reversed, n_right
 
     def find(idx: np.ndarray, candidates: np.ndarray, block: tuple[np.ndarray, np.ndarray]) -> _SplitChoice | None:
         n = idx.size
-        total = target[idx].sum()
+        total = float(target[idx].sum())
         parent = parent_term(total, n)
         rows, xs = block
         if candidates.size < rows.shape[0]:
-            rows, xs = rows[candidates], xs[candidates]
-        sum_left = np.cumsum(target[rows], axis=1)[:, :-1]
-        j, gain = best_cut(total, n, np.arange(1.0, n), sum_left, parent, xs[:, :-1] < xs[:, 1:])
-        c = int(np.argmax(gain))  # first maximum: lowest column
+            rows, xs = rows.take(candidates, axis=0), xs.take(candidates, axis=0)
+        scores = target.take(rows[:, :-1])
+        scores.cumsum(axis=1, out=scores)
+        n_left = counts[: n - 1]
+        gain = best_cut(total, n, n_left, n_left[::-1], scores, parent, xs[:, :-1] == xs[:, 1:])
+        c = int(gain.argmax())  # first maximum: lowest column
         if gain[c] <= 0.0:
             return None
-        cut = j[c]
-        thr = (xs[c, cut] + xs[c, cut + 1]) / 2.0
-        return _SplitChoice(column=int(candidates[c]), threshold=float(thr), gain=float(gain[c]))
+        cut = int(best_position(scores[c]))  # first optimum: lowest threshold
+        lo, hi = float(xs[c, cut]), float(xs[c, cut + 1])
+        thr = (lo + hi) / 2.0
+        if not lo <= thr < hi:  # the midpoint of adjacent doubles can round onto hi: cut at lo
+            thr = lo
+        return _SplitChoice(column=int(candidates[c]), threshold=thr, gain=float(gain[c]))
 
     return find
 

@@ -778,8 +778,11 @@ def reference_split(X, target, criterion, idx, candidates):
             j = int(np.argmax(score))
             gain = float(score[j]) - total * total / n
         if gain > 0.0 and (best is None or gain > best[2]):
-            thr = (xs_sorted[cuts[j]] + xs_sorted[cuts[j] + 1]) / 2.0
-            best = (int(col), float(thr), gain)
+            lo, hi = float(xs_sorted[cuts[j]]), float(xs_sorted[cuts[j] + 1])
+            thr = (lo + hi) / 2.0
+            if not lo <= thr < hi:  # the midpoint rounded onto hi (or overflowed): cut at lo
+                thr = lo
+            best = (int(col), thr, gain)
     return best
 
 
@@ -817,6 +820,28 @@ class TestExhaustiveFinder:
             assert self.split(X, target, criterion, idx, candidates) == expected
             found += expected is not None
         assert 500 < found < 1500  # both outcomes are exercised
+
+    @pytest.mark.parametrize("criterion", [GINI, SSE], ids=["gini", "sse"])
+    def test_adjacent_doubles_split_between_them(self, criterion):
+        """A cut between neighbouring doubles keeps lo <= threshold < hi, even where the midpoint rounds onto hi."""
+        big = np.finfo(np.float64).max
+        pairs = [
+            (1.0 + 2.0**-52, 1.0 + 2.0**-51),  # the midpoint rounds up to hi
+            (1.0, 1.0 + 2.0**-52),  # the midpoint rounds down to lo
+            (-1.0 - 2.0**-51, -1.0 - 2.0**-52),
+            (0.0, 5e-324),
+            (np.nextafter(big, 0.0), big),  # lo + hi overflows to inf
+            (-big, np.nextafter(-big, 0.0)),  # ... and to -inf
+        ]
+        rng = np.random.default_rng(7)
+        pairs += [(x, np.nextafter(x, np.inf)) for x in rng.normal(scale=1e3, size=50)]
+        target = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        for lo, hi in pairs:
+            X = np.array([[lo, 3.0], [hi, 3.0], [lo, 3.0], [hi, 3.0], [hi, 3.0], [lo, 3.0]])
+            column, thr, gain = self.split(X, target, criterion, np.arange(6), np.arange(2))
+            assert (column, thr, gain) == reference_split(X, target, criterion, np.arange(6), np.arange(2))
+            assert column == 0 and gain > 0.0
+            assert lo <= thr < hi, (lo, hi, thr)
 
     @pytest.mark.parametrize("criterion", [GINI, SSE], ids=["gini", "sse"])
     def test_all_tied_columns_have_no_split(self, criterion):
@@ -978,6 +1003,67 @@ class TestGrowTree:
             self.assert_same_tree(tree, expected)
             splits += int((tree.feature >= 0).sum())
         assert splits > 1000
+
+    @pytest.mark.parametrize("criterion", [GINI, SSE], ids=["gini", "sse"])
+    def test_adjacent_doubles_leave_no_empty_child(self, criterion):
+        """Columns of neighbouring doubles grow the reference tree, and every split sends rows both ways."""
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            n_rows = int(rng.integers(2, 40))
+            X = np.tile(rng.normal(scale=10.0, size=int(rng.integers(1, 4))), (n_rows, 1))
+            steps = rng.integers(0, 3, size=X.shape)  # 0, 1 or 2 doubles above each column's base value
+            for step in (1, 2):
+                X = np.where(steps >= step, np.nextafter(X, np.inf), X)
+            if criterion is GINI:
+                target = rng.integers(0, 2, size=n_rows).astype(np.float64)
+            else:
+                target = np.round(rng.normal(size=n_rows), 1)
+            tree = grow_tree(
+                X,
+                target,
+                max_depth=12,
+                candidates=None,
+                find_split=make_exhaustive_finder(target, criterion),
+                block=sort_columns(X),
+            )
+            expected = reference_tree(
+                X,
+                target,
+                lambda idx, candidates: reference_split(X, target, criterion, idx, candidates),
+                max_depth=12,
+                max_features=None,
+                rng=None,
+                leaf_value=lambda idx: float(target[idx].mean()),
+            )
+            self.assert_same_tree(tree, expected)
+            reached = np.zeros(tree.feature.size, dtype=np.int64)  # rows through each node
+            for row in X:
+                node = 0
+                reached[node] += 1
+                while tree.feature[node] >= 0:
+                    go_left = row[tree.feature[node]] <= tree.threshold[node]
+                    node = tree.left[node] if go_left else tree.right[node]
+                    reached[node] += 1
+            assert (reached > 0).all() and np.isfinite(tree.value).all()
+
+    @pytest.mark.parametrize("name", ["dt", "xgb"])
+    def test_midpoint_that_rounds_up_is_moved_down(self, name):
+        """Between 1 + 2^-52 and 1 + 2^-51 the midpoint rounds onto the upper value; the cut must still part them."""
+        a, b = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+        assert (a + b) / 2.0 == b
+        X = np.array([[a], [b], [a], [b]])
+        y = np.array([0, 1, 0, 1])
+        model = fit(preset(name), X, y)
+        trees = [model.state.tree] if name == "dt" else model.state.trees
+        for tree in trees:
+            internal = np.nonzero(tree.feature >= 0)[0]
+            assert internal.tolist() == [0]  # one split parts the rows; its children are leaves
+            assert tree.threshold[0] == a
+            assert np.isfinite(tree.value).all()
+        assert predict(model, X).tolist() == y.tolist()
+        loaded = model_from_json(model_to_json(model))
+        assert model_to_json(loaded) == model_to_json(model)
+        assert predict(loaded, X).tolist() == y.tolist()
 
     def test_random_entropy_with_column_subsampling(self):
         rng = np.random.default_rng(13)
