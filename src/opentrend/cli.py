@@ -225,7 +225,7 @@ def _cmd_explain(args) -> int:
     (task,) = config.tasks
     series = parse_csv(_read(args.input), market=_market_tag(args))
     report = _shapley_cell(_prepare_market(series.market, series, config), task, config)
-    provenance = Provenance(seed=config.seed, config_hash="-", version=__version__)
+    provenance = Provenance(seed=config.seed, config_hash="-")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = f"shap_{safe_name(series.market)}_{task}"

@@ -27,7 +27,7 @@ from opentrend.explain import DEFAULT_BACKGROUND_SIZE, DEFAULT_ROW_SUBSAMPLE, SH
 from opentrend.features import FeatureSetMask, NAMED_FEATURE_SETS
 from opentrend.indicators import IndicatorParams
 from opentrend.labeling import ALL_TASKS, TaskKind
-from opentrend.learners import PRESET_NAMES
+from opentrend.learners import PRESET_NAMES, preset
 from opentrend.metrics import ACC_THRESHOLD, MCC_THRESHOLD
 
 SHAP_FEATURE_SET_DEFAULT = "INT+HIST+NOW"
@@ -79,7 +79,8 @@ class RunConfig:
         _check(self.workers >= 1, "workers", self.workers)
         _check(0.0 <= self.acc_threshold <= 1.0, "acc_threshold", self.acc_threshold)
         _check(-1.0 <= self.mcc_threshold <= 1.0, "mcc_threshold", self.mcc_threshold)
-        _check(self.shap_model in ("",) + PRESET_NAMES, "shap_model", self.shap_model)
+        if self.shap_model:
+            _keyed("shap_model", preset, self.shap_model)
         _check(self.shap_mode in (SHAP_EXACT, SHAP_SAMPLED), "shap_mode", self.shap_mode)
         (shap_feature_set,) = _canonical_grid("shap_feature_set", (self.shap_feature_set,), _feature_set_name)
         _check(self.shap_background >= 1, "shap_background", self.shap_background)
@@ -164,8 +165,7 @@ def _feature_set_name(name: str) -> str:
 
 
 def _preset_name(name: str) -> str:
-    if name not in PRESET_NAMES:
-        raise ValueError(f"bad value {name!r}")
+    preset(name)  # refuses an unknown name
     return name
 
 

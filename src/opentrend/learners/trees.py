@@ -45,10 +45,10 @@ tries to split.  ExtraTrees draws them from each tree's own generator,
 because its draws interleave with the finder's uniform thresholds.  Boosting
 passes no source, so every column is a candidate.  DecisionTree's k-th draw
 depends only on its seed, the column count and ``max_features``, so its
-fits read the draws from a table for that key: all refits of a rolling cell
-share the cell seed, and the table draws each node's columns once.  The
-table holds the most recent key only and takes no lock: the grid runs its
-cells one at a time.
+fits read the draws from one list for that key, kept by ``lru_cache``: all
+refits of a rolling cell share the cell seed, and the list draws each node's
+columns once.  The cache holds the most recent key only, and appending to
+the list takes no lock: the grid runs its cells one at a time.
 
 Tie-breaking is explicit everywhere: candidate columns are scanned in
 ascending index order and only a strictly better gain displaces the
@@ -59,6 +59,7 @@ wins, i.e. the lowest threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -483,50 +484,27 @@ class DecisionTreeState:
         return self.tree.coalition_tables(x, background)
 
 
-class _DrawTable:
-    """Draws of ``random_candidates(default_rng(seed), d, m)`` in order, made once and read by every fit."""
-
-    def __init__(self, key: tuple[int, int, int]) -> None:
-        seed, d, m = key
-        self.key = key
-        self._draw = random_candidates(np.random.default_rng(seed), d, m)
-        self._rows = np.empty((0, m), dtype=np.int64)  # one growing array; the first _size rows are drawn
-        self._size = 0
-
-    def reader(self) -> Callable[[], np.ndarray]:
-        """A candidate source that returns draw 0, 1, 2, ... (views its caller must not write)."""
-        k = 0
-
-        def next_draw() -> np.ndarray:
-            nonlocal k
-            if k == self._size:
-                self._extend()
-            k += 1
-            return self._rows[k - 1]
-
-        return next_draw
-
-    def _extend(self) -> None:
-        if self._size == self._rows.shape[0]:
-            grown = np.empty((max(64, 2 * self._size), self._rows.shape[1]), dtype=np.int64)
-            grown[: self._size] = self._rows
-            self._rows = grown
-        self._rows[self._size] = self._draw()
-        self._size += 1
-
-
-_draws: _DrawTable | None = None  # the table of the most recent (seed, d, m) only
+@functools.lru_cache(maxsize=1)  # the most recent (seed, d, m) only
+def _draw_list(seed: int, d: int, m: int) -> tuple[list[np.ndarray], Callable[[], np.ndarray]]:
+    """The draws of ``random_candidates(default_rng(seed), d, m)`` made so far, and the source of the next."""
+    return [], random_candidates(np.random.default_rng(seed), d, m)
 
 
 def _seed_candidates(seed: int, d: int, m: int) -> Callable[[], np.ndarray] | None:
-    """``random_candidates(default_rng(seed), d, m)``, read from the draw table of (seed, d, m)."""
-    global _draws
+    """``random_candidates(default_rng(seed), d, m)``, read from the shared draws of (seed, d, m)."""
     if m >= d:
         return None
-    table = _draws
-    if table is None or table.key != (seed, d, m):
-        table = _draws = _DrawTable((seed, d, m))
-    return table.reader()
+    drawn, draw = _draw_list(seed, d, m)
+    k = 0
+
+    def next_draw() -> np.ndarray:  # arrays its caller must not write
+        nonlocal k
+        if k == len(drawn):
+            drawn.append(draw())
+        k += 1
+        return drawn[k - 1]
+
+    return next_draw
 
 
 def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> DecisionTreeState:

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from opentrend import __version__
 from opentrend.explain import ShapleyReport
 from opentrend.labeling import ALL_TASKS
 from opentrend.metrics import EvalRecord
@@ -28,7 +29,7 @@ class Provenance:
     seed: int
     config_hash: str
     tool: str = "opentrend"
-    version: str = "0.1.0"
+    version: str = __version__
 
     @property
     def comment(self) -> str:
@@ -43,7 +44,7 @@ class Provenance:
             seed=int(parts.get("seed", 0)),
             config_hash=parts.get("config", ""),
             tool=parts.get("tool", "opentrend"),
-            version=parts.get("version", "0.1.0"),
+            version=parts.get("version", __version__),
         )
 
 

@@ -23,7 +23,6 @@ from opentrend.learners import REPORT_LABELS, fit, preset
 from opentrend.metrics import EvalRecord, confusion
 from opentrend.ohlc import OhlcSeries, parse_csv
 from opentrend.report import Provenance, results_csv, results_json, shap_csv
-from opentrend import __version__
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +139,7 @@ def cmd_run(config: RunConfig) -> RunOutcome:
                 except Exception as exc:
                     errors.append((f"{market}/{task}/shap/{config.shap_model}", str(exc)))
 
-    provenance = Provenance(seed=config.seed, config_hash=config.config_hash, version=__version__)
+    provenance = Provenance(seed=config.seed, config_hash=config.config_hash)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _remove_stale(out_dir)

@@ -725,18 +725,49 @@ class TestDecisionTree:
             assert got == want
             return got
 
+        def cached():
+            """(hits, misses, lists held) of the draw cache."""
+            info = trees._draw_list.cache_info()
+            return info.hits, info.misses, info.currsize
+
+        trees._draw_list.cache_clear()
         a = fit_both(7, 300, 16)
-        assert trees._draws.key == (7, 16, 5)
+        assert cached() == (0, 1, 1)
         fit_both(8, 300, 16)
-        assert trees._draws.key == (8, 16, 5)
-        assert fit_both(7, 300, 16) == a  # the table of seed 7 is drawn afresh
-        fit_both(7, 400, 16)  # more rows, more nodes: the table grows past the draws of the smaller fits
+        assert cached() == (0, 2, 1)  # seed 8 evicts seed 7
+        assert fit_both(7, 300, 16) == a  # the list of seed 7 is drawn afresh
+        assert cached() == (0, 3, 1)
+        fit_both(7, 400, 16)  # more rows, more nodes: the list grows past the draws of the smaller fits
         fit_both(7, 250, 16)
+        assert cached() == (2, 3, 1)  # one list per key, read by every fit of that key
         fit_both(7, 400, 4, max_features=3)
-        assert trees._draws.key == (7, 4, 3)
-        fit_both(7, 400, 16, max_features=16)  # every column is a candidate: no draws, the table stays
+        assert cached() == (2, 4, 1)
+        fit_both(7, 400, 16, max_features=16)  # every column is a candidate: no draws, the list stays
         fit_both(7, 400, 4)
-        assert trees._draws.key == (7, 4, 3)
+        drawn, _ = trees._draw_list(7, 4, 3)
+        assert cached() == (3, 4, 1) and len(drawn) > 0
+
+    def test_reader_outlives_its_evicted_key(self, monkeypatch):
+        """A reader of seed 7 keeps reading seed 7's draws after a seed 8 fit evicts that key."""
+        from opentrend.learners import trees
+
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(400, 16))
+        y = (X[:, 1] - X[:, 4] + rng.normal(scale=1.5, size=400) > 0).astype(np.int64)
+        spec = ClassifierSpec("DecisionTree", {"max_depth": 12, "max_features": 5}, seed=7)
+        trees._draw_list.cache_clear()
+        fit(spec, X[:200], y[:200])  # seed 7's list holds the draws of a small fit
+        reader = trees._seed_candidates(7, 16, 5)
+        fit(dataclasses.replace(spec, seed=8), X, y)
+        assert trees._draw_list.cache_info().misses == 2  # seed 8 evicted seed 7
+        with monkeypatch.context() as m:  # past the small fit's draws, the reader draws from seed 7's generator
+            m.setattr(trees, "_seed_candidates", lambda *key: reader)
+            got = model_to_json(fit(spec, X, y))
+        gen = np.random.default_rng(7)
+        with monkeypatch.context() as m:
+            m.setattr(trees, "_seed_candidates", lambda *key: lambda: np.sort(gen.choice(16, size=5, replace=False)))
+            want = model_to_json(fit(spec, X, y))
+        assert got == want
 
     def test_pure_node_is_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
