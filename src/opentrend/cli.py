@@ -126,7 +126,7 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(text: str, out: str | Path | None) -> None:
     """Write text to the ``--out`` path, or to stdout when there is none."""
     if out:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
@@ -210,9 +210,7 @@ def _cmd_chart(args) -> int:
     for market, task in pairs:
         for metric in ("accuracy", "mcc"):
             svg = bubble_chart_svg(records, market, task, metric, provenance)
-            path = out_dir / f"chart_{safe_name(market)}_{task}_{metric}.svg"
-            path.write_text(svg, encoding="utf-8", newline="\n")
-            print(f"wrote {path}")
+            _write_out(svg, out_dir / f"chart_{safe_name(market)}_{task}_{metric}.svg")
     return 0
 
 
@@ -229,13 +227,9 @@ def _cmd_explain(args) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = f"shap_{safe_name(series.market)}_{task}"
-    csv_path = out_dir / f"{base}.csv"
-    csv_path.write_text(shap_csv(report, provenance), encoding="utf-8", newline="\n")
-    print(f"wrote {csv_path}")
-    svg_path = out_dir / f"{base}.svg"
+    _write_out(shap_csv(report, provenance), out_dir / f"{base}.csv")
     title = f"{series.market} / {task} / {config.shap_model}"
-    svg_path.write_text(shap_bar_svg(report, title, provenance), encoding="utf-8", newline="\n")
-    print(f"wrote {svg_path}")
+    _write_out(shap_bar_svg(report, title, provenance), out_dir / f"{base}.svg")
     top = report.ranking()[0]
     print(f"top feature: {top}")
     return 0

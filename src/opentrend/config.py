@@ -98,6 +98,8 @@ class RunConfig:
                 )
             if "," in market:  # results.csv is comma-separated
                 raise ConfigError(f"invalid config key 'input': market {market!r} contains ','")
+            if "".join(market.splitlines()) != market:  # and has one record per line
+                raise ConfigError(f"invalid config key 'input': market {market!r} contains a line break")
             markets[tag] = market
         return replace(
             self, tasks=tasks, feature_sets=feature_sets, classifiers=classifiers, shap_feature_set=shap_feature_set

@@ -37,10 +37,7 @@ class BoostedTreesState:
 
     def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``score`` of every hybrid of x and each background row, over all columns (see ``summed_tables``)."""
-        z = summed_tables(self.trees, x, background, self.base_score, self.learning_rate)
-        for row in z:  # row by row: sigmoid's temporaries stay one table long
-            row[:] = sigmoid(row)
-        return np.ones(background.shape, dtype=bool), z.ravel()
+        return summed_tables(self.trees, x, background, self.base_score, self.learning_rate, sigmoid)
 
 
 def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> BoostedTreesState:

@@ -42,9 +42,7 @@ class ExtraTreesState:
 
     def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``score`` of every hybrid of x and each background row, over all columns (see ``summed_tables``)."""
-        total = summed_tables(self.trees, x, background, 0.0, 1.0)
-        total /= len(self.trees)
-        return np.ones(background.shape, dtype=bool), total.ravel()
+        return summed_tables(self.trees, x, background, 0.0, 1.0, lambda total: total / len(self.trees))
 
 
 def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> ExtraTreesState:

@@ -201,15 +201,17 @@ class TreeArrays:
         return masks.T
 
 
-def summed_tables(trees: list[TreeArrays], x: np.ndarray, background: np.ndarray, start: float, weight: float) -> np.ndarray:
-    """(n_bg x 2^d) tables of start + sum over trees of weight * leaf value, for each hybrid of x and each row.
+def summed_tables(
+    trees: list[TreeArrays], x: np.ndarray, background: np.ndarray, start: float, weight: float, link: Callable
+) -> tuple[np.ndarray, np.ndarray]:
+    """An ensemble's ``coalition_tables``: link(start + sum of weight * leaf value) of every hybrid, all columns set.
 
-    Row b, entry t holds the sum for the hybrid that takes x at column j when
-    bit j of t is set.  Each tree's own table for row b spans only its
+    Row b's (2^d) table, entry t, scores the hybrid that takes x at column j
+    when bit j of t is set.  Each tree's own table for row b spans only its
     relevant columns (``TreeArrays.coalition_tables``) and is broadcast over
     the others.  The terms are added tree by tree, as an ensemble's ``score``
-    adds ``weight * tree.apply(X)``, so every entry has the bits of that sum
-    for the hybrid row.
+    adds ``weight * tree.apply(X)``, and link is applied row by row (its
+    temporaries stay one table long), so every entry has ``score``'s bits.
     """
     d = x.size
     sums = np.full((background.shape[0], 1 << d), float(start))
@@ -220,7 +222,9 @@ def summed_tables(trees: list[TreeArrays], x: np.ndarray, background: np.ndarray
         shapes = np.where(masks[:, ::-1], 2, 1).tolist()  # axis d - 1 - j of a view is column j
         for view, end, shape in zip(views, ends, shapes):
             view += weight * table[end - (1 << shape.count(2)) : end].reshape(shape)
-    return sums
+    for row in sums:
+        row[:] = link(row)
+    return np.ones(background.shape, dtype=bool), sums.ravel()
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,17 @@ Every emitted file embeds a provenance line (tool, version, seed, config
 hash) so a result can always be traced to the exact configuration that
 produced it.  All numeric formatting is fixed, so re-running a configuration
 yields byte-identical files.
+
+``results.csv`` has one column per ``EvalRecord`` field, in field order;
+``#`` comment lines may come only before its header, so a record whose
+market starts with ``#`` is still a record.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -17,8 +22,6 @@ from opentrend import __version__
 from opentrend.explain import ShapleyReport
 from opentrend.labeling import ALL_TASKS
 from opentrend.metrics import EvalRecord
-
-RESULTS_HEADER = "market,task,feature_set,classifier,accuracy,mcc,n_train,n_test,effective"
 
 #: plain-language reading of each task's question
 TASK_IMPLICATIONS = {task.value: f"open(t+1) > {task.reference_field}(t)" for task in ALL_TASKS}
@@ -56,54 +59,51 @@ def _metric(x: float) -> str:
 # results.csv / results.json
 # ---------------------------------------------------------------------------
 
+#: results.csv cells are written and read by their field's type, not their value's (an int accuracy is 1.000000)
+_CODECS = {
+    str: (str, str),
+    int: (str, int),
+    float: (_metric, float),
+    bool: (lambda v: "true" if v else "false", lambda text: text == "true"),
+}
+#: the columns are EvalRecord's fields, in field order: the one place the file's layout is decided
+_COLUMNS = {f.name: _CODECS[get_type_hints(EvalRecord)[f.name]] for f in fields(EvalRecord)}
+RESULTS_HEADER = ",".join(_COLUMNS)
+
 
 def results_csv(records: list[EvalRecord], provenance: Provenance) -> str:
     lines = [provenance.comment, RESULTS_HEADER]
     for r in records:
-        lines.append(
-            f"{r.market},{r.task},{r.feature_set},{r.classifier},"
-            f"{_metric(r.accuracy)},{_metric(r.mcc)},{r.n_train},{r.n_test},"
-            f"{'true' if r.effective else 'false'}"
-        )
+        lines.append(",".join(render(getattr(r, name)) for name, (render, _) in _COLUMNS.items()))
     return "\n".join(lines) + "\n"
 
 
 def parse_results_csv(text: str) -> tuple[list[EvalRecord], Provenance]:
-    """Read a results.csv back (for the table and chart subcommands)."""
+    """Read a results.csv back: ``#`` comment lines, the header, then one record per non-blank line."""
     provenance = Provenance(seed=0, config_hash="")
-    records: list[EvalRecord] = []
-    header_seen = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            if "provenance:" in stripped:
-                provenance = Provenance.from_comment(stripped)
-            continue
-        if not header_seen:
-            if stripped != RESULTS_HEADER:
-                raise ValueError(f"line {lineno}: expected header {RESULTS_HEADER!r}, got {stripped!r}")
-            header_seen = True
-            continue
-        parts = stripped.split(",")
-        if len(parts) != 9:
-            raise ValueError(f"line {lineno}: expected 9 fields, got {len(parts)}")
-        records.append(
-            EvalRecord(
-                market=parts[0],
-                task=parts[1],
-                feature_set=parts[2],
-                classifier=parts[3],
-                accuracy=float(parts[4]),
-                mcc=float(parts[5]),
-                n_train=int(parts[6]),
-                n_test=int(parts[7]),
-                effective=parts[8] == "true",
-            )
-        )
-    if not header_seen:
+    lines = ((lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1))
+    for lineno, line in lines:
+        if line.startswith("#"):
+            if "provenance:" in line:
+                provenance = Provenance.from_comment(line)
+        elif line:
+            if line != RESULTS_HEADER:
+                raise ValueError(f"line {lineno}: expected header {RESULTS_HEADER!r}, got {line!r}")
+            break
+    else:
         raise ValueError("no results header found")
+    records: list[EvalRecord] = []
+    for lineno, line in lines:  # the lines after the header
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"line {lineno}: expected {len(_COLUMNS)} fields, got {len(parts)}")
+        cells = zip(_COLUMNS.items(), parts)
+        try:
+            records.append(EvalRecord(**{name: parse(part) for (name, (_, parse)), part in cells}))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     return records, provenance
 
 
@@ -208,6 +208,16 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _svg_open(width: float, height: float, provenance: Provenance) -> list[str]:
+    """The lines every chart opens with: the <svg> tag, the provenance comment and a white background."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">',
+        f"<!-- {_esc(provenance.comment.lstrip('# '))} -->",
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+    ]
+
+
 def bubble_chart_svg(
     records: list[EvalRecord],
     market: str,
@@ -225,10 +235,7 @@ def bubble_chart_svg(
     width = _LEFT + _CELL * len(xs) + 40.0
     height = _TOP + _CELL * len(ys) + 110.0
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f"<!-- {_esc(provenance.comment.lstrip('# '))} -->",
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+        *_svg_open(width, height, provenance),
         f'<text x="{_LEFT:.1f}" y="24" font-family="sans-serif" font-size="15" font-weight="bold">'
         f"{_esc(market)} / {_esc(task)} — {metric}</text>",
     ]
@@ -290,10 +297,7 @@ def shap_bar_svg(report: ShapleyReport, title: str, provenance: Provenance) -> s
     width = 560.0
     height = 70.0 + bar_h * 1.4 * len(order)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f"<!-- {_esc(provenance.comment.lstrip('# '))} -->",
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+        *_svg_open(width, height, provenance),
         f'<text x="20" y="26" font-family="sans-serif" font-size="14" font-weight="bold">'
         f"{_esc(title)} — mean |phi| ({_esc(report.mode)}, background {report.background_size})</text>",
     ]

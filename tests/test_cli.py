@@ -212,7 +212,7 @@ class TestRun:
         assert "invalid config key 'tasks'" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
-    @pytest.mark.parametrize("tags", [("a,b",), ("a.b", "a-b")], ids=["comma", "same-file-name"])
+    @pytest.mark.parametrize("tags", [("a,b",), ("a\nb",), ("a.b", "a-b")], ids=["comma", "line-break", "same-file-name"])
     def test_bad_market_tags_refused_at_load(self, grw_csv, tmp_path, capsys, tags):
         inputs = [arg for tag in tags for arg in ("--input", f"{tag}:{grw_csv}")]
         out_dir = tmp_path / "tagged"
@@ -431,6 +431,23 @@ class TestChart:
             circles = root.findall(".//{http://www.w3.org/2000/svg}circle")
             # 4 grid cells (2 feature sets x 2 classifiers) + 3 legend circles
             assert len(circles) == 4 + 3
+
+    def test_hash_tagged_market_round_trips(self, grw_csv, tmp_path, capsys):
+        # a record whose market starts with '#' is a record, not a comment, for table3 and chart alike
+        out_dir = tmp_path / "results"
+        settings = ["tasks=op", "feature_sets=INT", "classifiers=dt"]
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        assert main(["run", "--input", f"#x:{grw_csv}", *args, "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        results = str(out_dir / "results.csv")
+        assert main(["table3", "--results", results]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert len(rows) == 1 and rows[0].startswith("#x,op,")
+        assert main(["chart", "--results", results]) == 0
+        files = sorted(p.name for p in out_dir.glob("*.svg"))
+        assert files == ["chart_-x_op_accuracy.svg", "chart_-x_op_mcc.svg"]
+        for name in files:
+            assert ET.fromstring((out_dir / name).read_text(encoding="utf-8")).tag.endswith("svg")
 
     def test_radius_tracks_metric(self, tmp_path):
         from opentrend.report import bubble_chart_svg

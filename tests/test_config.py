@@ -12,7 +12,7 @@ from opentrend.config import (
     parse_assignments,
 )
 from opentrend.metrics import EvalRecord
-from opentrend.report import Provenance, parse_results_csv, results_csv
+from opentrend.report import RESULTS_HEADER, Provenance, parse_results_csv, results_csv
 
 
 class TestGrammar:
@@ -140,6 +140,18 @@ class TestValidate:
         with pytest.raises(ConfigError, match=r"invalid config key 'input': market 'a,b' contains ','"):
             config.validate()
 
+    @pytest.mark.parametrize("market", ["a\nb", "a\r\nb", "a\rb", "a\u2028b", "a\n"])
+    def test_market_tag_with_line_break_refused(self, market):
+        # results.csv holds one record per line: the tag would split its row
+        config = RunConfig(inputs=((market, "x.csv"),))
+        with pytest.raises(ConfigError, match=r"invalid config key 'input': market .* contains a line break"):
+            config.validate()
+
+    def test_market_tag_starting_with_hash_accepted(self):
+        # a record row is never read as a comment, so the tag round-trips
+        config = apply_assignments(RunConfig(), [("input", "#x:x.csv")])
+        assert config.validate().inputs == (("#x", "x.csv"),)
+
     @pytest.mark.parametrize("first,second", [("a.b", "a-b"), ("a b", "a/b")])
     def test_market_tags_sharing_a_file_name_refused(self, first, second):
         config = apply_assignments(RunConfig(), [("input", f"{first}:x.csv"), ("input", f"{second}:y.csv")])
@@ -228,6 +240,39 @@ class TestProvenance:
         assert parsed[1].classifier == "xgb*"
         assert parsed[1].effective is True
         assert parsed[0].accuracy == pytest.approx(0.75)
+
+    def test_results_header_is_the_documented_one(self):
+        # the columns are EvalRecord's fields in order: reordering them changes the file format
+        assert RESULTS_HEADER == "market,task,feature_set,classifier,accuracy,mcc,n_train,n_test,effective"
+        assert results_csv([], Provenance(seed=0, config_hash="x")).splitlines()[1] == RESULTS_HEADER
+
+    def test_cells_are_written_by_field_type(self):
+        records = [EvalRecord("m", "op", "INT", "dt", 1, 0, 80, 20, True)]
+        text = results_csv(records, Provenance(seed=0, config_hash="x"))
+        assert text.splitlines()[2] == "m,op,INT,dt,1.000000,0.000000,80,20,true"
+
+    def test_hash_leading_line_after_header_is_a_record(self):
+        records = [
+            EvalRecord("#x", "op", "INT", "dt", 0.75, 0.5, 80, 20, False),
+            EvalRecord("# provenance: seed=9", "op", "INT", "gnb", 0.85, 0.7, 80, 20, True),
+        ]
+        p = Provenance(seed=3, config_hash="feedface00000000")
+        assert parse_results_csv(results_csv(records, p)) == (records, p)
+
+    def test_comment_after_header_is_refused(self):
+        text = f"{RESULTS_HEADER}\n# a note\n"
+        with pytest.raises(ValueError, match="line 2: expected 9 fields, got 1"):
+            parse_results_csv(text)
+
+    @pytest.mark.parametrize("text", ["", "\n", "# provenance: tool=opentrend seed=1 config=x\n# note\n"])
+    def test_file_without_header_refused(self, text):
+        with pytest.raises(ValueError, match="no results header found"):
+            parse_results_csv(text)
+
+    def test_bad_cell_names_its_line(self):
+        text = f"# note\n{RESULTS_HEADER}\nm,op,INT,dt,high,0.5,80,20,false\n"
+        with pytest.raises(ValueError, match="line 3: could not convert"):
+            parse_results_csv(text)
 
     def test_metric_formatting_is_fixed_width(self):
         records = [EvalRecord("m", "op", "INT", "dt", 1 / 3, -1 / 7, 80, 20, False)]
