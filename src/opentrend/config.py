@@ -15,6 +15,10 @@ like another market's all raise ConfigError (CLI exit code 2) naming the
 offending key.  Task codes and feature-set names are made canonical
 (``OP`` -> ``op``, ``now+int`` -> ``INT+NOW``) before that check and before
 hashing.
+
+A range rule is not copied here: ``validate`` asks the code that uses the
+value (``IndicatorParams``, ``EvalMode``, ``dataset.train_fraction``,
+``preset``, the ``explain`` functions), and the error after the key is its.
 """
 
 from __future__ import annotations
@@ -22,8 +26,16 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields, replace
 
-from opentrend.dataset import EvalMode
-from opentrend.explain import DEFAULT_BACKGROUND_SIZE, DEFAULT_ROW_SUBSAMPLE, SHAP_EXACT, SHAP_SAMPLED
+from opentrend.dataset import EvalMode, train_fraction
+from opentrend.explain import (
+    DEFAULT_BACKGROUND_SIZE,
+    DEFAULT_ROW_SUBSAMPLE,
+    SHAP_EXACT,
+    attribution_mode,
+    background_sample,
+    permutation_count,
+    row_subsample,
+)
 from opentrend.features import FeatureSetMask, NAMED_FEATURE_SETS
 from opentrend.indicators import IndicatorParams
 from opentrend.labeling import ALL_TASKS, TaskKind
@@ -70,7 +82,7 @@ class RunConfig:
         _keyed("window_n", IndicatorParams, window_n=self.window_n)
         _keyed("bollinger_k", IndicatorParams, bollinger_k=self.bollinger_k)
         _keyed("keltner_k", IndicatorParams, keltner_k=self.keltner_k)
-        _check(0.0 < self.split_ratio < 1.0, "split_ratio", self.split_ratio)
+        _keyed("split_ratio", train_fraction, self.split_ratio)
         _keyed("eval_mode", EvalMode, kind=self.eval_mode)
         _keyed("refit_every", EvalMode, refit_every=self.refit_every)
         tasks = _canonical_grid("tasks", self.tasks, lambda code: TaskKind.from_code(code).value)
@@ -81,11 +93,12 @@ class RunConfig:
         _check(-1.0 <= self.mcc_threshold <= 1.0, "mcc_threshold", self.mcc_threshold)
         if self.shap_model:
             _keyed("shap_model", preset, self.shap_model)
-        _check(self.shap_mode in (SHAP_EXACT, SHAP_SAMPLED), "shap_mode", self.shap_mode)
+        _keyed("shap_mode", attribution_mode, self.shap_mode)
         (shap_feature_set,) = _canonical_grid("shap_feature_set", (self.shap_feature_set,), _feature_set_name)
-        _check(self.shap_background >= 1, "shap_background", self.shap_background)
-        _check(self.shap_rows >= 1, "shap_rows", self.shap_rows)
-        _check(self.shap_permutations >= 1, "shap_permutations", self.shap_permutations)
+        # the samplers refuse a bad size before they look at their (here empty) rows
+        _keyed("shap_background", background_sample, (), self.shap_background)
+        _keyed("shap_rows", row_subsample, (), self.shap_rows)
+        _keyed("shap_permutations", permutation_count, self.shap_permutations)
         markets: dict[str, str] = {}  # file name tag -> market; the tag names the market's artifacts
         for market, _path in self.inputs:
             tag = safe_name(market)

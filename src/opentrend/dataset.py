@@ -112,14 +112,19 @@ def bind(matrix: FeatureMatrix, labels: LabelVector, market: str) -> LabeledData
 def split(ds: LabeledDataset, ratio: float = 0.8) -> Split:
     """n_train = ceil(ratio * n_points), test = the rest; both must be non-empty.
 
-    The product is taken in exact rational arithmetic (Fraction of the
-    decimal ratio) so that e.g. ratio 0.8 of 10 points is exactly 8, immune
-    to float round-up.
+    The product is taken in exact rational arithmetic (``train_fraction``)
+    so that e.g. ratio 0.8 of 10 points is exactly 8, immune to float
+    round-up.
     """
+    n_train = math.ceil(train_fraction(ratio) * ds.n_points)
+    return Split(n_points=ds.n_points, n_train=n_train)
+
+
+def train_fraction(ratio: float) -> Fraction:
+    """The train share of a split: the decimal ``ratio`` as an exact fraction; it must be in (0, 1)."""
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"split ratio must be in (0, 1), got {ratio!r}")
-    n_train = math.ceil(Fraction(str(ratio)) * ds.n_points)
-    return Split(n_points=ds.n_points, n_train=n_train)
+    return Fraction(str(ratio))
 
 
 def rolling_predict(

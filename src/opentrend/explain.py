@@ -72,6 +72,24 @@ class ShapleyReport:
         return tuple(self.feature_names[j] for j in order)
 
 
+def attribution_mode(mode: str) -> str:
+    """``mode`` itself if it names an attribution mode: ``exact`` or ``sampled``."""
+    if mode not in (SHAP_EXACT, SHAP_SAMPLED):
+        raise ValueError(f"unknown attribution mode {mode!r}")
+    return mode
+
+
+def permutation_count(n: int) -> int:
+    """``n`` itself if sampled attribution can average over that many orderings: at least 1."""
+    return _at_least_one("n_permutations", n)
+
+
+def _at_least_one(name: str, n: int) -> int:
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n!r}")
+    return n
+
+
 def _score_fn(model):
     score = getattr(model, "score", None)
     if score is None:
@@ -206,8 +224,7 @@ def shapley_sampled(model, x, background, n_permutations: int = 200, seed: int =
     block of scores is averaged on its own, so every value keeps the bits
     of scoring that hybrid alone.
     """
-    if n_permutations < 1:
-        raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
+    permutation_count(n_permutations)
     row = _as_row(x)
     d = row.size
     bg = _as_background(background, d)
@@ -249,8 +266,7 @@ def global_importance(
         raise ValueError(f"rows must be a non-empty matrix, got shape {matrix.shape}")
     if len(feature_names) != matrix.shape[1]:
         raise ValueError(f"{len(feature_names)} names for {matrix.shape[1]} columns")
-    if mode not in (SHAP_EXACT, SHAP_SAMPLED):
-        raise ValueError(f"unknown attribution mode {mode!r}")
+    attribution_mode(mode)
     bg = _as_background(background, matrix.shape[1])
     attributed: list[AttributionRow] = []
     for i in range(matrix.shape[0]):
@@ -269,7 +285,8 @@ def global_importance(
 
 
 def background_sample(train_rows: np.ndarray, max_rows: int = DEFAULT_BACKGROUND_SIZE, seed: int = 0) -> np.ndarray:
-    """Seeded without-replacement background draw from the training rows."""
+    """Seeded without-replacement background draw of at most ``max_rows`` (>= 1) training rows."""
+    _at_least_one("background size", max_rows)
     train = np.asarray(train_rows, dtype=np.float64)
     if train.shape[0] <= max_rows:
         return train.copy()
@@ -279,7 +296,8 @@ def background_sample(train_rows: np.ndarray, max_rows: int = DEFAULT_BACKGROUND
 
 
 def row_subsample(test_rows: np.ndarray, max_rows: int = DEFAULT_ROW_SUBSAMPLE, seed: int = 0) -> np.ndarray:
-    """Seeded without-replacement choice of rows to attribute, order preserved."""
+    """Seeded without-replacement choice of at most ``max_rows`` (>= 1) rows to attribute, order preserved."""
+    _at_least_one("attributed row count", max_rows)
     test = np.asarray(test_rows, dtype=np.float64)
     if test.shape[0] <= max_rows:
         return np.arange(test.shape[0])

@@ -7,12 +7,14 @@ yields byte-identical files.
 
 ``results.csv`` has one column per ``EvalRecord`` field, in field order;
 ``#`` comment lines may come only before its header, so a record whose
-market starts with ``#`` is still a record.
+market starts with ``#`` is still a record.  It is read back only as written:
+a cell the writer would not write (``True``, ``nan``, ``0.8``) is refused.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import get_type_hints
 
@@ -52,6 +54,8 @@ class Provenance:
 
 
 def _metric(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite metric {x!r}")
     return f"{x:.6f}"
 
 
@@ -85,26 +89,39 @@ def parse_results_csv(text: str) -> tuple[list[EvalRecord], Provenance]:
     for lineno, line in lines:
         if line.startswith("#"):
             if "provenance:" in line:
-                provenance = Provenance.from_comment(line)
+                provenance = _at_line(lineno, Provenance.from_comment, line)
         elif line:
             if line != RESULTS_HEADER:
                 raise ValueError(f"line {lineno}: expected header {RESULTS_HEADER!r}, got {line!r}")
             break
     else:
         raise ValueError("no results header found")
-    records: list[EvalRecord] = []
-    for lineno, line in lines:  # the lines after the header
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(_COLUMNS):
-            raise ValueError(f"line {lineno}: expected {len(_COLUMNS)} fields, got {len(parts)}")
-        cells = zip(_COLUMNS.items(), parts)
-        try:
-            records.append(EvalRecord(**{name: parse(part) for (name, (_, parse)), part in cells}))
-        except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from None
+    records = [_at_line(lineno, _record, line) for lineno, line in lines if line]  # the lines after the header
     return records, provenance
+
+
+def _at_line(lineno: int, read, line: str):
+    """read(line), with a ValueError it raises prefixed by the line number."""
+    try:
+        return read(line)
+    except ValueError as err:
+        raise ValueError(f"line {lineno}: {err}") from None
+
+
+def _record(line: str) -> EvalRecord:
+    """One record line; a cell is accepted only if its column's codec writes the value it reads as the same text."""
+    parts = line.split(",")
+    if len(parts) != len(_COLUMNS):
+        raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(parts)}")
+    values = {}
+    for (name, (render, parse)), cell in zip(_COLUMNS.items(), parts):
+        try:
+            values[name] = parse(cell)
+            if render(values[name]) != cell:
+                raise ValueError(f"{cell!r} is not a cell results_csv writes")
+        except ValueError as err:
+            raise ValueError(f"{err} (column {name!r})") from None
+    return EvalRecord(**values)
 
 
 def results_json(

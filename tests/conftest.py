@@ -1,4 +1,4 @@
-"""Shared fixtures: deterministic synthetic market data."""
+"""Shared fixtures: deterministic synthetic market data, and the config rules' refusal texts."""
 
 from __future__ import annotations
 
@@ -8,6 +8,15 @@ import pytest
 
 from opentrend.ohlc import OhlcSeries
 from opentrend.synth import GenSpec, generate
+
+#: the refusal text of the code that owns a key's rule, which config validation passes on after the key
+OWNER_TEXT = {
+    "split_ratio": "split ratio must be in (0, 1)",  # dataset.train_fraction
+    "shap_mode": "unknown attribution mode",  # explain.attribution_mode
+    "shap_background": "background size must be >= 1",  # explain.background_sample
+    "shap_rows": "attributed row count must be >= 1",  # explain.row_subsample
+    "shap_permutations": "n_permutations must be >= 1",  # explain.permutation_count
+}
 
 
 def series_from_rows(rows, market="m", start=dt.date(2019, 4, 1)) -> OhlcSeries:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import OWNER_TEXT
 from opentrend import __version__
 from opentrend.cli import main
 from opentrend.config import RunConfig
@@ -581,6 +582,7 @@ class TestParser:
             ("explain", "--classifier", "DT", "shap_model"),
             ("explain", "--classifier", "", "shap_model"),
             ("explain", "--mode", "fast", "shap_mode"),
+            ("explain", "--permutations", "0", "shap_permutations"),
             ("explain", "--task", "xx", "tasks"),
             ("explain", "--task", "op,hi", "tasks"),
             ("explain", "--split-ratio", "1", "split_ratio"),
@@ -601,6 +603,8 @@ class TestParser:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert f"'{key}'" in captured.err
+        if value != "abc":  # "abc" is refused by the int parser, before the owner's rule
+            assert OWNER_TEXT.get(key, "") in captured.err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import OWNER_TEXT
 from opentrend.config import (
     ConfigError,
     RunConfig,
@@ -106,6 +111,10 @@ class TestValidate:
             ("shap_mode", "kernel"),
             ("shap_background", "0"),
             ("shap_model", "resnet"),
+            ("shap_rows", "0"),
+            ("shap_permutations", "0"),
+            ("split_ratio", "0"),
+            ("split_ratio", "nan"),
             ("acc_threshold", "nan"),
             ("acc_threshold", "5"),
             ("acc_threshold", "-2"),
@@ -116,8 +125,9 @@ class TestValidate:
     )
     def test_out_of_range_values_name_the_key(self, key, value):
         config = apply_assignments(RunConfig(), [(key, value)])
-        with pytest.raises(ConfigError, match=f"'{key}'"):
+        with pytest.raises(ConfigError, match=f"'{key}'") as refused:
             config.validate()
+        assert OWNER_TEXT.get(key, "") in str(refused.value)
 
     def test_bad_task_code(self):
         config = apply_assignments(RunConfig(), [("tasks", "op,volatility")])
@@ -221,6 +231,26 @@ class TestHashing:
         assert again.config_hash == config.config_hash
 
 
+#: text a results.csv cell can hold: no ',', no line break, no whitespace at the ends (a line is stripped)
+CELL_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters=",")).filter(
+    lambda s: s == s.strip() and s.splitlines() in ([], [s])
+)
+#: a metric results.csv holds exactly: a finite float already rounded to its six written decimals
+METRIC = st.floats(-1e6, 1e6).map(lambda x: float(f"{x:.6f}"))
+RECORDS = st.builds(
+    EvalRecord,
+    CELL_TEXT,
+    CELL_TEXT,
+    CELL_TEXT,
+    CELL_TEXT,
+    METRIC,
+    METRIC,
+    st.integers(-(2**63), 2**63),
+    st.integers(-(2**63), 2**63),
+    st.booleans(),
+)
+
+
 class TestProvenance:
     def test_comment_round_trip(self):
         p = Provenance(seed=42, config_hash="0123456789abcdef", version="0.1.0")
@@ -278,3 +308,38 @@ class TestProvenance:
         records = [EvalRecord("m", "op", "INT", "dt", 1 / 3, -1 / 7, 80, 20, False)]
         text = results_csv(records, Provenance(seed=0, config_hash="x"))
         assert "0.333333,-0.142857" in text
+
+    def test_malformed_provenance_names_its_line(self):
+        text = f"# note\n# provenance: tool=opentrend seed=abc config=x\n{RESULTS_HEADER}\n"
+        with pytest.raises(ValueError, match="^line 2: invalid literal for int"):
+            parse_results_csv(text)
+
+    @pytest.mark.parametrize(
+        "column,cell",
+        [
+            ("effective", "True"),
+            ("effective", "1"),
+            ("accuracy", "nan"),
+            ("mcc", "inf"),
+            ("accuracy", "0.8"),
+            ("n_train", "080"),
+        ],
+    )
+    def test_cell_results_csv_never_writes_is_refused(self, column, cell):
+        written = results_csv(
+            [EvalRecord("m", "op", "INT", "dt", 0.8, 0.5, 80, 20, True)], Provenance(seed=0, config_hash="x")
+        )
+        header, row = written.splitlines()[1:]
+        cells = row.split(",")
+        cells[header.split(",").index(column)] = cell
+        with pytest.raises(ValueError, match=f"^line 3: .*\\(column '{column}'\\)$"):
+            parse_results_csv(written.replace(row, ",".join(cells)))
+
+    def test_non_finite_metric_is_not_written(self):
+        with pytest.raises(ValueError, match="non-finite metric nan"):
+            results_csv([EvalRecord("m", "op", "INT", "dt", math.nan, 0.5, 80, 20, False)], Provenance(0, "x"))
+
+    @given(st.lists(RECORDS, max_size=5))
+    def test_every_written_file_reads_back_its_records(self, records):
+        p = Provenance(seed=7, config_hash="feedface00000000")
+        assert parse_results_csv(results_csv(records, p)) == (records, p)

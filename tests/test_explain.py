@@ -676,3 +676,12 @@ class TestSampling:
         assert np.all(np.diff(idx) > 0)  # sorted: attribution keeps row order
         small = row_subsample(np.zeros((30, 2)), max_rows=100, seed=2)
         np.testing.assert_array_equal(small, np.arange(30))
+
+    @pytest.mark.parametrize("max_rows", [0, -1])
+    def test_background_size_below_one_refused(self, max_rows):
+        with pytest.raises(ValueError, match=f"background size must be >= 1, got {max_rows}"):
+            background_sample(np.zeros((10, 2)), max_rows=max_rows)
+
+    def test_row_count_below_one_refused(self):
+        with pytest.raises(ValueError, match="attributed row count must be >= 1, got 0"):
+            row_subsample(np.zeros((10, 2)), max_rows=0)
