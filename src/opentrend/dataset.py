@@ -18,6 +18,7 @@ import numpy as np
 from opentrend.features import FeatureMatrix
 from opentrend.labeling import LabelVector, TaskKind
 from opentrend.learners import ClassifierSpec, fit, predict
+from opentrend.learners.base import positive_int
 
 STATIC_SPLIT = "static"
 ROLLING_ONE_STEP = "rolling"
@@ -41,7 +42,7 @@ class EvalMode:
     def __post_init__(self) -> None:
         if self.kind not in (STATIC_SPLIT, ROLLING_ONE_STEP):
             raise ValueError(f"unknown eval mode {self.kind!r}")
-        if not isinstance(self.refit_every, int) or self.refit_every < 1:
+        if not positive_int(self.refit_every):
             raise ValueError(f"refit_every must be an integer >= 1, got {self.refit_every!r}")
 
 

@@ -66,7 +66,7 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
             find_split=make_exhaustive_finder(gradient, SSE),
             leaf_value=leaf_value,
             block=block,
-        )
+        ).tree
         trees.append(tree)
         z = z + lr * step
     return BoostedTreesState(base_score=base_score, learning_rate=lr, trees=trees)

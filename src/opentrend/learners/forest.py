@@ -60,7 +60,7 @@ def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> Ex
                 candidates=random_candidates(rng, n_features, max_features),  # interleaves with the finder's draws
                 find_split=make_random_entropy_finder(y, rng),
                 block=block,
-            )
+            ).tree
         )
     return ExtraTreesState(trees=trees)
 

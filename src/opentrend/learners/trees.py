@@ -50,6 +50,26 @@ refits of a rolling cell share the cell seed, and the list draws each node's
 columns once.  The cache holds the most recent key only, and appending to
 the list takes no lock: the grid runs its cells one at a time.
 
+An expanding-window refit starts from the previous window's fit.  With the
+draws of a key (``max_features`` below the column count), the cache also
+keeps the last fit that read them: its root block, its labels, its tree and
+each node's draw index.  A fit of the same ``max_depth`` whose labels start
+with those labels, and whose rows gathered at the kept block's ids hold the
+block's values bit for bit (compared as int64, so -0.0 is not 0.0), extends
+that window.  Its block is then carried rather than sorted: each column's
+new rows are sorted among themselves and inserted after their equal values,
+which is the (value, row id) order ``sort_columns`` gives, since new rows
+have the largest ids.  And its grower walks the old tree in lockstep
+(``grow_tree``'s ``previous``): a node whose rows are all old and whose
+draw index equals its counterpart's has that node's rows, depth and draws,
+so the old subtree is copied instead of grown.  Every other fit, including
+a sliding (``freeze_window``) or shorter window, an edited prefix, a
+standardized spec, another ``max_depth`` and a key with every column a
+candidate, sorts and grows from scratch.  Either way the tree, and so the
+model JSON, is the one a fresh fit gives.  Boosting and ExtraTrees grow
+every tree afresh: a boosting round's gradients change with every added
+row, and an ExtraTrees node depends on its generator's whole earlier state.
+
 Tie-breaking is explicit everywhere: candidate columns are scanned in
 ascending index order and only a strictly better gain displaces the
 incumbent, so equal-gain ties resolve to the lowest column index; within a
@@ -254,6 +274,20 @@ def _compress(block: tuple[np.ndarray, np.ndarray], keep: np.ndarray) -> tuple[n
     return ids.take(flat).reshape(ids.shape[0], -1), values.take(flat).reshape(ids.shape[0], -1)
 
 
+@dataclass(frozen=True, eq=False)
+class GrownTree:
+    """A grown tree with what a later grow on more rows needs to start from it.
+
+    ``draws[i]`` is the index of node i's candidate draw, counted from the
+    grow's first, or -1 for a node made a leaf without drawing; ``n_rows`` is
+    the number of rows the tree was grown on.
+    """
+
+    tree: TreeArrays
+    draws: np.ndarray
+    n_rows: int
+
+
 def grow_tree(
     X: np.ndarray,
     target: np.ndarray,
@@ -263,7 +297,8 @@ def grow_tree(
     find_split: Callable[[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]], _SplitChoice | None],
     block: tuple[np.ndarray, np.ndarray],
     leaf_value: Callable[[np.ndarray], float] | None = None,
-) -> TreeArrays:
+    previous: GrownTree | None = None,
+) -> GrownTree:
     """Grow one tree over row indices of X with pluggable split logic.
 
     ``block`` is ``sort_columns(X)``.  A node with constant target is a
@@ -272,6 +307,15 @@ def grow_tree(
     node's sorted candidate columns; with no source every node gets all of
     them.  ``find_split(idx, candidates, node_block)`` gets the node's
     ascending row indices, its candidate columns and the node's block.
+
+    ``previous`` is a grow with mean leaves and the same split logic on the
+    first ``previous.n_rows`` rows of X and target, whose candidate source
+    gave the same draws from its first.  A node's counterpart there is the
+    node reached by the same (column, threshold) choices.  A node whose rows
+    all lie in that prefix and whose draw index equals its counterpart's has
+    the same rows, depth and draws, so it would grow the same subtree: that
+    subtree is copied, its node ids shifted, and the source is advanced past
+    the draws it used.
     """
     all_columns = np.arange(X.shape[1])
     feature: list[int] = []
@@ -279,6 +323,8 @@ def grow_tree(
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
+    draws: list[int] = []
+    drawn = 0  # draws made or copied so far: the next drawing node's index
     in_left = np.zeros(X.shape[0], dtype=bool)  # go-left flags, valid only at the rows of the node just split
 
     def alloc() -> int:
@@ -287,6 +333,7 @@ def grow_tree(
         left.append(-1)
         right.append(-1)
         value.append(0.0)
+        draws.append(-1)
         return len(feature) - 1
 
     def splittable(idx: np.ndarray, depth: int) -> bool:
@@ -295,13 +342,47 @@ def grow_tree(
         t = target[idx]
         return t.max() != t.min()
 
+    if previous is not None:
+        old = previous.tree
+        old_feature, old_threshold, old_left, old_right, old_value, old_draws = (
+            a.tolist() for a in (old.feature, old.threshold, old.left, old.right, old.value, previous.draws)
+        )
+        ends = _subtree_ends(old_feature, old_left, old_right)
+
+    def copy(node: int, twin: int) -> int:
+        """Copy twin's subtree from the previous tree onto node; returns the draws it used."""
+        feature[node], threshold[node], value[node] = old_feature[twin], old_threshold[twin], old_value[twin]
+        draws[node] = old_draws[twin]
+        if old_feature[twin] < 0:
+            return 1
+        start, end = old_left[twin], ends[twin]  # the descendants: one contiguous id range
+        shift = len(feature) - start
+        left[node], right[node] = old_left[twin] + shift, old_right[twin] + shift
+        feature.extend(old_feature[start:end])
+        threshold.extend(old_threshold[start:end])
+        value.extend(old_value[start:end])
+        draws.extend(old_draws[start:end])
+        left.extend(i + shift if i >= 0 else -1 for i in old_left[start:end])
+        right.extend(i + shift if i >= 0 else -1 for i in old_right[start:end])
+        return max(old_draws[twin], *old_draws[start:end]) + 1 - old_draws[twin]  # a subtree's draws are consecutive
+
     root = alloc()
     idx = np.arange(X.shape[0])
-    stack = [(root, idx, 0, block if splittable(idx, 0) else None)]  # a node without a block is a leaf
+    # a node without a block is a leaf; twin is its counterpart in the previous tree, -1 for none
+    stack = [(root, idx, 0, block if splittable(idx, 0) else None, -1 if previous is None else 0)]
     while stack:
-        node, idx, depth, node_block = stack.pop()
+        node, idx, depth, node_block, twin = stack.pop()
         choice = None
         if node_block is not None:
+            if twin >= 0 and old_draws[twin] == drawn and idx[-1] < previous.n_rows:
+                used = copy(node, twin)
+                drawn += used
+                if candidates is not None:
+                    for _ in range(used):
+                        candidates()
+                continue
+            draws[node] = drawn
+            drawn += 1
             choice = find_split(idx, all_columns if candidates is None else candidates(), node_block)
         if choice is None:
             value[node] = float(target[idx].sum() / idx.size) if leaf_value is None else leaf_value(idx)
@@ -320,15 +401,28 @@ def grow_tree(
             keep = in_left.take(node_block[0])
             left_block = _compress(node_block, keep) if left_ok else None
             right_block = _compress(node_block, ~keep) if right_ok else None
-        stack.append((right_id, right_idx, depth + 1, right_block))
-        stack.append((left_id, left_idx, depth + 1, left_block))  # popped first: left before right
-    return TreeArrays(
+        left_twin = right_twin = -1
+        if twin >= 0 and old_feature[twin] == choice.column and old_threshold[twin] == choice.threshold:
+            left_twin, right_twin = old_left[twin], old_right[twin]
+        stack.append((right_id, right_idx, depth + 1, right_block, right_twin))
+        stack.append((left_id, left_idx, depth + 1, left_block, left_twin))  # popped first: left before right
+    tree = TreeArrays(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left, dtype=np.int64),
         right=np.array(right, dtype=np.int64),
         value=np.array(value, dtype=np.float64),
     )
+    return GrownTree(tree=tree, draws=np.array(draws, dtype=np.int64), n_rows=X.shape[0])
+
+
+def _subtree_ends(feature: list[int], left: list[int], right: list[int]) -> list[int]:
+    """Per node, one past the largest node id in its subtree (children follow their parent)."""
+    ends = list(range(1, len(feature) + 1))
+    for node in reversed(range(len(feature))):
+        if feature[node] >= 0:
+            ends[node] = max(ends[left[node]], ends[right[node]])
+    return ends
 
 
 # ---------------------------------------------------------------------------
@@ -488,39 +582,112 @@ class DecisionTreeState:
         return self.tree.coalition_tables(x, background)
 
 
+@dataclass(frozen=True, eq=False)
+class _LastFit:
+    """A DecisionTree fit kept for the next fit of its seed draws: its root block and labels, and its grow."""
+
+    max_depth: int
+    block: tuple[np.ndarray, np.ndarray]
+    y: np.ndarray
+    grown: GrownTree
+
+
+@dataclass(eq=False)
+class _SeedDraws:
+    """The draws of ``random_candidates(default_rng(seed), d, m)`` made so far, the source of the next, the last fit."""
+
+    drawn: list[np.ndarray]
+    draw: Callable[[], np.ndarray]
+    last: _LastFit | None = None
+
+
 @functools.lru_cache(maxsize=1)  # the most recent (seed, d, m) only
-def _draw_list(seed: int, d: int, m: int) -> tuple[list[np.ndarray], Callable[[], np.ndarray]]:
-    """The draws of ``random_candidates(default_rng(seed), d, m)`` made so far, and the source of the next."""
-    return [], random_candidates(np.random.default_rng(seed), d, m)
+def _draw_list(seed: int, d: int, m: int) -> _SeedDraws:
+    """The shared draws of (seed, d, m), m < d."""
+    return _SeedDraws([], random_candidates(np.random.default_rng(seed), d, m))
+
+
+class _DrawReader:
+    """A candidate source reading the shared draws of one (seed, d, m) from the first; ``seed_draws`` holds them."""
+
+    def __init__(self, seed_draws: _SeedDraws) -> None:
+        self.seed_draws = seed_draws
+        self.k = 0
+
+    def __call__(self) -> np.ndarray:  # arrays its caller must not write
+        drawn = self.seed_draws.drawn
+        if self.k == len(drawn):
+            drawn.append(self.seed_draws.draw())
+        self.k += 1
+        return drawn[self.k - 1]
 
 
 def _seed_candidates(seed: int, d: int, m: int) -> Callable[[], np.ndarray] | None:
     """``random_candidates(default_rng(seed), d, m)``, read from the shared draws of (seed, d, m)."""
-    if m >= d:
-        return None
-    drawn, draw = _draw_list(seed, d, m)
-    k = 0
+    return None if m >= d else _DrawReader(_draw_list(seed, d, m))
 
-    def next_draw() -> np.ndarray:  # arrays its caller must not write
-        nonlocal k
-        if k == len(drawn):
-            drawn.append(draw())
-        k += 1
-        return drawn[k - 1]
 
-    return next_draw
+def _extend_block(block: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sort_columns(X)`` from the block of X's first rows.
+
+    Each column's new rows are sorted among themselves (stable) and go after
+    their equal values (``searchsorted(side="right")``): their ids are the
+    largest, so this is the (value, row id) order, ties and -0.0 == 0.0
+    included.
+    """
+    ids, values = block
+    n_old = ids.shape[1]
+    fresh = X[n_old:].T
+    order = np.argsort(fresh, axis=1, kind="stable")
+    fresh = np.take_along_axis(fresh, order, axis=1)
+    at = np.array([np.searchsorted(column, new, side="right") for column, new in zip(values, fresh)])
+    at += np.arange(fresh.shape[1])  # each new row also lands after the new rows before it
+    is_new = np.zeros((ids.shape[0], X.shape[0]), dtype=bool)
+    np.put_along_axis(is_new, at, True, axis=1)
+    out_ids, out_values = np.empty(is_new.shape, dtype=ids.dtype), np.empty(is_new.shape)
+    out_ids[is_new], out_ids[~is_new] = (order + n_old).ravel(), ids.ravel()
+    out_values[is_new], out_values[~is_new] = fresh.ravel(), values.ravel()
+    return out_ids, out_values
+
+
+def _resume(seed_draws: _SeedDraws | None, X: np.ndarray, y: np.ndarray, max_depth: int):
+    """X's root block and a grow to start from: the last fit's, carried, if X and y extend its rows; else a sort, None.
+
+    The last fit leaves ``seed_draws`` here, so its block is freed as soon as
+    the new one is built.  X and y extend its rows when it had this
+    max_depth, y starts with its labels and X's rows gathered at its block's
+    ids hold the block's values, compared as int64 so that every bit counts.
+    """
+    last = None if seed_draws is None else seed_draws.last
+    if last is not None:
+        seed_draws.last = None
+        ids, values = last.block
+        if (
+            last.max_depth == max_depth
+            and X.shape[0] >= ids.shape[1]
+            and np.array_equal(y[: ids.shape[1]], last.y)
+            and np.array_equal(np.take_along_axis(X.T, ids, axis=1).view(np.int64), values.view(np.int64))
+        ):
+            return _extend_block(last.block, X), last.grown
+    return sort_columns(X), None
 
 
 def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> DecisionTreeState:
-    tree = grow_tree(
+    candidates = _seed_candidates(seed, X.shape[1], hyper["max_features"])
+    seed_draws = getattr(candidates, "seed_draws", None)  # None when every column is a candidate: no draws to share
+    block, previous = _resume(seed_draws, X, y, hyper["max_depth"])
+    grown = grow_tree(
         X,
         y,
         max_depth=hyper["max_depth"],
-        candidates=_seed_candidates(seed, X.shape[1], hyper["max_features"]),
+        candidates=candidates,
         find_split=make_exhaustive_finder(y, GINI),
-        block=sort_columns(X),
+        block=block,
+        previous=previous,
     )
-    return DecisionTreeState(tree=tree)
+    if seed_draws is not None:
+        seed_draws.last = _LastFit(hyper["max_depth"], block, y, grown)
+    return DecisionTreeState(tree=grown.tree)
 
 
 register_family(

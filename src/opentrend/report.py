@@ -42,15 +42,17 @@ class Provenance:
 
     @classmethod
     def from_comment(cls, line: str) -> "Provenance":
-        parts = dict(
-            item.split("=", 1) for item in line.lstrip("# ").removeprefix("provenance:").split() if "=" in item
-        )
-        return cls(
-            seed=int(parts.get("seed", 0)),
+        """The provenance a ``comment`` line records; a line ``comment`` would not write back unchanged is refused."""
+        parts = dict(item.partition("=")[::2] for item in line.removeprefix("# provenance:").split())
+        provenance = cls(
+            seed=int(parts.get("seed", "0")),
             config_hash=parts.get("config", ""),
-            tool=parts.get("tool", "opentrend"),
-            version=parts.get("version", __version__),
+            tool=parts.get("tool", ""),
+            version=parts.get("version", ""),
         )
+        if provenance.comment != line:
+            raise ValueError(f"{line!r} is not a provenance line opentrend writes")
+        return provenance
 
 
 def _metric(x: float) -> str:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import OWNER_TEXT
+from opentrend import __version__
 from opentrend.config import (
     ConfigError,
     RunConfig,
@@ -294,7 +296,17 @@ class TestProvenance:
         with pytest.raises(ValueError, match="line 2: expected 9 fields, got 1"):
             parse_results_csv(text)
 
-    @pytest.mark.parametrize("text", ["", "\n", "# provenance: tool=opentrend seed=1 config=x\n# note\n"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n",
+            pytest.param(  # a whole provenance line, so that only the missing header is at fault
+                f"# provenance: tool=opentrend version={__version__} seed=1 config=x\n# note\n",
+                id="# provenance: tool=opentrend seed=1 config=x\n# note\n",
+            ),
+        ],
+    )
     def test_file_without_header_refused(self, text):
         with pytest.raises(ValueError, match="no results header found"):
             parse_results_csv(text)
@@ -308,6 +320,24 @@ class TestProvenance:
         records = [EvalRecord("m", "op", "INT", "dt", 1 / 3, -1 / 7, 80, 20, False)]
         text = results_csv(records, Provenance(seed=0, config_hash="x"))
         assert "0.333333,-0.142857" in text
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "# provenance: nothing here",
+            f"# provenance: tool=opentrend version={__version__} config=x",
+            f"# provenance: tool=opentrend version={__version__} seed=+07 config=x",
+            f"# provenance: tool=opentrend version={__version__} seed=7 config=x extra=1",
+            f"# provenance: tool=opentrend version={__version__} seed=7 seed=7 config=x",
+            f"# provenance: version={__version__} tool=opentrend seed=7 config=x",
+        ],
+        ids=["no-fields", "no-seed", "signed-seed", "unknown-key", "repeated-key", "reordered"],
+    )
+    def test_provenance_comment_writes_never_is_refused(self, line):
+        with pytest.raises(ValueError, match=f"^line 2: {re.escape(repr(line))} is not a provenance line opentrend writes$"):
+            parse_results_csv(f"# note\n{line}\n{RESULTS_HEADER}\n")
+        again = Provenance(seed=7, config_hash="x")
+        assert parse_results_csv(f"# note\n{again.comment}\n{RESULTS_HEADER}\n") == ([], again)
 
     def test_malformed_provenance_names_its_line(self):
         text = f"# note\n# provenance: tool=opentrend seed=abc config=x\n{RESULTS_HEADER}\n"

@@ -194,6 +194,9 @@ class TestEvalModes:
             EvalMode(kind="loocv")
         with pytest.raises(ValueError, match="refit_every"):
             EvalMode(kind="rolling", refit_every=0)
+        for flag in (True, False):  # a bool is an int to isinstance, but not a refit cadence
+            with pytest.raises(ValueError, match=f"^refit_every must be an integer >= 1, got {flag}$"):
+                EvalMode(kind="rolling", refit_every=flag)
 
     def test_fit_failure_names_window(self, make_grw):
         ds = build_dataset(make_grw(days=40, seed=1), feature_set="INT")

@@ -712,7 +712,7 @@ class TestDecisionTree:
         y = (X[:, 0] + X[:, 5] - X[:, 9] + rng.normal(scale=1.5, size=400) > 0).astype(np.int64)
 
         def fresh_draws(seed, d, m):
-            """The grower fed a fresh ``default_rng(seed)`` per fit."""
+            """A fresh ``default_rng(seed)`` per fit, in a source with no ``seed_draws``: no last fit to start from."""
             gen = np.random.default_rng(seed)
             return None if m >= d else lambda: np.sort(gen.choice(d, size=m, replace=False))
 
@@ -744,8 +744,9 @@ class TestDecisionTree:
         assert cached() == (2, 4, 1)
         fit_both(7, 400, 16, max_features=16)  # every column is a candidate: no draws, the list stays
         fit_both(7, 400, 4)
-        drawn, _ = trees._draw_list(7, 4, 3)
-        assert cached() == (3, 4, 1) and len(drawn) > 0
+        assert cached() == (2, 4, 1)
+        assert len(trees._draw_list(7, 4, 3).drawn) > 0
+        assert cached() == (3, 4, 1)
 
     def test_reader_outlives_its_evicted_key(self, monkeypatch):
         """A reader of seed 7 keeps reading seed 7's draws after a seed 8 fit evicts that key."""
@@ -764,7 +765,7 @@ class TestDecisionTree:
             m.setattr(trees, "_seed_candidates", lambda *key: reader)
             got = model_to_json(fit(spec, X, y))
         gen = np.random.default_rng(7)
-        with monkeypatch.context() as m:
+        with monkeypatch.context() as m:  # a plain source: no last fit, so the reference grows from scratch
             m.setattr(trees, "_seed_candidates", lambda *key: lambda: np.sort(gen.choice(16, size=5, replace=False)))
             want = model_to_json(fit(spec, X, y))
         assert got == want
@@ -773,6 +774,143 @@ class TestDecisionTree:
         X = np.array([[0.0], [1.0], [2.0]])
         model = fit(preset("dt"), X, np.array([1, 1, 1]))
         assert isinstance(model.state, ConstantState)
+
+
+
+def _rolling_data(kind, n=260, d=8, seed=5):
+    """(X, y) for expanding-window refits; kind picks how the values tie."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = (X[:, 0] - X[:, 3] + rng.normal(scale=1.0, size=n) > 0).astype(np.int64)
+    if kind == "rounded":  # a few distinct values per column: ties everywhere
+        X = np.round(X)
+    elif kind == "signed_zeros":  # one column of 0.0 and -0.0, which sort as equals
+        X[:, 2] = np.where(rng.random(n) < 0.5, 0.0, -0.0) * (X[:, 2] > 0)
+        X[:, 5] = np.copysign(0.0, X[:, 5])
+    elif kind == "reverse_ties":  # rows past 200 repeat old values in tied pairs, each pair below the one before
+        X = np.round(X)
+        X[200:] = np.tile(np.repeat([2.0, 1.0, 0.0, -1.0], 2), n)[: n - 200, None]
+    return X, y
+
+
+class TestRollingRefits:
+    """An expanding-window refit of a DecisionTree starts from the last fit of its seed draws, with a fresh fit's bytes."""
+
+    spec = ClassifierSpec("DecisionTree", {"max_depth": 10, "max_features": 3}, seed=11)
+
+    @staticmethod
+    def fresh(spec, X, y):
+        """A fit that starts from nothing: the draw cache, and the last fit with it, is cleared first."""
+        from opentrend.learners import trees
+
+        trees._draw_list.cache_clear()
+        return model_to_json(fit(spec, X, y))
+
+    @pytest.mark.parametrize("step", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["continuous", "rounded", "signed_zeros", "reverse_ties"])
+    def test_expanding_refits_equal_fresh_fits(self, kind, step):
+        from opentrend.learners import trees
+
+        X, y = _rolling_data(kind)
+        trees._draw_list.cache_clear()
+        windows = [200 + step * i for i in range(6)]
+        refits = []
+        for n in windows:
+            refits.append(model_to_json(fit(self.spec, X[:n], y[:n])))
+            ids, values = trees._draw_list(11, X.shape[1], 3).last.block
+            want_ids, want_values = sort_columns(X[:n])
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(values.view(np.int64), want_values.view(np.int64))  # -0.0 is not 0.0
+        for n, got in zip(windows, refits):
+            assert got == self.fresh(self.spec, X[:n], y[:n]), n
+
+    def test_refit_copies_unchanged_subtrees(self, monkeypatch):
+        """A one-row refit calls the finder less often than a fresh fit of the same rows."""
+        from opentrend.learners import trees
+
+        calls = []
+
+        def counting(target, criterion):
+            find = make_exhaustive_finder(target, criterion)
+            return lambda *args: calls.append(1) or find(*args)
+
+        monkeypatch.setattr(trees, "make_exhaustive_finder", counting)
+        X, y = _rolling_data("continuous")
+        trees._draw_list.cache_clear()
+        fit(self.spec, X[:200], y[:200])
+        calls.clear()
+        refit = model_to_json(fit(self.spec, X[:201], y[:201]))
+        reused = len(calls)
+        calls.clear()
+        assert refit == self.fresh(self.spec, X[:201], y[:201])
+        assert 0 < reused < len(calls) // 2
+
+    def fallback(self, X, y, then, spec=None):
+        """Fit rows [0, 200), then ``then`` (an (X, y) pair or a callable making one) with spec: a fresh fit's bytes."""
+        from opentrend.learners import trees
+
+        trees._draw_list.cache_clear()
+        fit(self.spec, X[:200], y[:200])
+        X2, y2 = then() if callable(then) else then
+        spec = spec or self.spec
+        assert model_to_json(fit(spec, X2, y2)) == self.fresh(spec, X2, y2)
+
+    def test_edited_prefix_fits_afresh(self):
+        X, y = _rolling_data("continuous")
+        X = X.copy()
+
+        def edit():
+            X[:100] = X[:100, ::-1]  # in place, in the caller's array the last fit read
+            return X[:201], y[:201]
+
+        self.fallback(X, y, edit)
+
+    def test_signed_zero_edit_is_seen(self):
+        """Turning a prefix 0.0 into -0.0 in place changes no comparison, but the carried block must hold the new bits."""
+        from opentrend.learners import trees
+
+        X, y = _rolling_data("signed_zeros")
+        X = X.copy()
+        trees._draw_list.cache_clear()
+        fit(self.spec, X[:200], y[:200])
+        X[:100, 5] = -X[:100, 5]
+        got = model_to_json(fit(self.spec, X[:201], y[:201]))
+        values = trees._draw_list(11, X.shape[1], 3).last.block[1]
+        np.testing.assert_array_equal(values.view(np.int64), sort_columns(X[:201])[1].view(np.int64))
+        assert got == self.fresh(self.spec, X[:201], y[:201])
+
+    @pytest.mark.parametrize("row", [7, 100, 199])
+    def test_flipped_label_fits_afresh(self, row):
+        X, y = _rolling_data("continuous")
+        flipped = y.copy()
+        flipped[row] = 1 - flipped[row]
+        self.fallback(X, y, (X[:201], flipped[:201]))
+
+    def test_shorter_window_fits_afresh(self):
+        X, y = _rolling_data("continuous")
+        self.fallback(X, y, (X[:150], y[:150]))
+
+    @pytest.mark.parametrize("hyper", [{"max_depth": 4, "max_features": 3}, {"max_depth": 10, "max_features": 2}])
+    def test_other_hyperparameters_fit_afresh(self, hyper):
+        X, y = _rolling_data("continuous")
+        self.fallback(X, y, (X[:201], y[:201]), dataclasses.replace(self.spec, hyperparams=hyper))
+
+    def test_standardized_refit_fits_afresh(self):
+        X, y = _rolling_data("continuous")
+        spec = dataclasses.replace(self.spec, standardize=True)
+        fit(spec, X[:200], y[:200])  # the scaled rows of a longer window are not an extension of these
+        assert model_to_json(fit(spec, X[:201], y[:201])) == self.fresh(spec, X[:201], y[:201])
+
+    def test_frozen_window_refits_fit_afresh(self):
+        """A frozen window (``EvalMode.freeze_window``) slides: each refit drops the first row, so it fits afresh."""
+        from opentrend.learners import trees
+
+        X, y = _rolling_data("rounded")
+        trees._draw_list.cache_clear()
+        for start in range(4):
+            got = model_to_json(fit(self.spec, X[start : start + 200], y[start : start + 200]))
+            assert got == self.fresh(self.spec, X[start : start + 200], y[start : start + 200])
+            fit(self.spec, X[start : start + 200], y[start : start + 200])  # the next window's last fit
 
 
 def _gini(ones, n):
@@ -987,7 +1125,7 @@ class TestGrowTree:
                 candidates=random_candidates(np.random.default_rng(case), X.shape[1], max_features),
                 find_split=make_exhaustive_finder(y, GINI),
                 block=sort_columns(X),
-            )
+            ).tree
             expected = reference_tree(
                 X,
                 y,
@@ -1021,7 +1159,7 @@ class TestGrowTree:
                 find_split=make_exhaustive_finder(gradient, SSE),
                 leaf_value=leaf_value,
                 block=sort_columns(X),
-            )
+            ).tree
             expected = reference_tree(
                 X,
                 gradient,
@@ -1056,7 +1194,7 @@ class TestGrowTree:
                 candidates=None,
                 find_split=make_exhaustive_finder(target, criterion),
                 block=sort_columns(X),
-            )
+            ).tree
             expected = reference_tree(
                 X,
                 target,
@@ -1115,7 +1253,7 @@ class TestGrowTree:
                 candidates=random_candidates(tree_rng, X.shape[1], max_features),
                 find_split=make_random_entropy_finder(y, tree_rng),
                 block=sort_columns(X),
-            )
+            ).tree
             ref_rng = np.random.default_rng(case)
 
             def split(idx, candidates):
