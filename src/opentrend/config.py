@@ -31,10 +31,8 @@ from opentrend.explain import (
     DEFAULT_BACKGROUND_SIZE,
     DEFAULT_ROW_SUBSAMPLE,
     SHAP_EXACT,
+    at_least_one,
     attribution_mode,
-    background_sample,
-    permutation_count,
-    row_subsample,
 )
 from opentrend.features import FeatureSetMask, NAMED_FEATURE_SETS
 from opentrend.indicators import IndicatorParams
@@ -95,10 +93,10 @@ class RunConfig:
             _keyed("shap_model", preset, self.shap_model)
         _keyed("shap_mode", attribution_mode, self.shap_mode)
         (shap_feature_set,) = _canonical_grid("shap_feature_set", (self.shap_feature_set,), _feature_set_name)
-        # the samplers refuse a bad size before they look at their (here empty) rows
-        _keyed("shap_background", background_sample, (), self.shap_background)
-        _keyed("shap_rows", row_subsample, (), self.shap_rows)
-        _keyed("shap_permutations", permutation_count, self.shap_permutations)
+        # the sizes explain.background_sample, row_subsample and shapley_sampled refuse
+        _keyed("shap_background", at_least_one, "background size", self.shap_background)
+        _keyed("shap_rows", at_least_one, "attributed row count", self.shap_rows)
+        _keyed("shap_permutations", at_least_one, "n_permutations", self.shap_permutations)
         markets: dict[str, str] = {}  # file name tag -> market; the tag names the market's artifacts
         for market, _path in self.inputs:
             tag = safe_name(market)

@@ -79,12 +79,8 @@ def attribution_mode(mode: str) -> str:
     return mode
 
 
-def permutation_count(n: int) -> int:
-    """``n`` itself if sampled attribution can average over that many orderings: at least 1."""
-    return _at_least_one("n_permutations", n)
-
-
-def _at_least_one(name: str, n: int) -> int:
+def at_least_one(name: str, n: int) -> int:
+    """``n`` itself if it is a usable count of ``name``: orderings, background or attributed rows, at least 1."""
     if n < 1:
         raise ValueError(f"{name} must be >= 1, got {n!r}")
     return n
@@ -224,7 +220,7 @@ def shapley_sampled(model, x, background, n_permutations: int = 200, seed: int =
     block of scores is averaged on its own, so every value keeps the bits
     of scoring that hybrid alone.
     """
-    permutation_count(n_permutations)
+    at_least_one("n_permutations", n_permutations)
     row = _as_row(x)
     d = row.size
     bg = _as_background(background, d)
@@ -286,7 +282,7 @@ def global_importance(
 
 def background_sample(train_rows: np.ndarray, max_rows: int = DEFAULT_BACKGROUND_SIZE, seed: int = 0) -> np.ndarray:
     """Seeded without-replacement background draw of at most ``max_rows`` (>= 1) training rows."""
-    _at_least_one("background size", max_rows)
+    at_least_one("background size", max_rows)
     train = np.asarray(train_rows, dtype=np.float64)
     if train.shape[0] <= max_rows:
         return train.copy()
@@ -297,7 +293,7 @@ def background_sample(train_rows: np.ndarray, max_rows: int = DEFAULT_BACKGROUND
 
 def row_subsample(test_rows: np.ndarray, max_rows: int = DEFAULT_ROW_SUBSAMPLE, seed: int = 0) -> np.ndarray:
     """Seeded without-replacement choice of at most ``max_rows`` (>= 1) rows to attribute, order preserved."""
-    _at_least_one("attributed row count", max_rows)
+    at_least_one("attributed row count", max_rows)
     test = np.asarray(test_rows, dtype=np.float64)
     if test.shape[0] <= max_rows:
         return np.arange(test.shape[0])

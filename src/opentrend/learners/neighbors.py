@@ -1,8 +1,19 @@
 """k-nearest-neighbor voting on Euclidean distance.
 
 The score is the fraction of positive labels among the k closest training
-rows.  Distance ties break by training-row index (stable sort), so
-predictions cannot depend on memory layout or chance.
+rows.  Distance ties break by training-row index: of the rows at the k-th
+smallest distance, the lowest-index ones are taken, exactly the set the
+first k entries of a stable argsort give, so predictions cannot depend on
+memory layout or chance.
+
+Query rows are scored in blocks of about ``_BLOCK_TERMS`` squared-difference
+terms (block rows x training rows x columns), so memory stays bounded
+whatever the query and training sizes; each row's squared distances are the
+same ``einsum`` reduction over its own columns in any block.  Neighbours are
+picked without a full sort: ``np.partition`` finds the k-th smallest distance,
+then every row strictly closer is taken, then the lowest-index rows at that
+distance fill what is left of k.  The score is that count of positive labels
+divided by k, the bits a mean over the k labels gives.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ import numpy as np
 
 from opentrend.learners.base import positive_int, register_family
 
-_CHUNK_ROWS = 1024
+_BLOCK_TERMS = 1 << 16  # squared-difference terms per query block: 512 KB of float64
 
 
 @dataclass(eq=False)
@@ -37,13 +48,19 @@ class KNearestState:
 
     def score(self, X: np.ndarray) -> np.ndarray:
         k = min(self.k, self.train_X.shape[0])
+        positive = self.train_y == 1
+        rows = max(1, _BLOCK_TERMS // max(1, self.train_X.size))
         out = np.empty(X.shape[0])
-        for start in range(0, X.shape[0], _CHUNK_ROWS):
-            chunk = X[start : start + _CHUNK_ROWS]
-            deltas = chunk[:, None, :] - self.train_X[None, :, :]
+        for start in range(0, X.shape[0], rows):
+            deltas = X[start : start + rows, None, :] - self.train_X[None, :, :]
             d2 = np.einsum("qnd,qnd->qn", deltas, deltas)
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            out[start : start + _CHUNK_ROWS] = self.train_y[nearest].mean(axis=1)
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+            nearest = d2 < kth
+            tied = d2 == kth
+            # the lowest-index rows at the k-th distance fill what the closer ones leave of k
+            room = k - np.count_nonzero(nearest, axis=1, keepdims=True)
+            nearest |= tied & (np.cumsum(tied, axis=1) <= room)
+            out[start : start + rows] = np.count_nonzero(nearest & positive, axis=1) / k
         return out
 
 

@@ -15,7 +15,7 @@ OWNER_TEXT = {
     "shap_mode": "unknown attribution mode",  # explain.attribution_mode
     "shap_background": "background size must be >= 1",  # explain.background_sample
     "shap_rows": "attributed row count must be >= 1",  # explain.row_subsample
-    "shap_permutations": "n_permutations must be >= 1",  # explain.permutation_count
+    "shap_permutations": "n_permutations must be >= 1",  # explain.shapley_sampled
 }
 
 

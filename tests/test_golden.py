@@ -22,7 +22,11 @@ block; they pin every uniform draw, threshold and leaf of the forest on 4
 columns, on 16 and on the tied span.  The run-bundle digests were recorded
 before the run defaults, the cell seed and the Shapley matrix each got a
 single owner; they pin the bytes of one whole ``cmd_run`` bundle, rolling
-cells and a Shapley set outside the grid included.
+cells and a Shapley set outside the grid included.  The kNN score digests
+were recorded while kNN scoring still built one difference array per 1,024
+query rows and sorted every distance row in full; they pin the bits of the
+``knn`` preset's scores on the 247-row test span, which the model JSON does
+not hold and the bundles see only through thresholded predictions.
 """
 
 from __future__ import annotations
@@ -88,6 +92,11 @@ EXTRA_TREES_SHA256 = {
     "INT+HIST+NOW": "83c01d48ae6425e1c7690dd5aa3b53c4ad9d2ec78d52be246a2e592f98d680b8",
     "tied": "5585f1b812af223f191ddd18d23f2a17978d627a7eda45f60951ae6c31c65332",
 }
+#: the knn preset's scores on the 247-row test span, trained on the 989-row span
+KNN_SCORE_SHA256 = {
+    "INT+HIST+NOW": "e7872c857cca3f723e0537a10cb69c2435815d876141051f31d9fb3febb2e253",
+    "INT": "bca7b3da206bbfd70705d2d1c29da8dfff99bd36093f60cbddf875d8ed248308",
+}
 #: one rolling run on a 120-day market, with exact Shapley on a set outside the grid
 RUN_BUNDLE_SHA256 = {
     "results.csv": "e2b7c25ccce235c487839d9f038b0b83a5d44e5f900685cd41979931b93a09b0",
@@ -143,13 +152,19 @@ def test_label_bits(market):
         assert sha256(vector.labels.tobytes()) == LABELS_SHA256[task.value], task.value
 
 
-def training_span(market, feature_set: str):
-    """The 989-row training span of task op on one named feature set."""
+def op_dataset(market, feature_set: str):
+    """Task op on one named feature set, and its 989-row training size."""
     full = assemble(market)
     labels = make_labels(market, TaskKind.OP_VS_OP, len(market) - full.n_rows)
     ds = bind(select(full, FeatureSetMask.from_name(feature_set)), labels, market.market)
     n_train = split(ds, 0.8).n_train
     assert n_train == 989
+    return ds, n_train
+
+
+def training_span(market, feature_set: str):
+    """The 989-row training span of task op on one named feature set."""
+    ds, n_train = op_dataset(market, feature_set)
     return ds.matrix.values[:n_train], ds.labels[:n_train], ds.matrix.columns
 
 
@@ -216,6 +231,16 @@ def test_exact_shapley_bits(market, name, feature_set):
         digest.update(row.phi.tobytes())
         digest.update(np.array([row.base_value, row.model_output]).tobytes())
     assert digest.hexdigest() == SHAPLEY_SHA256[name], name
+
+
+@pytest.mark.parametrize("feature_set", list(KNN_SCORE_SHA256))
+def test_knn_score_bits(market, feature_set):
+    ds, n_train = op_dataset(market, feature_set)
+    X = ds.matrix.values
+    model = fit(preset("knn"), X[:n_train], ds.labels[:n_train], feature_names=ds.matrix.columns)
+    scores = model.score(X[n_train:])
+    assert scores.shape == (247,)
+    assert sha256(scores.tobytes()) == KNN_SCORE_SHA256[feature_set], feature_set
 
 
 def test_run_bundle_bits(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from opentrend.learners import (
 from opentrend.learners.base import _STATE_TYPES, positive_number
 from opentrend.learners.linear import loss_and_gradient
 from opentrend.learners.mlp import loss_and_gradients
+from opentrend.learners.neighbors import KNearestState
 from opentrend.learners.trees import (
     GINI,
     SSE,
@@ -1387,6 +1389,46 @@ class TestKNearest:
             d2 = ((Xs - q) ** 2).sum(axis=1)
             order = np.argsort(d2, kind="stable")[:5]
             assert scores[i] == pytest.approx(y[order].mean())
+
+    @pytest.mark.parametrize(
+        ("m", "d", "k", "n_queries", "decimals"),
+        [
+            (989, 16, 5, 2048, None),  # 4-row blocks
+            (585, 16, 5, 250, None),  # 7-row blocks and a 5-row tail
+            (5000, 16, 5, 3, None),  # more terms than a block: one row per block
+            (200, 3, 5, 2048, 1),  # rounded: many rows at the k-th distance
+            (20, 2, 50, 64, 1),  # k > m: every training row votes
+            (20, 2, 20, 64, 0),  # k = m
+            (300, 4, 7, 1, 1),  # a one-row query
+        ],
+    )
+    def test_scores_equal_the_first_k_of_a_stable_argsort(self, m, d, k, n_queries, decimals):
+        rng = np.random.default_rng(m + d + k + n_queries)
+        train = rng.normal(size=(m, d))
+        train[m // 2 :] = train[: m - m // 2]  # the second half repeats the first
+        queries = np.concatenate([train[: n_queries // 2], rng.normal(size=(n_queries, d))])[:n_queries]
+        if decimals is not None:
+            train, queries = np.round(train, decimals), np.round(queries, decimals)
+        state = KNearestState(k=k, train_X=train, train_y=rng.integers(0, 2, m))
+        expected = np.empty(n_queries)
+        for i, row in enumerate(queries):  # reference: the first k of a full stable argsort, one row at a time
+            deltas = row[None, None, :] - train[None, :, :]
+            d2 = np.einsum("qnd,qnd->qn", deltas, deltas)
+            nearest = np.argsort(d2, axis=1, kind="stable")[:, : min(k, m)]
+            expected[i] = state.train_y[nearest].mean(axis=1)[0]
+        np.testing.assert_array_equal(state.score(queries).view(np.int64), expected.view(np.int64))
+
+    def test_scoring_memory_does_not_grow_with_query_rows(self):
+        rng = np.random.default_rng(9)
+        state = KNearestState(k=5, train_X=rng.normal(size=(989, 16)), train_y=rng.integers(0, 2, 989))
+        queries = rng.normal(size=(2048, 16))
+        tracemalloc.start()
+        try:
+            state.score(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # one difference array over all 2,048 rows would be 259 MB
 
 
 class TestLogisticRegression:
