@@ -167,6 +167,8 @@ class TrainedModel:
         if (self.standardizer is None) == self.spec.standardize:
             have = "no" if self.standardizer is None else "a"
             raise ValueError(f"spec.standardize is {self.spec.standardize} but the model has {have} standardizer")
+        if not self.feature_names:
+            raise ValueError("a model needs at least one feature column, got no feature names")
         if len(set(self.feature_names)) != len(self.feature_names):
             raise ValueError(f"feature names must be distinct, got {self.feature_names}")
 

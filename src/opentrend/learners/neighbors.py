@@ -49,7 +49,7 @@ class KNearestState:
     def score(self, X: np.ndarray) -> np.ndarray:
         k = min(self.k, self.train_X.shape[0])
         positive = self.train_y == 1
-        rows = max(1, _BLOCK_TERMS // max(1, self.train_X.size))
+        rows = max(1, _BLOCK_TERMS // self.train_X.size)  # a model has a training row and a column
         out = np.empty(X.shape[0])
         for start in range(0, X.shape[0], rows):
             deltas = X[start : start + rows, None, :] - self.train_X[None, :, :]

@@ -21,8 +21,9 @@ and a finder scores a node from its block (or from the rows of the block
 for the candidate columns) without touching the rows outside the node.  A
 node that cannot split (depth limit, fewer than two rows or a constant
 target) gets no block and becomes a leaf.  Node totals and leaf values are
-still summed over the node's row indices in ascending order, so they keep
-the bits of a per-node sum.
+summed over the node's row indices in ascending order, so they keep the bits
+of a per-node sum, except where a DecisionTree split hands them down (see
+below).
 
 A node costs a few dozen numpy calls on a few dozen to a few hundred rows,
 so the grower pays for calls and index machinery more than for arithmetic.
@@ -33,6 +34,26 @@ the candidate columns' rows and their targets with ``take``.  It then
 scores the cuts in place in the gathered buffer, each element through the
 operations of the plain array expression in its order, so no bit depends
 on the buffering.
+
+DecisionTree's labels are 0/1, so every left-hand sum of its gini search
+is an exact count: L ones among the l rows left of a cut.  Each side's term
+l * gini is then a fixed function F(L, l) of two integers, and a cut of a
+node with n rows and T ones scores (F(L, l) + F(T - L, n - l)) / n.  The
+count table holds F for 0 <= L <= l <= W (``_COUNT_TABLE_ROWS`` = 256, a
+triangle of 33,153 doubles, about 260 KB), built once per process on the
+first gini fit.  Each of its rows is computed in place by the same
+per-element operations, in the same order, that score a cut directly, so
+every entry has those bits.  A node of at most W rows scores its cuts with
+two gathers from the table, one add and one divide, where the direct
+scoring takes about twenty numpy calls; a larger node scores them directly.
+The gini finder also hands back the exact ones count of each child
+(``_SplitChoice.counts``), and ``grow_tree`` passes it down: a child with T
+ones among n rows is pure when T is 0 or n (``max != min`` on 0/1 labels),
+its leaf value is T / n (the IEEE division ``target[idx].sum() / idx.size``
+makes) and its finder starts from T instead of gathering the sum again.
+Boosting's finder hands back no counts, since its gradient sums must stay
+ascending-id pairwise sums, and neither does ExtraTrees', so their nodes
+still gather.
 
 The exhaustive finder cuts between two adjacent distinct sorted values lo <
 hi at their midpoint (lo + hi) / 2.  For neighbouring doubles that midpoint
@@ -50,25 +71,28 @@ refits of a rolling cell share the cell seed, and the list draws each node's
 columns once.  The cache holds the most recent key only, and appending to
 the list takes no lock: the grid runs its cells one at a time.
 
-An expanding-window refit starts from the previous window's fit.  With the
-draws of a key (``max_features`` below the column count), the cache also
-keeps the last fit that read them: its root block, its labels, its tree and
-each node's draw index.  A fit of the same ``max_depth`` whose labels start
-with those labels, and whose rows gathered at the kept block's ids hold the
-block's values bit for bit (compared as int64, so -0.0 is not 0.0), extends
-that window.  Its block is then carried rather than sorted: each column's
-new rows are sorted among themselves and inserted after their equal values,
-which is the (value, row id) order ``sort_columns`` gives, since new rows
-have the largest ids.  And its grower walks the old tree in lockstep
-(``grow_tree``'s ``previous``): a node whose rows are all old and whose
-draw index equals its counterpart's has that node's rows, depth and draws,
-so the old subtree is copied instead of grown.  Every other fit, including
-a sliding (``freeze_window``) or shorter window, an edited prefix, a
-standardized spec, another ``max_depth`` and a key with every column a
-candidate, sorts and grows from scratch.  Either way the tree, and so the
-model JSON, is the one a fresh fit gives.  Boosting and ExtraTrees grow
-every tree afresh: a boosting round's gradients change with every added
-row, and an ExtraTrees node depends on its generator's whole earlier state.
+An expanding-window refit starts from the previous window's fit.  The cache
+entry of a key also keeps the last fit of that key: its root block, its
+labels, its tree and each node's draw index.  A key with every column a
+candidate (``max_features`` at or above the column count, as with the
+4-column INT set and the default 5) draws nothing but keeps a last fit too.
+A fit of the same ``max_depth`` whose labels start with those labels, and
+whose rows gathered at the kept block's ids hold the block's values bit for
+bit (compared as int64, so -0.0 is not 0.0), extends that window.  Its block
+is then carried rather than sorted: each column's new rows are sorted among
+themselves and inserted after their equal values, which is the (value, row
+id) order ``sort_columns`` gives, since new rows have the largest ids.  And
+its grower walks the old tree in lockstep (``grow_tree``'s ``previous``): a
+node whose rows are all old and whose draw index equals its counterpart's
+has that node's rows, depth and draws, so the old subtree is copied instead
+of grown.  With no draws, a node's subtree depends only on its rows and
+depth, so a node whose rows are all old is copied whatever its draw index.
+Every other fit, including a sliding (``freeze_window``) or shorter window,
+an edited prefix, a standardized spec and another ``max_depth``, sorts and
+grows from scratch.  Either way the tree, and so the model JSON, is the one
+a fresh fit gives.  Boosting and ExtraTrees grow every tree afresh: a
+boosting round's gradients change with every added row, and an ExtraTrees
+node depends on its generator's whole earlier state.
 
 Tie-breaking is explicit everywhere: candidate columns are scanned in
 ascending index order and only a strictly better gain displaces the
@@ -82,7 +106,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -249,9 +273,12 @@ def summed_tables(
 
 @dataclass(frozen=True)
 class _SplitChoice:
+    """A node's split; ``counts`` holds the exact target sums of the left and right child, when the finder has them."""
+
     column: int
     threshold: float
     gain: float
+    counts: tuple[int, int] | None = None
 
 
 def sort_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +321,7 @@ def grow_tree(
     *,
     max_depth: int,
     candidates: Callable[[], np.ndarray] | None,
-    find_split: Callable[[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]], _SplitChoice | None],
+    find_split: Callable[[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], int | None], _SplitChoice | None],
     block: tuple[np.ndarray, np.ndarray],
     leaf_value: Callable[[np.ndarray], float] | None = None,
     previous: GrownTree | None = None,
@@ -305,17 +332,21 @@ def grow_tree(
     leaf; a leaf holds the mean target of its rows unless ``leaf_value`` maps
     its row indices to another value.  ``candidates()`` returns the next
     node's sorted candidate columns; with no source every node gets all of
-    them.  ``find_split(idx, candidates, node_block)`` gets the node's
-    ascending row indices, its candidate columns and the node's block.
+    them.  ``find_split(idx, candidates, node_block, count)`` gets the node's
+    ascending row indices, its candidate columns, the node's block and the
+    node's target sum when a split's ``counts`` gave it, else None.  A node
+    with a count is pure when the count is 0 or its row count, and its leaf
+    value is count / rows: on 0/1 targets, the test and the bits of a
+    gathered max/min and sum / size.
 
     ``previous`` is a grow with mean leaves and the same split logic on the
     first ``previous.n_rows`` rows of X and target, whose candidate source
     gave the same draws from its first.  A node's counterpart there is the
     node reached by the same (column, threshold) choices.  A node whose rows
-    all lie in that prefix and whose draw index equals its counterpart's has
-    the same rows, depth and draws, so it would grow the same subtree: that
-    subtree is copied, its node ids shifted, and the source is advanced past
-    the draws it used.
+    all lie in that prefix, and whose draw index equals its counterpart's or
+    that has no source to draw from, has the same rows, depth and
+    candidates, so it would grow the same subtree: that subtree is copied,
+    its node ids shifted, and the source is advanced past the draws it used.
     """
     all_columns = np.arange(X.shape[1])
     feature: list[int] = []
@@ -336,9 +367,11 @@ def grow_tree(
         draws.append(-1)
         return len(feature) - 1
 
-    def splittable(idx: np.ndarray, depth: int) -> bool:
+    def splittable(idx: np.ndarray, depth: int, count: int | None) -> bool:
         if depth >= max_depth or idx.size < 2:
             return False
+        if count is not None:
+            return 0 < count < idx.size
         t = target[idx]
         return t.max() != t.min()
 
@@ -368,13 +401,14 @@ def grow_tree(
 
     root = alloc()
     idx = np.arange(X.shape[0])
-    # a node without a block is a leaf; twin is its counterpart in the previous tree, -1 for none
-    stack = [(root, idx, 0, block if splittable(idx, 0) else None, -1 if previous is None else 0)]
+    # a node without a block is a leaf; twin is its counterpart in the previous tree, -1 for none;
+    # count is the node's target sum, None where no split handed it down
+    stack = [(root, idx, 0, block if splittable(idx, 0, None) else None, -1 if previous is None else 0, None)]
     while stack:
-        node, idx, depth, node_block, twin = stack.pop()
+        node, idx, depth, node_block, twin, count = stack.pop()
         choice = None
         if node_block is not None:
-            if twin >= 0 and old_draws[twin] == drawn and idx[-1] < previous.n_rows:
+            if twin >= 0 and (candidates is None or old_draws[twin] == drawn) and idx[-1] < previous.n_rows:
                 used = copy(node, twin)
                 drawn += used
                 if candidates is not None:
@@ -383,9 +417,12 @@ def grow_tree(
                 continue
             draws[node] = drawn
             drawn += 1
-            choice = find_split(idx, all_columns if candidates is None else candidates(), node_block)
+            choice = find_split(idx, all_columns if candidates is None else candidates(), node_block, count)
         if choice is None:
-            value[node] = float(target[idx].sum() / idx.size) if leaf_value is None else leaf_value(idx)
+            if leaf_value is not None:
+                value[node] = leaf_value(idx)
+            else:
+                value[node] = float((target[idx].sum() if count is None else count) / idx.size)
             continue
         go_left = X[idx, choice.column] <= choice.threshold
         feature[node] = choice.column
@@ -394,7 +431,9 @@ def grow_tree(
         left[node] = left_id
         right[node] = right_id
         left_idx, right_idx = idx[go_left], idx[~go_left]
-        left_ok, right_ok = splittable(left_idx, depth + 1), splittable(right_idx, depth + 1)
+        left_count, right_count = choice.counts or (None, None)
+        left_ok = splittable(left_idx, depth + 1, left_count)
+        right_ok = splittable(right_idx, depth + 1, right_count)
         left_block = right_block = None
         if left_ok or right_ok:
             in_left[idx] = go_left
@@ -404,8 +443,8 @@ def grow_tree(
         left_twin = right_twin = -1
         if twin >= 0 and old_feature[twin] == choice.column and old_threshold[twin] == choice.threshold:
             left_twin, right_twin = old_left[twin], old_right[twin]
-        stack.append((right_id, right_idx, depth + 1, right_block, right_twin))
-        stack.append((left_id, left_idx, depth + 1, left_block, left_twin))  # popped first: left before right
+        stack.append((right_id, right_idx, depth + 1, right_block, right_twin, right_count))
+        stack.append((left_id, left_idx, depth + 1, left_block, left_twin, left_count))  # popped first: left first
     tree = TreeArrays(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
@@ -445,75 +484,140 @@ def _entropy(n_ones: float, n_total: int) -> float:
     return out
 
 
-def _gini_best_cut(total, n, n_left, n_right, scores, parent, ties):
-    """In place, left sums become (n_left * gini(left) + n_right * gini(right)) / n.
+def _weighted_gini(side, count, tmp):
+    """In place, side (the ones among count rows) becomes count * gini.
 
     Each element goes through ``_gini_from_counts``'s operations in its
     order, so it has the bits of that expression on fresh arrays.
     """
-    right = np.subtract(total, scores)
-    tmp = np.empty_like(scores)
-    for side, count in ((scores, n_left), (right, n_right)):
-        side /= count  # p
-        np.subtract(1.0, side, out=tmp)
-        tmp *= tmp  # (1 - p)^2
-        side *= side
-        np.subtract(1.0, side, out=side)
-        side -= tmp  # 1 - p^2 - (1 - p)^2
-        side *= count
-    scores += right
+    side /= count  # p
+    np.subtract(1.0, side, out=tmp)
+    tmp *= tmp  # (1 - p)^2
+    side *= side
+    np.subtract(1.0, side, out=side)
+    side -= tmp  # 1 - p^2 - (1 - p)^2
+    side *= count
+
+
+# Nodes of at most this many rows score their cuts from the count table.  On
+# step-2 rolling dt refits of 16 columns (4 markets, two runs of 10 and 12
+# rounds interleaving the sizes in one process), 256 rows (a 260 KB table)
+# had lower median fit times than 128 rows in both runs; 512 rows was about
+# 3% faster again, but its table takes 1 MB.
+_COUNT_TABLE_ROWS = 256
+
+
+@functools.cache
+def _gini_count_table() -> tuple[np.ndarray, np.ndarray]:
+    """(table, starts): table[starts[l] + L] is ``_weighted_gini`` of L ones among l rows, 0 <= L <= l <= W.
+
+    W is ``_COUNT_TABLE_ROWS``; starts[l] = l (l + 1) / 2, so the table is
+    the triangle of rows l = 0..W, row l holding L = 0..l.  Row 0 is never
+    read (a cut leaves a row on each side) and holds nan.  Each row is
+    computed in place by ``_weighted_gini``, so every entry has the bits the
+    direct scoring gives.  Built on the first use, not at import.
+    """
+    rows = _COUNT_TABLE_ROWS
+    starts = np.arange(rows + 2) * np.arange(1, rows + 3) // 2
+    table = np.empty(starts[-1])
+    table[0] = np.nan
+    ones = np.arange(rows + 1.0)
+    tmp = np.empty(rows + 1)
+    for l in range(1, rows + 1):
+        side = table[starts[l] : starts[l + 1]]
+        side[:] = ones[: l + 1]
+        _weighted_gini(side, float(l), tmp[: l + 1])
+    return table, starts
+
+
+def _gini_best_cut(total, n, n_left, n_right, sums, parent, ties):
+    """Per cut, (n_left gini(left) + n_right gini(right)) / n, from the exact left counts in sums.
+
+    On 0/1 labels each side's term depends only on its integer (ones, rows)
+    pair, so a node of at most ``_COUNT_TABLE_ROWS`` rows gathers both terms
+    from the count table; a larger node computes them with
+    ``_weighted_gini``.  Either way a cut's score is the same two terms
+    added, then divided by n, with the same bits.
+    """
+    if n <= _COUNT_TABLE_ROWS:
+        table, starts = _gini_count_table()
+        scores = table.take(sums + starts[1:n])
+        scores += table.take((starts[n - 1 : 0 : -1] + int(total)) - sums)
+    else:
+        scores = sums.astype(np.float64)
+        right = np.subtract(total, scores)
+        tmp = np.empty_like(scores)
+        _weighted_gini(scores, n_left, tmp)
+        _weighted_gini(right, n_right, tmp)
+        scores += right
     scores /= n
     np.copyto(scores, np.inf, where=ties)
-    return parent - scores.min(axis=1)
+    return scores, parent - scores.min(axis=1)
 
 
-def _sse_best_cut(total, n, n_left, n_right, scores, parent, ties):
+def _sse_best_cut(total, n, n_left, n_right, sums, parent, ties):
     """In place, left sums s_L become s_L^2 / n_left + s_R^2 / n_right."""
-    right = np.subtract(total, scores)
-    scores *= scores
-    scores /= n_left
+    right = np.subtract(total, sums)
+    sums *= sums
+    sums /= n_left
     right *= right
     right /= n_right
-    scores += right
-    np.copyto(scores, -np.inf, where=ties)
-    return scores.max(axis=1) - parent
+    sums += right
+    np.copyto(sums, -np.inf, where=ties)
+    return sums, sums.max(axis=1) - parent
 
 
-# A criterion is a triple (parent term, best cut, best position):
-# parent_term(total, n) scores the node; best_cut(total, n, n_left, n_right,
-# scores, parent, ties) overwrites one row of left-hand sums per candidate
-# column with each cut's score, ties marking the cuts between equal values,
-# and returns per column the gain of its best cut (-inf where a column has
-# none); best_position(row) is the first best cut of one overwritten row.
-# Each criterion picks with its own min/max: gini on 0/1 labels and SSE rank
-# splits alike in exact arithmetic, but rounding breaks near-ties
-# differently.
-GINI = (_gini_from_counts, _gini_best_cut, np.ndarray.argmin)  # class impurity of 0/1 labels
+class _Criterion(NamedTuple):
+    """How the exhaustive finder scores cuts.
+
+    parent_term(total, n) scores the node; best_cut(total, n, n_left,
+    n_right, sums, parent, ties) turns one row of left-hand target sums per
+    candidate column into each cut's score, ties marking the cuts between
+    equal values, and returns the scores and per column the gain of its best
+    cut (-inf where a column has none); best_position(row) is the first best
+    cut of one row of scores.  With ``exact_counts`` the targets are 0/1
+    labels: the left sums are summed as int64 counts and the chosen cut's
+    counts are handed to the children.  Each criterion picks with its own
+    min/max: gini on 0/1 labels and SSE rank splits alike in exact
+    arithmetic, but rounding breaks near-ties differently.
+    """
+
+    parent_term: Callable
+    best_cut: Callable
+    best_position: Callable
+    exact_counts: bool
+
+
+GINI = _Criterion(_gini_from_counts, _gini_best_cut, np.ndarray.argmin, True)  # class impurity of 0/1 labels
 # sum-of-squares reduction of a real target
-SSE = (lambda total, n: total * total / n, _sse_best_cut, np.ndarray.argmax)
+SSE = _Criterion(lambda total, n: total * total / n, _sse_best_cut, np.ndarray.argmax, False)
 
 
-def make_exhaustive_finder(target: np.ndarray, criterion):
+def make_exhaustive_finder(target: np.ndarray, criterion: _Criterion):
     """Exhaustive split: best midpoint threshold of any candidate column by criterion.
 
     The finder reads the node's block from ``grow_tree`` (see the module
     docstring); ``idx`` holds the node's at least two row indices in
-    ascending order.  ``target`` is a float64 array.
+    ascending order.  ``target`` is a float64 array (0/1 for GINI).
     """
-    parent_term, best_cut, best_position = criterion
+    parent_term, best_cut, best_position, counted = criterion
+    summed = target.astype(np.int64) if counted else target  # 0/1 labels sum exactly as integers
     counts = np.arange(1.0, target.size)  # n_left of every cut; reversed, n_right
 
-    def find(idx: np.ndarray, candidates: np.ndarray, block: tuple[np.ndarray, np.ndarray]) -> _SplitChoice | None:
+    def find(
+        idx: np.ndarray, candidates: np.ndarray, block: tuple[np.ndarray, np.ndarray], total: int | None = None
+    ) -> _SplitChoice | None:
         n = idx.size
-        total = float(target[idx].sum())
+        if total is None:
+            total = int(summed[idx].sum()) if counted else float(target[idx].sum())
         parent = parent_term(total, n)
         rows, xs = block
         if candidates.size < rows.shape[0]:
             rows, xs = rows.take(candidates, axis=0), xs.take(candidates, axis=0)
-        scores = target.take(rows[:, :-1])
-        scores.cumsum(axis=1, out=scores)
+        sums = summed.take(rows[:, :-1])
+        sums.cumsum(axis=1, out=sums)
         n_left = counts[: n - 1]
-        gain = best_cut(total, n, n_left, n_left[::-1], scores, parent, xs[:, :-1] == xs[:, 1:])
+        scores, gain = best_cut(total, n, n_left, n_left[::-1], sums, parent, xs[:, :-1] == xs[:, 1:])
         c = int(gain.argmax())  # first maximum: lowest column
         if gain[c] <= 0.0:
             return None
@@ -522,7 +626,11 @@ def make_exhaustive_finder(target: np.ndarray, criterion):
         thr = (lo + hi) / 2.0
         if not lo <= thr < hi:  # the midpoint of adjacent doubles can round onto hi: cut at lo
             thr = lo
-        return _SplitChoice(column=int(candidates[c]), threshold=thr, gain=float(gain[c]))
+        children = None
+        if counted:
+            ones = int(sums[c, cut])
+            children = (ones, total - ones)
+        return _SplitChoice(int(candidates[c]), thr, float(gain[c]), children)
 
     return find
 
@@ -535,9 +643,12 @@ def make_random_entropy_finder(y: np.ndarray, rng: np.random.Generator):
     prefix of its sorted row ids, whose 0/1 labels sum exactly in any order.
     """
 
-    def find(idx: np.ndarray, candidates: np.ndarray, block: tuple[np.ndarray, np.ndarray]) -> _SplitChoice | None:
+    def find(
+        idx: np.ndarray, candidates: np.ndarray, block: tuple[np.ndarray, np.ndarray], total: int | None = None
+    ) -> _SplitChoice | None:
         n = idx.size
-        total = float(y[idx].sum())
+        if total is None:  # always: this finder hands back no counts
+            total = float(y[idx].sum())
         parent = _entropy(total, n)
         rows, xs = block
         best: _SplitChoice | None = None
@@ -594,16 +705,19 @@ class _LastFit:
 
 @dataclass(eq=False)
 class _SeedDraws:
-    """The draws of ``random_candidates(default_rng(seed), d, m)`` made so far, the source of the next, the last fit."""
+    """The draws of ``random_candidates(default_rng(seed), d, m)`` made so far, the source of the next, the last fit.
+
+    With m >= d every column is a candidate: ``draw`` is None and nothing is drawn.
+    """
 
     drawn: list[np.ndarray]
-    draw: Callable[[], np.ndarray]
+    draw: Callable[[], np.ndarray] | None
     last: _LastFit | None = None
 
 
 @functools.lru_cache(maxsize=1)  # the most recent (seed, d, m) only
 def _draw_list(seed: int, d: int, m: int) -> _SeedDraws:
-    """The shared draws of (seed, d, m), m < d."""
+    """The shared draws of (seed, d, m) and the last fit that read them."""
     return _SeedDraws([], random_candidates(np.random.default_rng(seed), d, m))
 
 
@@ -620,11 +734,6 @@ class _DrawReader:
             drawn.append(self.seed_draws.draw())
         self.k += 1
         return drawn[self.k - 1]
-
-
-def _seed_candidates(seed: int, d: int, m: int) -> Callable[[], np.ndarray] | None:
-    """``random_candidates(default_rng(seed), d, m)``, read from the shared draws of (seed, d, m)."""
-    return None if m >= d else _DrawReader(_draw_list(seed, d, m))
 
 
 def _extend_block(block: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -650,7 +759,7 @@ def _extend_block(block: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> tuple[
     return out_ids, out_values
 
 
-def _resume(seed_draws: _SeedDraws | None, X: np.ndarray, y: np.ndarray, max_depth: int):
+def _resume(seed_draws: _SeedDraws, X: np.ndarray, y: np.ndarray, max_depth: int):
     """X's root block and a grow to start from: the last fit's, carried, if X and y extend its rows; else a sort, None.
 
     The last fit leaves ``seed_draws`` here, so its block is freed as soon as
@@ -658,7 +767,7 @@ def _resume(seed_draws: _SeedDraws | None, X: np.ndarray, y: np.ndarray, max_dep
     max_depth, y starts with its labels and X's rows gathered at its block's
     ids hold the block's values, compared as int64 so that every bit counts.
     """
-    last = None if seed_draws is None else seed_draws.last
+    last = seed_draws.last
     if last is not None:
         seed_draws.last = None
         ids, values = last.block
@@ -673,20 +782,18 @@ def _resume(seed_draws: _SeedDraws | None, X: np.ndarray, y: np.ndarray, max_dep
 
 
 def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> DecisionTreeState:
-    candidates = _seed_candidates(seed, X.shape[1], hyper["max_features"])
-    seed_draws = getattr(candidates, "seed_draws", None)  # None when every column is a candidate: no draws to share
+    seed_draws = _draw_list(seed, X.shape[1], hyper["max_features"])
     block, previous = _resume(seed_draws, X, y, hyper["max_depth"])
     grown = grow_tree(
         X,
         y,
         max_depth=hyper["max_depth"],
-        candidates=candidates,
+        candidates=None if seed_draws.draw is None else _DrawReader(seed_draws),
         find_split=make_exhaustive_finder(y, GINI),
         block=block,
         previous=previous,
     )
-    if seed_draws is not None:
-        seed_draws.last = _LastFit(hyper["max_depth"], block, y, grown)
+    seed_draws.last = _LastFit(hyper["max_depth"], block, y, grown)
     return DecisionTreeState(tree=grown.tree)
 
 

@@ -407,6 +407,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape("model: hyperparams {'k': True} are not the spec's resolved {'k': 1}")):
             model_from_json(json.dumps(blob_dict))
 
+    def test_a_model_with_no_feature_columns_refused(self, fitted_models):
+        """Load refuses what fit refuses: a knn model over zero columns, with six empty training rows."""
+        import json
+
+        blob_dict = json.loads(model_to_json(fitted_models["knn"]))
+        blob_dict["feature_names"] = []
+        blob_dict["standardizer"] = {"mean": [], "std": []}
+        blob_dict["state"]["train_X"] = [[] for _ in range(6)]
+        blob_dict["state"]["train_y"] = [0, 1, 0, 1, 1, 0]
+        with pytest.raises(ValueError, match="^model: a model needs at least one feature column, got no feature names$"):
+            model_from_json(json.dumps(blob_dict))
+        with pytest.raises(ValueError, match="non-empty 2-D matrix"):
+            fit(preset("knn"), np.empty((5, 0)), np.array([0, 1, 0, 1, 1]))
+
     def test_an_int_stands_for_a_float(self, blob, fitted_models):
         import json
 
@@ -714,15 +728,14 @@ class TestDecisionTree:
         y = (X[:, 0] + X[:, 5] - X[:, 9] + rng.normal(scale=1.5, size=400) > 0).astype(np.int64)
 
         def fresh_draws(seed, d, m):
-            """A fresh ``default_rng(seed)`` per fit, in a source with no ``seed_draws``: no last fit to start from."""
-            gen = np.random.default_rng(seed)
-            return None if m >= d else lambda: np.sort(gen.choice(d, size=m, replace=False))
+            """A fresh ``default_rng(seed)`` per fit, in a record of its own: no last fit to start from."""
+            return trees._SeedDraws([], random_candidates(np.random.default_rng(seed), d, m))
 
         def fit_both(seed, n_rows, n_cols, max_features=5):
             spec = ClassifierSpec("DecisionTree", {"max_depth": 12, "max_features": max_features}, seed=seed)
             got = model_to_json(fit(spec, X[:n_rows, :n_cols], y[:n_rows]))
             with monkeypatch.context() as m:
-                m.setattr(trees, "_seed_candidates", fresh_draws)
+                m.setattr(trees, "_draw_list", fresh_draws)
                 want = model_to_json(fit(spec, X[:n_rows, :n_cols], y[:n_rows]))
             assert got == want
             return got
@@ -744,11 +757,14 @@ class TestDecisionTree:
         assert cached() == (2, 3, 1)  # one list per key, read by every fit of that key
         fit_both(7, 400, 4, max_features=3)
         assert cached() == (2, 4, 1)
-        fit_both(7, 400, 16, max_features=16)  # every column is a candidate: no draws, the list stays
-        fit_both(7, 400, 4)
-        assert cached() == (2, 4, 1)
         assert len(trees._draw_list(7, 4, 3).drawn) > 0
         assert cached() == (3, 4, 1)
+        fit_both(7, 400, 16, max_features=16)  # every column is a candidate: a key with no draws, and a last fit
+        assert cached() == (3, 5, 1)
+        fit_both(7, 400, 4)  # max_features 5 of 4 columns
+        assert cached() == (3, 6, 1)
+        record = trees._draw_list(7, 4, 5)
+        assert record.draw is None and record.drawn == [] and record.last.grown.n_rows == 400
 
     def test_reader_outlives_its_evicted_key(self, monkeypatch):
         """A reader of seed 7 keeps reading seed 7's draws after a seed 8 fit evicts that key."""
@@ -760,15 +776,15 @@ class TestDecisionTree:
         spec = ClassifierSpec("DecisionTree", {"max_depth": 12, "max_features": 5}, seed=7)
         trees._draw_list.cache_clear()
         fit(spec, X[:200], y[:200])  # seed 7's list holds the draws of a small fit
-        reader = trees._seed_candidates(7, 16, 5)
+        record = trees._draw_list(7, 16, 5)
         fit(dataclasses.replace(spec, seed=8), X, y)
         assert trees._draw_list.cache_info().misses == 2  # seed 8 evicted seed 7
-        with monkeypatch.context() as m:  # past the small fit's draws, the reader draws from seed 7's generator
-            m.setattr(trees, "_seed_candidates", lambda *key: reader)
+        with monkeypatch.context() as m:  # past the small fit's draws, the evicted record draws from seed 7's generator
+            m.setattr(trees, "_draw_list", lambda *key: record)
             got = model_to_json(fit(spec, X, y))
         gen = np.random.default_rng(7)
-        with monkeypatch.context() as m:  # a plain source: no last fit, so the reference grows from scratch
-            m.setattr(trees, "_seed_candidates", lambda *key: lambda: np.sort(gen.choice(16, size=5, replace=False)))
+        with monkeypatch.context() as m:  # a record of its own: no last fit, so the reference grows from scratch
+            m.setattr(trees, "_draw_list", lambda *key: trees._SeedDraws([], random_candidates(gen, 16, 5)))
             want = model_to_json(fit(spec, X, y))
         assert got == want
 
@@ -808,23 +824,35 @@ class TestRollingRefits:
         trees._draw_list.cache_clear()
         return model_to_json(fit(spec, X, y))
 
-    @pytest.mark.parametrize("step", [1, 2, 4])
-    @pytest.mark.parametrize("kind", ["continuous", "rounded", "signed_zeros", "reverse_ties"])
-    def test_expanding_refits_equal_fresh_fits(self, kind, step):
+    # every column a candidate (max_features 5 >= 4 columns, as with the INT set): no draws, a last fit all the same
+    all_columns = ClassifierSpec("DecisionTree", {"max_depth": 10}, seed=11)
+
+    def assert_refits_equal_fresh_fits(self, spec, X, y, step):
         from opentrend.learners import trees
 
-        X, y = _rolling_data(kind)
         trees._draw_list.cache_clear()
         windows = [200 + step * i for i in range(6)]
         refits = []
         for n in windows:
-            refits.append(model_to_json(fit(self.spec, X[:n], y[:n])))
-            ids, values = trees._draw_list(11, X.shape[1], 3).last.block
+            refits.append(model_to_json(fit(spec, X[:n], y[:n])))
+            ids, values = trees._draw_list(11, X.shape[1], spec.hyperparams.get("max_features", 5)).last.block
             want_ids, want_values = sort_columns(X[:n])
             np.testing.assert_array_equal(ids, want_ids)
             np.testing.assert_array_equal(values.view(np.int64), want_values.view(np.int64))  # -0.0 is not 0.0
         for n, got in zip(windows, refits):
-            assert got == self.fresh(self.spec, X[:n], y[:n]), n
+            assert got == self.fresh(spec, X[:n], y[:n]), n
+
+    @pytest.mark.parametrize("step", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["continuous", "rounded", "signed_zeros", "reverse_ties"])
+    def test_expanding_refits_equal_fresh_fits(self, kind, step):
+        X, y = _rolling_data(kind)
+        self.assert_refits_equal_fresh_fits(self.spec, X, y, step)
+
+    @pytest.mark.parametrize("step", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["continuous", "rounded", "signed_zeros", "reverse_ties"])
+    def test_all_column_refits_equal_fresh_fits(self, kind, step):
+        X, y = _rolling_data(kind, d=6)
+        self.assert_refits_equal_fresh_fits(self.all_columns, X[:, [0, 2, 3, 5]], y, step)  # signal and kind's columns
 
     def test_refit_copies_unchanged_subtrees(self, monkeypatch):
         """A one-row refit calls the finder less often than a fresh fit of the same rows."""
@@ -846,6 +874,40 @@ class TestRollingRefits:
         calls.clear()
         assert refit == self.fresh(self.spec, X[:201], y[:201])
         assert 0 < reused < len(calls) // 2
+
+    def test_all_column_refit_grows_only_nodes_of_the_new_row(self, monkeypatch):
+        """With no draws, every subtree of old rows is copied, also after the new row shifted the draw indices.
+
+        Row 201 splits a leaf that was pure, so the nodes after it in depth-first
+        order get later draw indices than their counterparts: a source that
+        draws every column, whose copies need equal draw indices, regrows them.
+        """
+        from opentrend.learners import trees
+
+        grown = []
+
+        def recording(target, criterion):
+            find = make_exhaustive_finder(target, criterion)
+            return lambda idx, *args: grown.append(idx) or find(idx, *args)
+
+        monkeypatch.setattr(trees, "make_exhaustive_finder", recording)
+        X, y = _rolling_data("continuous")
+        X = X[:, :4]
+
+        def refit():
+            fit(self.all_columns, X[:201], y[:201])
+            grown.clear()
+            return model_to_json(fit(self.all_columns, X[:202], y[:202]))
+
+        trees._draw_list.cache_clear()
+        got = refit()
+        assert grown and all(201 in idx for idx in grown)
+        record = trees._SeedDraws([], lambda: np.arange(4))
+        with monkeypatch.context() as m:
+            m.setattr(trees, "_draw_list", lambda *key: record)
+            strict = refit()
+            assert any(201 not in idx for idx in grown)
+        assert strict == got == self.fresh(self.all_columns, X[:202], y[:202])
 
     def fallback(self, X, y, then, spec=None):
         """Fit rows [0, 200), then ``then`` (an (X, y) pair or a callable making one) with spec: a fresh fit's bytes."""
@@ -961,14 +1023,17 @@ class TestExhaustiveFinder:
     """The column-batched finder against the per-column reference, bit for bit."""
 
     @staticmethod
-    def split(X, target, criterion, idx, candidates):
-        # the node's block, built by filtering each column's (value, row id) order to the node's rows
+    def block(X, idx):
+        """The node's block, built by filtering each column's (value, row id) order to the node's rows."""
         order = np.argsort(X.T, axis=1, kind="stable")
         in_node = np.zeros(X.shape[0], dtype=bool)
         in_node[idx] = True
         ids = order[in_node[order]].reshape(X.shape[1], idx.size)
-        block = (ids, X[ids, np.arange(X.shape[1])[:, None]])
-        choice = make_exhaustive_finder(target, criterion)(idx, candidates, block)
+        return ids, X[ids, np.arange(X.shape[1])[:, None]]
+
+    @staticmethod
+    def split(X, target, criterion, idx, candidates):
+        choice = make_exhaustive_finder(target, criterion)(idx, candidates, TestExhaustiveFinder.block(X, idx))
         return None if choice is None else (choice.column, choice.threshold, choice.gain)
 
     @pytest.mark.parametrize("criterion", [GINI, SSE], ids=["gini", "sse"])
@@ -1019,6 +1084,98 @@ class TestExhaustiveFinder:
         X = np.column_stack([np.full(6, 2.0), np.full(6, -1.0)])
         target = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
         assert self.split(X, target, criterion, np.arange(6), np.arange(2)) is None
+
+
+class TestCountTable:
+    """The GINI count table and the counts handed down the tree, against the direct scoring, bit for bit."""
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).view(np.int64)
+
+    def test_entries_have_the_direct_paths_bits(self, monkeypatch):
+        """Entry (L, l) is the term the direct path gives L ones among l rows, and l * gini(L, l) in scalar floats."""
+        from opentrend.learners import trees
+
+        table, starts = trees._gini_count_table()
+        rows = trees._COUNT_TABLE_ROWS
+        assert table.shape == ((rows + 1) * (rows + 2) // 2,) and starts[-1] == table.size
+        l = np.repeat(np.arange(1, rows + 1), np.arange(2, rows + 2))
+        ones = np.concatenate([np.arange(k + 1) for k in range(1, rows + 1)])
+        entries = table[starts[l] + ones]
+        # the direct path scores (term(L, l) + term(total - L, n_right)) / n; with n_right = total - L the right
+        # side is all ones, whose term is exactly 0.0, and with n = 1 the division is exact
+        total = 2 * rows + 1
+        monkeypatch.setattr(trees, "_COUNT_TABLE_ROWS", 0)
+        direct, _ = trees._gini_best_cut(
+            total, 1, l.astype(np.float64), (total - ones).astype(np.float64), ones[None, :], 0.0, np.zeros((1, l.size), bool)
+        )
+        np.testing.assert_array_equal(self.bits(entries), self.bits(direct[0]))
+        scalar = [_gini(float(L), float(n)) * float(n) for L, n in zip(ones.tolist(), l.tolist())]
+        np.testing.assert_array_equal(self.bits(entries), self.bits(scalar))
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 256, 257, 400])
+    def test_finder_choice_equals_the_direct_paths(self, monkeypatch, n):
+        """Column, threshold, gain bits and child counts of random tie-heavy 0/1 nodes, with and without the table."""
+        from opentrend.learners import trees
+
+        rng = np.random.default_rng(n)
+        found = 0
+        for case in range(40):
+            n_rows = n + int(rng.integers(0, 20))
+            n_cols = int(rng.integers(1, 6))
+            X = rng.integers(0, rng.integers(1, 12), size=(n_rows, n_cols)).astype(np.float64)
+            target = (rng.random(n_rows) < rng.random()).astype(np.float64)
+            idx = np.sort(rng.choice(n_rows, size=n, replace=False))
+            candidates = np.sort(rng.choice(n_cols, size=int(rng.integers(1, n_cols + 1)), replace=False))
+            choices = []
+            for table_rows in (trees._COUNT_TABLE_ROWS, 0):  # 0: every node takes the direct path
+                with monkeypatch.context() as m:
+                    m.setattr(trees, "_COUNT_TABLE_ROWS", table_rows)
+                    choices.append(self.choose(X, target, idx, candidates))
+            assert choices[0] == choices[1], case
+            expected = reference_split(X, target, GINI, idx, candidates)
+            want = None if expected is None else (expected[0], expected[1], self.bits(expected[2]).item())
+            assert (None if choices[0] is None else choices[0][:3]) == want
+            if choices[0] is not None:
+                found += 1
+                column, threshold, _, counts = choices[0]
+                go_left = X[idx, column] <= threshold
+                assert counts == (int(target[idx[go_left]].sum()), int(target[idx[~go_left]].sum()))
+        assert found > 0
+
+    @staticmethod
+    def choose(X, target, idx, candidates):
+        choice = make_exhaustive_finder(target, GINI)(idx, candidates, TestExhaustiveFinder.block(X, idx))
+        return None if choice is None else (choice.column, choice.threshold, TestCountTable.bits(choice.gain).item(), choice.counts)
+
+    def test_each_node_gets_its_target_sum(self):
+        """Every node after the root is handed target[idx].sum() of its rows, across nodes of more and fewer than W rows."""
+        rng = np.random.default_rng(3)
+        for case in range(4):
+            n_rows = 700
+            X = np.round(rng.normal(size=(n_rows, 4)), 1)
+            y = (X[:, 0] + X[:, 2] + rng.normal(size=n_rows) > 0).astype(np.float64)
+            find = make_exhaustive_finder(y, GINI)
+            seen = []
+
+            def checking(idx, candidates, block, count):
+                assert count == (None if idx.size == n_rows else int(y[idx].sum()))
+                seen.append(idx.size)
+                return find(idx, candidates, block, count)
+
+            tree = grow_tree(X, y, max_depth=10**9, candidates=None, find_split=checking, block=sort_columns(X)).tree
+            assert max(seen[1:]) > 256 and min(seen) < 256
+            expected = reference_tree(
+                X,
+                y,
+                lambda idx, candidates: reference_split(X, y, GINI, idx, candidates),
+                max_depth=10**9,
+                max_features=None,
+                rng=None,
+                leaf_value=lambda idx: float(y[idx].mean()),
+            )
+            TestGrowTree.assert_same_tree(tree, expected)
 
 
 def _entropy(ones, n):
