@@ -23,11 +23,23 @@ below ``_TABLE_MIN_ROWS`` hybrids (2^d times the background size), scores
 tables over all d columns built by doubling.  Either way each table entry is
 the float scoring its hybrid row returns, so the coalition values keep the
 bits of scoring every hybrid row.
+
+Sampled mode needs the d prefix coalitions of each ordering.  A single
+decision tree, scaled or not, and a single-class constant model give them
+without scoring a hybrid (``TrainedModel.leaf_tables``): the same walk per
+background row writes leaf ids instead of leaf values into the row's table,
+and each prefix's id is gathered from it, so a row costs two score calls
+(the background and the row itself).  The ids of a block of orderings stay
+under ``_LEAF_ID_BYTES``; each further block walks again.  The ensembles and
+every other model score each ordering's hybrids stacked.  Either way every
+hybrid's mean has the bits of scoring that hybrid alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +50,7 @@ DEFAULT_ROW_SUBSAMPLE = 100
 _COALITION_CHUNK = 256  # coalitions per gather block: its buffers stay in cache (256 KB each at 128 background rows)
 _TABLE_CHUNK = 1 << MAX_EXACT_FEATURES  # score-buffer rows: room for a table over every column
 _TABLE_MIN_ROWS = 1 << 13
+_LEAF_ID_BYTES = 1 << 20  # sampled leaf ids per block of orderings: 200 orderings x 16 columns x 128 rows at uint16 fit one
 
 SHAP_EXACT = "exact"
 SHAP_SAMPLED = "sampled"
@@ -80,7 +93,12 @@ def attribution_mode(mode: str) -> str:
 
 
 def at_least_one(name: str, n: int) -> int:
-    """``n`` itself if it is a usable count of ``name``: orderings, background or attributed rows, at least 1."""
+    """``n`` itself if it is a usable count of ``name``: orderings, background or attributed rows, an integer >= 1.
+
+    A bool is refused, though Python counts it as an int; a numpy integer is accepted.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"{name} must be >= 1, got {n!r}")
     return n
@@ -133,6 +151,11 @@ def _scored_tables(score, x: np.ndarray, background: np.ndarray) -> np.ndarray:
     return table
 
 
+def _index_weights(masks: np.ndarray) -> np.ndarray:
+    """Bit of column j in row b's table index: 2^(rank of j in F_b), 0 off F_b (the set bits of ``masks[b]``)."""
+    return masks.astype(np.int64) << (np.cumsum(masks, axis=1) - masks)
+
+
 def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarray:
     """v(S) for every bitmask S from one table of hybrid scores per background row.
 
@@ -159,8 +182,7 @@ def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarra
         table = _scored_tables(_score_fn(model), x, background)
     else:
         masks, table = filled
-    # bit of column j in row b's table index: 2^(rank of j in F_b), 0 off F_b
-    weight = masks.astype(np.int64) << (np.cumsum(masks, axis=1) - masks)
+    weight = _index_weights(masks)
     offsets = np.concatenate(([0], np.cumsum(1 << masks.sum(axis=1))))
     # a block of coalitions S = start | i shares start's bits above i's, so an
     # index is the packed bits of i, built once by doubling, plus those of start
@@ -215,10 +237,14 @@ def shapley_exact(model, x, background) -> AttributionRow:
 def shapley_sampled(model, x, background, n_permutations: int = 200, seed: int = 0) -> AttributionRow:
     """Monte-Carlo Shapley: average marginal contributions over seeded orderings.
 
-    One score call takes an ordering's d hybrids stacked (fewer when d
-    times the background size passes ``_TABLE_CHUNK`` rows); each hybrid's
-    block of scores is averaged on its own, so every value keeps the bits
-    of scoring that hybrid alone.
+    Ordering k's hybrids take x at its first 1, 2, ..., d columns.  A model
+    with leaf tables (a single tree, scaled or not, or a constant; see
+    ``TrainedModel.leaf_tables``) scores only the background and the row:
+    ``_walked_means`` reads each hybrid's leaf per background row from one
+    tree walk per row.  Any other model scores each ordering's hybrids
+    stacked (``_scored_means``).  Either way each hybrid's mean score has the
+    bits of scoring that hybrid alone, and the contributions are summed in
+    the same order, so phi does not depend on the route.
     """
     at_least_one("n_permutations", n_permutations)
     row = _as_row(x)
@@ -226,25 +252,74 @@ def shapley_sampled(model, x, background, n_permutations: int = 200, seed: int =
     bg = _as_background(background, d)
     score = _score_fn(model)
     rng = np.random.default_rng(seed)
+    orders = (rng.permutation(d) for _ in range(n_permutations))
 
-    n_bg = bg.shape[0]
-    per_call = max(1, _TABLE_CHUNK // n_bg)  # hybrids per score call: at most one exact-path buffer of rows
     base_value = float(np.asarray(score(bg), dtype=np.float64).mean())
+    tables = getattr(model, "leaf_tables", None)
+    walked = tables(row, bg) if tables is not None else None
+    if walked is None:
+        means = _scored_means(score, row, bg, orders)
+    else:
+        means = _walked_means(tables, walked, row, bg, orders, n_permutations)
     phi = np.zeros(d)
-    for _ in range(n_permutations):
-        order = rng.permutation(d)
-        taken = np.tri(d, dtype=bool)[:, np.argsort(order)]  # hybrid k takes x at the order's first k + 1 columns
+    for order, hybrid_means in means:
         prev = base_value
-        for start in range(0, d, per_call):
-            hybrids = np.where(taken[start : start + per_call, None, :], row, bg)
-            scores = np.asarray(score(hybrids.reshape(-1, d)), dtype=np.float64)
-            for k, j in enumerate(order[start : start + per_call]):
-                cur = float(scores[k * n_bg : (k + 1) * n_bg].mean())
-                phi[j] += cur - prev
-                prev = cur
+        for j, cur in zip(order, hybrid_means.tolist()):
+            phi[j] += cur - prev
+            prev = cur
     phi /= n_permutations
     out = float(np.asarray(score(row.reshape(1, -1)), dtype=np.float64)[0])
     return AttributionRow(phi=phi, base_value=base_value, model_output=out)
+
+
+def _scored_means(score, row: np.ndarray, background: np.ndarray, orders):
+    """Each ordering with its d hybrids' mean scores, from one score call per ordering.
+
+    The call takes the ordering's hybrids stacked (fewer when d times the
+    background size passes ``_TABLE_CHUNK`` rows); each hybrid's block of
+    scores is averaged on its own.
+    """
+    n_bg, d = background.shape
+    per_call = max(1, _TABLE_CHUNK // n_bg)  # hybrids per score call: at most one exact-path buffer of rows
+    for order in orders:
+        taken = np.tri(d, dtype=bool)[:, np.argsort(order)]  # hybrid k takes x at the order's first k + 1 columns
+        means = np.empty(d)
+        for start in range(0, d, per_call):
+            hybrids = np.where(taken[start : start + per_call, None, :], row, background)
+            scores = np.asarray(score(hybrids.reshape(-1, d)), dtype=np.float64)
+            means[start : start + per_call] = scores.reshape(-1, n_bg).mean(axis=1)
+        yield order, means
+
+
+def _walked_means(tables, walked, row: np.ndarray, background: np.ndarray, orders, n_permutations: int):
+    """Each ordering with its d hybrids' mean scores, read from leaf tables without scoring a hybrid.
+
+    ``walked`` is ``tables(row, background)``: masks, leaf values and an
+    iterator over each background row's table of leaf ids (see
+    ``TreeArrays.leaf_tables``).  With the masks packed into
+    ``_index_weights``, the leaf of ordering o's hybrid k over row b is
+    entry ``cumsum(weight[b, o])[k]`` of row b's table: the prefix
+    coalitions' packed bits, in ordering order.  The leaf ids of a block of
+    orderings fill one (orderings x d x n_bg) buffer of at most
+    ``_LEAF_ID_BYTES``, read row by row as the walk yields each row's table;
+    each further block walks again.  A hybrid's leaf values over the
+    background are then the floats its score would return, in order, and
+    their mean has the bits of its scored mean.
+    """
+    n_bg, d = background.shape
+    masks, leaves, rows = walked
+    ids_dtype = np.min_scalar_type(leaves.size - 1)
+    per_block = max(1, _LEAF_ID_BYTES // (d * n_bg * ids_dtype.itemsize))
+    ids = np.empty((min(per_block, n_permutations), d, n_bg), dtype=ids_dtype)
+    for start in range(0, n_permutations, per_block):
+        if start:
+            masks, leaves, rows = tables(row, background)
+        block = np.array(list(itertools.islice(orders, per_block)))
+        weight = _index_weights(masks)
+        for b, table in enumerate(rows):
+            ids[: len(block), :, b] = table[np.cumsum(weight[b, block], axis=1)]
+        for order, hybrid_ids in zip(block, ids):
+            yield order, leaves.take(hybrid_ids).mean(axis=1)
 
 
 def global_importance(

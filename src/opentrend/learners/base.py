@@ -15,9 +15,10 @@ the model's column count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -139,6 +140,11 @@ class ConstantState:
         """No column moves a constant score: all-false masks and one entry per background row."""
         return np.zeros(background.shape, dtype=bool), np.full(background.shape[0], float(self.label))
 
+    def leaf_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+        """No column moves a constant score: all-false masks, one leaf, and its id 0 as every row's one-entry table."""
+        one_leaf = np.zeros(1, dtype=np.uint8)
+        return np.zeros(background.shape, dtype=bool), np.array([float(self.label)]), itertools.repeat(one_leaf, background.shape[0])
+
 
 _STATE_TYPES[ConstantState.kind] = ConstantState
 
@@ -189,7 +195,21 @@ class TrainedModel:
         ``score`` standardizes them; standardizing maps each column on its
         own, so a hybrid of the scaled rows is the scaled hybrid.
         """
-        tables = getattr(self.state, "coalition_tables", None)
+        return self._walked("coalition_tables", x, background)
+
+    def leaf_tables(self, x, background) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]] | None:
+        """The state's leaf-id tables for sampled Shapley, or None when it has none.
+
+        A single tree (see ``TreeArrays.leaf_tables``) and a constant give,
+        for each background row, the leaf ids of the hybrids of x and that
+        row over a column mask, plus the leaf values those ids index.  The
+        inputs are standardized as in ``coalition_tables``.
+        """
+        return self._walked("leaf_tables", x, background)
+
+    def _walked(self, hook: str, x, background):
+        """The state's ``hook`` called on x and the background as ``score`` would scale them, or None without it."""
+        tables = getattr(self.state, hook, None)
         if tables is None:
             return None
         x = np.asarray(x, dtype=np.float64)

@@ -99,14 +99,25 @@ ascending index order and only a strictly better gain displaces the
 incumbent, so equal-gain ties resolve to the lowest column index; within a
 column, thresholds are scanned in ascending order and the first optimum
 wins, i.e. the lowest threshold.
+
+Shapley attribution of a fitted tree walks it once per background row b
+(``TreeArrays._walk``, after Independent TreeSHAP, Lundberg et al. 2020)
+and writes one table per row: an entry per coalition of the columns where
+the attributed row and b part ways at a node some hybrid can reach.  The
+one walk has two outputs.  Exact Shapley (``coalition_tables``) writes leaf
+values, every row's table into one float array.  Sampled Shapley
+(``leaf_tables``) writes leaf ids, in the smallest unsigned dtype that holds
+a node id, one row's table at a time into one reused buffer that the caller
+reads before the walk moves on.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -171,33 +182,59 @@ class TreeArrays:
     def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each background row's table of hybrid leaf values over its relevant columns.
 
-        Returns the (n_bg x d) masks of ``_relevant_columns`` and the tables,
-        row after row.  A hybrid takes each column of F_b (the set bits of
-        ``masks[b]``) from x or from b, and b's values elsewhere; entry t of
-        row b's table holds ``apply`` of the hybrid that takes x at the k-th
-        column of F_b when bit k of t is set.  No hybrid is built: the tree
-        is walked once per row.  The walk follows x and b where they go the
-        same way.  Where they part on column j, it follows bit k of j if the
-        path already fixed it, and otherwise branches: x's way with the bit
-        set, b's way with it clear.  At a leaf it writes the leaf value into
-        the entries of the coalitions the path admits: in the row's
-        ``(2,) * |F_b|`` C-order view, whose axis |F_b| - 1 - k is bit k, the
-        bits the path fixed and ``:`` for the others.  Every coalition reaches
-        exactly one leaf, the one ``apply`` gives its hybrid.
+        Returns the (n_bg x d) masks of ``_relevant_columns`` and the tables
+        ``_walk`` fills with leaf values, row after row in one array.
         """
         masks = self._relevant_columns(x, background)
-        widths = masks.sum(axis=1).tolist()
-        ends = np.cumsum(np.left_shift(1, widths)).tolist()
+        ends = np.cumsum(np.left_shift(1, masks.sum(axis=1))).tolist()
         table = np.empty(ends[-1])
-        feature, left, right, value = (arr.tolist() for arr in (self.feature, self.left, self.right, self.value))
+        rows = (table[start:end] for start, end in zip([0, *ends], ends))
+        for _ in self._walk(x, background, masks, self.value.tolist(), rows):
+            pass
+        return masks, table
+
+    def leaf_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+        """Each background row's table of hybrid leaf ids over its relevant columns, for sampled Shapley.
+
+        Returns the masks of ``_relevant_columns``, the leaf values, and an
+        iterator that walks row after row and yields each row's table of leaf
+        ids (``_walk``'s entries, in the smallest unsigned dtype that holds a
+        node id).  Every row's table is written into one reused buffer, so a
+        caller reads each before it asks for the next.
+        """
+        masks = self._relevant_columns(x, background)
+        buffer = np.empty(1 << int(masks.sum(axis=1).max()), dtype=np.min_scalar_type(self.feature.size - 1))
+        return masks, self.value, self._walk(x, background, masks, range(self.feature.size), itertools.repeat(buffer))
+
+    def _walk(self, x: np.ndarray, background: np.ndarray, masks: np.ndarray, leaves, rows) -> Iterator[np.ndarray]:
+        """Fill one table per background row with ``leaves[leaf]`` of each coalition's leaf; yield each filled table.
+
+        A hybrid takes each column of F_b (the set bits of ``masks[b]``) from
+        x or from b, and b's values elsewhere; entry t of row b's table is
+        for the hybrid that takes x at the k-th column of F_b when bit k of t
+        is set.  ``rows`` gives each row a flat array of at least 2^|F_b|
+        entries, which the walk fills from its start.  No hybrid is built:
+        the tree is walked once per row.  The walk follows x and b where they
+        go the same way.  Where they part on column j, it follows bit k of j
+        if the path already fixed it, and otherwise branches: x's way with
+        the bit set, b's way with it clear.  At a leaf it writes
+        ``leaves[leaf]`` into the entries of the coalitions the path admits:
+        in the row's ``(2,) * |F_b|`` C-order view, whose axis |F_b| - 1 - k
+        is bit k, the bits the path fixed and ``:`` for the others.  Every
+        coalition reaches exactly one leaf, the one ``apply`` gives its
+        hybrid.  Exact Shapley passes leaf values, sampled Shapley node ids.
+        """
+        widths = masks.sum(axis=1).tolist()
+        feature, left, right = (arr.tolist() for arr in (self.feature, self.left, self.right))
         cols = np.maximum(self.feature, 0)  # a leaf's comparisons are never read
         x_left = (x[cols] <= self.threshold).tolist()
         b_lefts = background[:, cols] <= self.threshold
         # axis of column j in row b's view: |F_b| - 1 - (rank of j in F_b)
         axes = masks.sum(axis=1, keepdims=True) - np.cumsum(masks, axis=1)
         free = slice(None)
-        for b, (width, end) in enumerate(zip(widths, ends)):
-            view = table[end - (1 << width) : end].reshape((2,) * width)
+        for b, (width, row) in enumerate(zip(widths, rows)):
+            row = row[: 1 << width]
+            view = row.reshape((2,) * width)
             b_left = b_lefts[b].tolist()
             axis = axes[b].tolist()
             stack = [(0, (free,) * width)]
@@ -213,8 +250,8 @@ class TreeArrays:
                         elif not index[a]:
                             go_left = b_left[node]
                     node = left[node] if go_left else right[node]
-                view[index] = value[node]
-        return masks, table
+                view[index] = leaves[node]
+            yield row
 
     def _relevant_columns(self, x: np.ndarray, background: np.ndarray) -> np.ndarray:
         """(n_bg x d) masks of the columns that can move a hybrid of x and a background row.
@@ -691,6 +728,9 @@ class DecisionTreeState:
 
     def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.tree.coalition_tables(x, background)
+
+    def leaf_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+        return self.tree.leaf_tables(x, background)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -130,6 +131,17 @@ class TestValidate:
         with pytest.raises(ConfigError, match=f"'{key}'") as refused:
             config.validate()
         assert OWNER_TEXT.get(key, "") in str(refused.value)
+
+    @pytest.mark.parametrize("key", ["shap_background", "shap_rows", "shap_permutations"])
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0])
+    def test_non_integer_sizes_name_the_key(self, key, value):
+        """A bool or a float is no count, though True compares as 1 and 2.5 passes >= 1."""
+        with pytest.raises(ConfigError, match=f"invalid config key '{key}': .* must be an integer, got {value!r}"):
+            RunConfig(**{key: value}).validate()
+
+    def test_numpy_integer_sizes_accepted(self):
+        config = RunConfig(shap_background=np.int64(64), shap_rows=np.int32(3), shap_permutations=np.uint16(20))
+        assert config.validate().shap_permutations == 20
 
     def test_bad_task_code(self):
         config = apply_assignments(RunConfig(), [("tasks", "op,volatility")])

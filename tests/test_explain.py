@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,10 +179,16 @@ class CountingScore:
 
 
 class CountingTree(CountingScore):
-    """A fitted tree-shaped model that counts what it scores and passes its coalition tables on."""
+    """A fitted tree-shaped model that counts what it scores and its leaf walks, and passes its tables on."""
+
+    walks = 0
 
     def coalition_tables(self, x, background):
         return self.model.coalition_tables(x, background)
+
+    def leaf_tables(self, x, background):
+        self.walks += 1
+        return self.model.leaf_tables(x, background)
 
 
 def hybrid_values(model, x, background):
@@ -597,12 +604,123 @@ class TestBatchedSampled:
         assert max(counting.call_rows) <= chunk
 
     def test_one_score_call_per_permutation(self, problem):
+        """A tree seen through score alone has no leaf tables, so its hybrids are scored."""
         X, y, bg, rows = problem
         counting = CountingScore(fit(preset("dt", seed=4), X, y))
         row = shapley_sampled(counting, rows[0], bg, n_permutations=11, seed=2)
         assert counting.calls == 11 + 2  # the background, one stack of 16 hybrids per ordering, the row
         assert counting.rows == 128 + 11 * 16 * 128 + 1
         assert row.efficiency_residual < 1e-9
+
+
+class TestSampledTreeWalk:
+    """Sampled Shapley of a tree or a constant read from leaf tables, bit for bit the stepwise loop's."""
+
+    @staticmethod
+    def check(model, x, bg, n_permutations=7, seed=0):
+        """The walked row equals the stepwise loop's; the hook is used, and only the background and the row are scored."""
+        counting = CountingTree(model)
+        got = shapley_sampled(counting, x, bg, n_permutations=n_permutations, seed=seed)
+        want = stepwise_sampled(model, x, bg, n_permutations, seed)
+        assert got.phi.tobytes() == want.phi.tobytes()
+        assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
+        assert counting.walks >= 1 and counting.call_rows == [bg.shape[0], 1]
+
+    @pytest.mark.parametrize("rounded", [False, True], ids=["continuous", "rounded"])
+    @pytest.mark.parametrize("standardize", [False, True], ids=["unscaled", "scaled"])
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    @pytest.mark.parametrize("n_bg", [1, 32])
+    def test_matches_the_stepwise_loop(self, d, standardize, rounded, n_bg):
+        model, train, test = tree_problem(d, 10, rounded, seed=d + n_bg, standardize=standardize)
+        bg = background_sample(train, max_rows=n_bg, seed=1)
+        for i, x in enumerate(test[:2]):
+            self.check(model, x, bg, seed=i)
+
+    def test_row_equal_to_a_background_row(self):
+        model, train, _ = tree_problem(10, 10, rounded=True)
+        bg = background_sample(train, max_rows=32, seed=2)
+        self.check(model, bg[5], bg)
+
+    @pytest.mark.parametrize("standardize", [False, True], ids=["unscaled", "scaled"])
+    def test_row_on_the_thresholds(self, standardize):
+        model, train, _ = tree_problem(10, 10, rounded=False, standardize=standardize)
+        tree = model.state.tree
+        x, bg = scaled_inputs(model, train[7].copy(), background_sample(train, max_rows=64, seed=3))
+        for node in np.nonzero(tree.feature >= 0)[0][::-1]:  # the root's threshold wins its column
+            x[tree.feature[node]] = tree.threshold[node]
+        bg[0] = x
+        bg[1, ::2] = x[::2]
+        if model.standardizer is not None:  # raw values that scale onto the thresholds, up to rounding
+            x, bg = (v * model.standardizer.std + model.standardizer.mean for v in (x, bg))
+        self.check(model, x, bg)
+
+    def test_single_leaf_tree(self):
+        model = fit(preset("dt"), np.ones((40, 3)), np.arange(40) % 2)  # two classes, but no column separates them
+        assert isinstance(model.state, DecisionTreeState) and model.state.tree.feature.size == 1
+        self.check(model, np.zeros(3), np.random.default_rng(4).normal(size=(16, 3)))
+
+    @pytest.mark.parametrize("standardize", [False, True], ids=["unscaled", "scaled"])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_constant_model(self, standardize, label):
+        X = np.random.default_rng(14).normal(loc=2.0, scale=3.0, size=(80, 10))
+        model = fit(ClassifierSpec("DecisionTree", standardize=standardize), X, np.full(80, label))
+        assert isinstance(model.state, ConstantState)
+        self.check(model, X[0], X[:32])
+
+    @pytest.mark.parametrize("per_block", [1, 3, 7])
+    def test_blocks_of_orderings_walk_again(self, monkeypatch, per_block):
+        """A leaf-id budget of per_block orderings splits 10 orderings into blocks, each walked once."""
+        model, train, test = tree_problem(16, 10, rounded=True, seed=3)
+        bg = background_sample(train, max_rows=32, seed=4)
+        assert model.state.tree.feature.size < 256  # one byte per leaf id
+        monkeypatch.setattr(explain, "_LEAF_ID_BYTES", per_block * 16 * 32)
+        self.check(model, test[0], bg, n_permutations=10, seed=5)
+        counting = CountingTree(model)
+        shapley_sampled(counting, test[0], bg, n_permutations=10, seed=5)
+        assert counting.walks == math.ceil(10 / per_block)
+
+    def test_two_byte_leaf_ids(self):
+        """A tree of more than 256 nodes stores its leaf ids as uint16."""
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(1001, 16))
+        model = fit(ClassifierSpec("DecisionTree", {"max_depth": 30, "max_features": 16}), X[:1000], rng.integers(0, 2, 1000))
+        assert model.state.tree.feature.size > 256
+        bg = background_sample(X[:1000], max_rows=32, seed=1)
+        _, _, tables = model.leaf_tables(X[1000], bg)
+        assert next(tables).dtype == np.uint16
+        self.check(model, X[1000], bg)
+
+    @pytest.fixture(scope="class")
+    def paper_row(self):
+        """A dt preset fitted on 989 of 1,236 rows of 16 columns, a 128-row background and a held-out row."""
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(1236, 16))
+        y = (X[:, 0] - 0.7 * X[:, 15] + rng.normal(scale=0.8, size=1236) > 0).astype(np.int64)
+        model = fit(preset("dt", seed=16), X[:989], y[:989])
+        return model, X[1000], background_sample(X[:989], max_rows=128, seed=1)
+
+    def test_paper_scale_row_scores_two_calls(self, paper_row):
+        """16 columns, 128 background rows, 200 orderings: the background and the row are scored, no hybrid."""
+        model, x, bg = paper_row
+        counting = CountingTree(model)
+        row = shapley_sampled(counting, x, bg)
+        assert counting.call_rows == [128, 1] and counting.walks == 1
+        assert row.efficiency_residual < 1e-9
+
+    @pytest.mark.parametrize("n_permutations", [200, 2000])
+    def test_paper_scale_memory_stays_bounded(self, paper_row, n_permutations):
+        """One block's leaf ids, at most _LEAF_ID_BYTES, plus index and walk temporaries.
+
+        All 2,000 orderings' leaf ids at once would peak at about 4.7 MiB.
+        """
+        model, x, bg = paper_row
+        tracemalloc.start()
+        try:
+            shapley_sampled(model, x, bg, n_permutations=n_permutations)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < explain._LEAF_ID_BYTES + 2**20
 
 
 class TestGlobalImportance:
@@ -685,3 +803,20 @@ class TestSampling:
     def test_row_count_below_one_refused(self):
         with pytest.raises(ValueError, match="attributed row count must be >= 1, got 0"):
             row_subsample(np.zeros((10, 2)), max_rows=0)
+
+    @pytest.mark.parametrize("size", [True, 2.5, 3.0, "4"])
+    def test_non_integer_sizes_refused(self, size):
+        """True would count as 1 and 2.5 would pass >= 1; each function names its size."""
+        with pytest.raises(ValueError, match=f"background size must be an integer, got {size!r}"):
+            background_sample(np.zeros((10, 2)), max_rows=size)
+        with pytest.raises(ValueError, match=f"attributed row count must be an integer, got {size!r}"):
+            row_subsample(np.zeros((10, 2)), max_rows=size)
+        with pytest.raises(ValueError, match=f"n_permutations must be an integer, got {size!r}"):
+            shapley_sampled(ConstantScore(), np.zeros(2), np.zeros((4, 2)), n_permutations=size)
+
+    @pytest.mark.parametrize("size", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_sizes_accepted(self, size):
+        assert background_sample(np.arange(20.0).reshape(10, 2), max_rows=size).shape == (3, 2)
+        assert row_subsample(np.zeros((10, 2)), max_rows=size).shape == (3,)
+        row = shapley_sampled(LinearScore([1.0, 2.0]), np.ones(2), np.zeros((4, 2)), n_permutations=size)
+        np.testing.assert_allclose(row.phi, [1.0, 2.0])
