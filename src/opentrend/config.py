@@ -26,9 +26,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields, replace
 
-from opentrend.dataset import EvalMode, train_fraction
+from opentrend.dataset import DEFAULT_SPLIT_RATIO, EvalMode, train_fraction
 from opentrend.explain import (
     DEFAULT_BACKGROUND_SIZE,
+    DEFAULT_PERMUTATIONS,
     DEFAULT_ROW_SUBSAMPLE,
     SHAP_EXACT,
     at_least_one,
@@ -56,7 +57,7 @@ class RunConfig:
     bollinger_k: float = IndicatorParams.bollinger_k
     keltner_k: float = IndicatorParams.keltner_k
     bollinger_paper_literal: bool = IndicatorParams.bollinger_paper_literal
-    split_ratio: float = 0.8
+    split_ratio: float = DEFAULT_SPLIT_RATIO
     eval_mode: str = EvalMode.kind
     refit_every: int = EvalMode.refit_every
     freeze_window: bool = EvalMode.freeze_window
@@ -72,7 +73,7 @@ class RunConfig:
     shap_feature_set: str = SHAP_FEATURE_SET_DEFAULT
     shap_background: int = DEFAULT_BACKGROUND_SIZE
     shap_rows: int = DEFAULT_ROW_SUBSAMPLE
-    shap_permutations: int = 200
+    shap_permutations: int = DEFAULT_PERMUTATIONS
     out_dir: str = "results"
 
     def validate(self) -> "RunConfig":

@@ -20,6 +20,7 @@ from opentrend.labeling import LabelVector, TaskKind
 from opentrend.learners import ClassifierSpec, fit, predict
 from opentrend.learners.base import positive_int
 
+DEFAULT_SPLIT_RATIO = 0.8
 STATIC_SPLIT = "static"
 ROLLING_ONE_STEP = "rolling"
 
@@ -110,7 +111,7 @@ def bind(matrix: FeatureMatrix, labels: LabelVector, market: str) -> LabeledData
     )
 
 
-def split(ds: LabeledDataset, ratio: float = 0.8) -> Split:
+def split(ds: LabeledDataset, ratio: float = DEFAULT_SPLIT_RATIO) -> Split:
     """n_train = ceil(ratio * n_points), test = the rest; both must be non-empty.
 
     The product is taken in exact rational arithmetic (``train_fraction``)

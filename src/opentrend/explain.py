@@ -9,29 +9,34 @@ feature orderings instead, which keeps the efficiency identity
 speed.  The caller picks one; neither falls back to the other.  Attribution
 targets the pre-threshold score, never the 0/1 decision.
 
-Exact enumeration reads the coalition values from one table per background
-row.  A tree-shaped model fills its tables without scoring a hybrid
-(``TrainedModel.coalition_tables``): it walks each tree once per background
-row and writes every leaf's value into the coalitions that reach it, as in
-Independent TreeSHAP (Lundberg et al. 2020).  That covers a single decision
-tree, scaled or not, whose tables span only the columns where x and that row
-part ways at a node some hybrid reaches; the boosted (``xgb``, ``catboost``)
-and randomized (``extratrees``) ensembles, whose tables span all d columns
-and add the trees in the order ``score`` adds them; and a single-class
-constant model, one entry per row.  Every other model, and every problem
-below ``_TABLE_MIN_ROWS`` hybrids (2^d times the background size), scores
-tables over all d columns built by doubling.  Either way each table entry is
-the float scoring its hybrid row returns, so the coalition values keep the
-bits of scoring every hybrid row.
+A tree-shaped model (``dt``, scaled or not, the boosted ``xgb`` and
+``catboost``, the randomized ``extratrees`` and a single-class constant)
+describes its score as a sum of trees through one hook,
+``TrainedModel.scaled_tree_sum``: ``(start, weight, trees, link)`` with
+``score(X) = link(start + sum of weight * tree.apply(X))``, plus x and the
+background scaled as ``score`` scales them.  Everything built from that form
+lives here, after Independent TreeSHAP (Lundberg et al. 2020): the columns
+that can move a hybrid of x and a background row (``_relevant_columns``) and
+one walk of a tree per background row that fills the row's table of
+coalitions without building a hybrid (``_walk``).
 
-Sampled mode needs the d prefix coalitions of each ordering.  A single
-decision tree, scaled or not, and a single-class constant model give them
-without scoring a hybrid (``TrainedModel.leaf_tables``): the same walk per
-background row writes leaf ids instead of leaf values into the row's table,
-and each prefix's id is gathered from it, so a row costs two score calls
-(the background and the row itself).  The ids of a block of orderings stay
-under ``_LEAF_ID_BYTES``; each further block walks again.  The ensembles and
-every other model score each ordering's hybrids stacked.  Either way every
+Exact enumeration reads the coalition values from one table per background
+row.  A tree-shaped model's table spans the union of its trees' relevant
+columns for that row; the walks add the trees' leaf values into it in the
+order ``score`` adds them, and link is applied row by row
+(``_summed_tables``).  Every other model, and every problem below
+``_TABLE_MIN_ROWS`` hybrids (2^d times the background size), scores tables
+over all d columns built by doubling.  Either way each table entry is the
+float scoring its hybrid row returns, so the coalition values keep the bits
+of scoring every hybrid row.
+
+Sampled mode needs the d prefix coalitions of each ordering.  A form of
+exactly one tree gives them without scoring a hybrid: the same walk writes
+leaf ids instead of leaf values into each row's table, and each prefix's id
+is gathered from it, so a row costs two score calls (the background and the
+row itself).  The ids of a block of orderings stay under ``_LEAF_ID_BYTES``;
+each further block walks again.  A form of no tree or of several trees, and
+every other model, scores each ordering's hybrids stacked.  Either way every
 hybrid's mean has the bits of scoring that hybrid alone.
 """
 
@@ -47,6 +52,7 @@ import numpy as np
 MAX_EXACT_FEATURES = 16  # the canonical feature row's width
 DEFAULT_BACKGROUND_SIZE = 128
 DEFAULT_ROW_SUBSAMPLE = 100
+DEFAULT_PERMUTATIONS = 200
 _COALITION_CHUNK = 256  # coalitions per gather block: its buffers stay in cache (256 KB each at 128 background rows)
 _TABLE_CHUNK = 1 << MAX_EXACT_FEATURES  # score-buffer rows: room for a table over every column
 _TABLE_MIN_ROWS = 1 << 13
@@ -151,6 +157,116 @@ def _scored_tables(score, x: np.ndarray, background: np.ndarray) -> np.ndarray:
     return table
 
 
+def _relevant_columns(tree, x: np.ndarray, background: np.ndarray) -> np.ndarray:
+    """(n_bg x d) masks of the columns that can move a hybrid of x and a background row in ``tree``.
+
+    A hybrid takes each column from x or from the background row b.  Column
+    j is set for b when some node tests j, x and b go different ways there,
+    and some hybrid of x and b may reach that node.  Elsewhere x and b go
+    the same way, so every hybrid does too: a hybrid lands in the same leaf
+    as the hybrid that takes only b's value at the unset columns.  A node is
+    counted as reachable when a parent is and x or b goes its way, a
+    superset of the nodes hybrids reach, which leaves that statement true.
+    Children follow their parent, so one pass in node order visits each
+    node after its parent.
+    """
+    internal = np.nonzero(tree.feature >= 0)[0]
+    cols = tree.feature[internal]
+    thr = tree.threshold[internal]
+    x_left = x[cols] <= thr
+    b_left = (background[:, cols] <= thr).T  # (internal nodes, n_bg)
+    reach = np.zeros((tree.feature.size, background.shape[0]), dtype=bool)
+    reach[0] = True
+    for i, node in enumerate(internal):
+        at = reach[node]
+        reach[tree.left[node]] |= at & (x_left[i] | b_left[i])
+        reach[tree.right[node]] |= at & ~(x_left[i] & b_left[i])
+    masks = np.zeros((background.shape[1], background.shape[0]), dtype=bool)
+    np.logical_or.at(masks, cols, reach[internal] & (b_left != x_left[:, None]))
+    return masks.T
+
+
+def _walk(tree, x: np.ndarray, background: np.ndarray, masks: np.ndarray, leaves, rows, add: bool = False):
+    """Write (or with ``add``, add) ``leaves[leaf]`` of each coalition's leaf into one table per background row; yield each.
+
+    A hybrid takes each column of F_b (the set bits of ``masks[b]``, which
+    must hold ``tree``'s relevant columns for row b) from x or from b, and
+    b's values elsewhere; entry t of row b's table is for the hybrid that
+    takes x at the k-th column of F_b when bit k of t is set.  ``rows``
+    gives each row a flat array of at least 2^|F_b| entries, which the walk
+    fills from its start.  No hybrid is built: the tree is walked once per
+    row.  The walk follows x and b where they go the same way.  Where they
+    part on column j, it follows bit k of j if the path already fixed it,
+    and otherwise branches: x's way with the bit set, b's way with it clear.
+    At a leaf it writes into the entries of the coalitions the path admits:
+    in the row's ``(2,) * |F_b|`` C-order view, whose axis |F_b| - 1 - k is
+    bit k, the bits the path fixed and ``:`` for the others, so a column of
+    F_b the tree never branches on takes the same value both ways.  Every
+    coalition reaches exactly one leaf, the one ``apply`` gives its hybrid.
+    """
+    widths = masks.sum(axis=1).tolist()
+    feature, left, right = (arr.tolist() for arr in (tree.feature, tree.left, tree.right))
+    cols = np.maximum(tree.feature, 0)  # a leaf's comparisons are never read
+    x_left = (x[cols] <= tree.threshold).tolist()
+    b_lefts = background[:, cols] <= tree.threshold
+    # axis of column j in row b's view: |F_b| - 1 - (rank of j in F_b)
+    axes = masks.sum(axis=1, keepdims=True) - np.cumsum(masks, axis=1)
+    free = slice(None)
+    for b, (width, row) in enumerate(zip(widths, rows)):
+        row = row[: 1 << width]
+        view = row.reshape((2,) * width)
+        b_left = b_lefts[b].tolist()
+        axis = axes[b].tolist()
+        stack = [(0, (free,) * width)]
+        while stack:
+            node, index = stack.pop()
+            while feature[node] >= 0:
+                go_left = x_left[node]
+                if go_left != b_left[node]:
+                    a = axis[feature[node]]
+                    if index[a] is free:
+                        stack.append((left[node] if b_left[node] else right[node], index[:a] + (0,) + index[a + 1 :]))
+                        index = index[:a] + (1,) + index[a + 1 :]
+                    elif not index[a]:
+                        go_left = b_left[node]
+                node = left[node] if go_left else right[node]
+            if add:
+                entries = view[index + (Ellipsis,)]  # a view even where every bit is fixed
+                entries += leaves[node]
+            else:
+                view[index] = leaves[node]
+        yield row
+
+
+def _summed_tables(tree_sum, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A tree sum's masks and tables: row b's table holds link(start + sum of weight * leaf value) of its hybrids.
+
+    ``tree_sum`` is ``(start, weight, trees, link)`` (see
+    ``TrainedModel.scaled_tree_sum``).  Row b's table spans F_b, the union
+    of the trees' relevant columns for b, and the tables lie row after row
+    in one array.  The trees are walked in the order ``score`` adds them:
+    the first writes ``start + weight * leaf value`` into every entry (a
+    sum of no tree leaves ``start``), each further one adds
+    ``weight * leaf value``, and link is applied row by row (its
+    temporaries stay one table long), so every entry has ``score``'s bits.
+    """
+    start, weight, trees, link = tree_sum
+    masks = np.zeros(background.shape, dtype=bool)
+    for tree in trees:
+        masks |= _relevant_columns(tree, x, background)
+    ends = np.cumsum(np.left_shift(1, masks.sum(axis=1))).tolist()
+    table = np.full(ends[-1], float(start))
+    rows = [table[begin:end] for begin, end in zip([0, *ends], ends)]
+    for i, tree in enumerate(trees):
+        leaves = weight * tree.value
+        for _ in _walk(tree, x, background, masks, (leaves if i else start + leaves).tolist(), rows, add=i > 0):
+            pass
+    if link is not None:
+        for row in rows:
+            row[:] = link(row)
+    return masks, table
+
+
 def _index_weights(masks: np.ndarray) -> np.ndarray:
     """Bit of column j in row b's table index: 2^(rank of j in F_b), 0 off F_b (the set bits of ``masks[b]``)."""
     return masks.astype(np.int64) << (np.cumsum(masks, axis=1) - masks)
@@ -161,27 +277,27 @@ def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarra
 
     Row b's table holds the scores of the 2^|F_b| hybrids over a column set
     F_b: entry t takes x at the r-th column of F_b when bit r of t is set and
-    row b's values elsewhere.  A model with coalition tables (a tree-shaped
-    model, see ``TrainedModel.coalition_tables``) fills them itself without
-    scoring a hybrid, over F_b of its choosing; the hybrid of S with row b
-    then scores as the entry whose index is S's bits at F_b packed together.
-    Any other model gets F_b = every column and ``_scored_tables``.  Each
-    block of coalitions reduces the same floats, in the same order, as
-    scoring every hybrid row would, so v(S) keeps its bits.  Below
-    ``_TABLE_MIN_ROWS`` hybrid rows (2^d times the background size) every
-    hybrid is scored, which costs less there: for ``dt`` and ``xgb`` the
-    two crossed at about 8,192 rows.
+    row b's values elsewhere.  A tree-shaped model (one with
+    ``scaled_tree_sum``) gets its tables from ``_summed_tables`` without
+    scoring a hybrid, over the union of its trees' relevant columns; the
+    hybrid of S with row b then scores as the entry whose index is S's bits
+    at F_b packed together.  Any other model gets F_b = every column and
+    ``_scored_tables``.  Each block of coalitions reduces the same floats,
+    in the same order, as scoring every hybrid row would, so v(S) keeps its
+    bits.  Below ``_TABLE_MIN_ROWS`` hybrid rows (2^d times the background
+    size) every hybrid is scored, which costs less there: for ``dt`` and
+    ``xgb`` the two crossed at about 8,192 rows.
     """
     d = x.size
-    tables = getattr(model, "coalition_tables", None)
-    filled = None
-    if tables is not None and 2**d * background.shape[0] >= _TABLE_MIN_ROWS:
-        filled = tables(x, background)
-    if filled is None:
+    hook = getattr(model, "scaled_tree_sum", None)
+    walked = None
+    if hook is not None and 2**d * background.shape[0] >= _TABLE_MIN_ROWS:
+        walked = hook(x, background)
+    if walked is None:
         masks = np.ones(background.shape, dtype=bool)
         table = _scored_tables(_score_fn(model), x, background)
     else:
-        masks, table = filled
+        masks, table = _summed_tables(*walked)
     weight = _index_weights(masks)
     offsets = np.concatenate(([0], np.cumsum(1 << masks.sum(axis=1))))
     # a block of coalitions S = start | i shares start's bits above i's, so an
@@ -234,17 +350,19 @@ def shapley_exact(model, x, background) -> AttributionRow:
     return AttributionRow(phi=phi, base_value=float(values[0]), model_output=out)
 
 
-def shapley_sampled(model, x, background, n_permutations: int = 200, seed: int = 0) -> AttributionRow:
+def shapley_sampled(model, x, background, n_permutations: int = DEFAULT_PERMUTATIONS, seed: int = 0) -> AttributionRow:
     """Monte-Carlo Shapley: average marginal contributions over seeded orderings.
 
     Ordering k's hybrids take x at its first 1, 2, ..., d columns.  A model
-    with leaf tables (a single tree, scaled or not, or a constant; see
-    ``TrainedModel.leaf_tables``) scores only the background and the row:
-    ``_walked_means`` reads each hybrid's leaf per background row from one
-    tree walk per row.  Any other model scores each ordering's hybrids
-    stacked (``_scored_means``).  Either way each hybrid's mean score has the
-    bits of scoring that hybrid alone, and the contributions are summed in
-    the same order, so phi does not depend on the route.
+    whose tree sum (``TrainedModel.scaled_tree_sum``) holds exactly one tree
+    (``dt``, scaled or not, a constant, one-round ``xgb`` or a one-tree
+    forest) scores only the background and the row: ``_walked_means`` reads
+    each hybrid's leaf per background row from one walk of that tree per
+    row.  Any other model, a sum of no tree or of several trees included,
+    scores each ordering's hybrids stacked (``_scored_means``).  Either way
+    each hybrid's mean score has the bits of scoring that hybrid alone, and
+    the contributions are summed in the same order, so phi does not depend
+    on the route.
     """
     at_least_one("n_permutations", n_permutations)
     row = _as_row(x)
@@ -255,12 +373,12 @@ def shapley_sampled(model, x, background, n_permutations: int = 200, seed: int =
     orders = (rng.permutation(d) for _ in range(n_permutations))
 
     base_value = float(np.asarray(score(bg), dtype=np.float64).mean())
-    tables = getattr(model, "leaf_tables", None)
-    walked = tables(row, bg) if tables is not None else None
-    if walked is None:
+    hook = getattr(model, "scaled_tree_sum", None)
+    walked = hook(row, bg) if hook is not None else None
+    if walked is None or len(walked[0][2]) != 1:
         means = _scored_means(score, row, bg, orders)
     else:
-        means = _walked_means(tables, walked, row, bg, orders, n_permutations)
+        means = _walked_means(*walked, orders, n_permutations)
     phi = np.zeros(d)
     for order, hybrid_means in means:
         prev = base_value
@@ -291,35 +409,48 @@ def _scored_means(score, row: np.ndarray, background: np.ndarray, orders):
         yield order, means
 
 
-def _walked_means(tables, walked, row: np.ndarray, background: np.ndarray, orders, n_permutations: int):
-    """Each ordering with its d hybrids' mean scores, read from leaf tables without scoring a hybrid.
+def _walked_means(tree_sum, row: np.ndarray, background: np.ndarray, orders, n_permutations: int):
+    """Each ordering with its d hybrids' mean scores, read from leaf ids without scoring a hybrid.
 
-    ``walked`` is ``tables(row, background)``: masks, leaf values and an
-    iterator over each background row's table of leaf ids (see
-    ``TreeArrays.leaf_tables``).  With the masks packed into
-    ``_index_weights``, the leaf of ordering o's hybrid k over row b is
-    entry ``cumsum(weight[b, o])[k]`` of row b's table: the prefix
-    coalitions' packed bits, in ordering order.  The leaf ids of a block of
-    orderings fill one (orderings x d x n_bg) buffer of at most
-    ``_LEAF_ID_BYTES``, read row by row as the walk yields each row's table;
-    each further block walks again.  A hybrid's leaf values over the
-    background are then the floats its score would return, in order, and
-    their mean has the bits of its scored mean.
+    ``tree_sum`` is ``(start, weight, [tree], link)`` and the leaf scores
+    are ``link(start + weight * tree.value)``, as ``score`` computes them.
+    With the relevant-column masks packed into ``_index_weights``, the leaf
+    of ordering o's hybrid k over row b is entry ``cumsum(index_weight[b, o])[k]``
+    of row b's table of leaf ids (``_leaf_ids``): the prefix coalitions'
+    packed bits, in ordering order.  The leaf ids of a block of orderings
+    fill one (orderings x d x n_bg) buffer of at most ``_LEAF_ID_BYTES``,
+    read row by row as the walk yields each row's table; each further block
+    walks again.  A hybrid's leaf scores over the background are then the
+    floats its score would return, in order, and their mean has the bits of
+    its scored mean.
     """
     n_bg, d = background.shape
-    masks, leaves, rows = walked
-    ids_dtype = np.min_scalar_type(leaves.size - 1)
+    start, weight, (tree,), link = tree_sum
+    leaves = start + weight * tree.value
+    if link is not None:
+        leaves = link(leaves)
+    masks = _relevant_columns(tree, row, background)
+    index_weight = _index_weights(masks)
+    ids_dtype = np.min_scalar_type(tree.feature.size - 1)  # as _leaf_ids writes them
     per_block = max(1, _LEAF_ID_BYTES // (d * n_bg * ids_dtype.itemsize))
     ids = np.empty((min(per_block, n_permutations), d, n_bg), dtype=ids_dtype)
-    for start in range(0, n_permutations, per_block):
-        if start:
-            masks, leaves, rows = tables(row, background)
+    for _ in range(0, n_permutations, per_block):
         block = np.array(list(itertools.islice(orders, per_block)))
-        weight = _index_weights(masks)
-        for b, table in enumerate(rows):
-            ids[: len(block), :, b] = table[np.cumsum(weight[b, block], axis=1)]
+        for b, table in enumerate(_leaf_ids(tree, row, background, masks)):
+            ids[: len(block), :, b] = table[np.cumsum(index_weight[b, block], axis=1)]
         for order, hybrid_ids in zip(block, ids):
             yield order, leaves.take(hybrid_ids).mean(axis=1)
+
+
+def _leaf_ids(tree, x: np.ndarray, background: np.ndarray, masks: np.ndarray):
+    """One walk of ``tree``: an iterator over each background row's table of leaf ids over ``masks``.
+
+    The ids are in the smallest unsigned dtype that holds a node id.  Every
+    row's table is written into one reused buffer, so a caller reads each
+    before it asks for the next.
+    """
+    buffer = np.empty(1 << int(masks.sum(axis=1).max()), dtype=np.min_scalar_type(tree.feature.size - 1))
+    return _walk(tree, x, background, masks, range(tree.feature.size), itertools.repeat(buffer))
 
 
 def global_importance(
@@ -328,7 +459,7 @@ def global_importance(
     background,
     feature_names: tuple[str, ...],
     mode: str = SHAP_EXACT,
-    n_permutations: int = 200,
+    n_permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
 ) -> ShapleyReport:
     """Mean |phi| per feature over a set of rows."""

@@ -42,7 +42,7 @@ class IndicatorParams:
     bollinger_paper_literal: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.window_n, int) or self.window_n < 1:
+        if isinstance(self.window_n, bool) or not isinstance(self.window_n, int) or self.window_n < 1:
             raise ValueError(f"window_n must be an integer >= 1, got {self.window_n!r}")
         if not (self.bollinger_k >= 0 and np.isfinite(self.bollinger_k)):
             raise ValueError(f"bollinger_k must be finite and non-negative, got {self.bollinger_k!r}")
@@ -105,12 +105,11 @@ def true_range(series: OhlcSeries) -> np.ndarray:
 
 def atr(series: OhlcSeries, n: int) -> np.ndarray:
     """Average true range: n-day rolling mean of the true range."""
-    _check_window(len(series), n)
-    return _nan_prefix(n - 1, sliding_window_view(true_range(series), n).mean(axis=1))
+    return sma(true_range(series), n)
 
 
 def _check_window(size: int, n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"window must be an integer >= 1, got {n!r}")
     if size < n:
         raise ValueError(f"series too short for window {n}: got {size} values")

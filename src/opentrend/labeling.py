@@ -71,7 +71,7 @@ def make_labels(series: OhlcSeries, task: TaskKind, first_index: int) -> LabelVe
     default pipeline), so the vector is exactly one element shorter than the
     feature matrix assembled from the same series.
     """
-    if not isinstance(first_index, int) or first_index < 0:
+    if isinstance(first_index, bool) or not isinstance(first_index, int) or first_index < 0:
         raise ValueError(f"first_index must be a non-negative integer, got {first_index!r}")
     if first_index > len(series) - 2:
         raise ValueError(

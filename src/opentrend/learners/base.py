@@ -15,10 +15,9 @@ the model's column count.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -136,14 +135,12 @@ class ConstantState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], float(self.label))
 
-    def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """No column moves a constant score: all-false masks and one entry per background row."""
-        return np.zeros(background.shape, dtype=bool), np.full(background.shape[0], float(self.label))
+    def tree_sum(self):
+        """``score`` as a sum of trees (see ``TrainedModel.scaled_tree_sum``): one single-leaf tree holding the label."""
+        from opentrend.learners.trees import TreeArrays  # the trees module imports this one
 
-    def leaf_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
-        """No column moves a constant score: all-false masks, one leaf, and its id 0 as every row's one-entry table."""
-        one_leaf = np.zeros(1, dtype=np.uint8)
-        return np.zeros(background.shape, dtype=bool), np.array([float(self.label)]), itertools.repeat(one_leaf, background.shape[0])
+        leaf = np.array([-1])
+        return 0.0, 1.0, [TreeArrays(leaf, np.zeros(1), leaf, leaf, np.array([float(self.label)]))], None
 
 
 _STATE_TYPES[ConstantState.kind] = ConstantState
@@ -185,38 +182,25 @@ class TrainedModel:
             values = self.standardizer.transform(values)
         return self.state.score(values)
 
-    def coalition_tables(self, x, background) -> tuple[np.ndarray, np.ndarray] | None:
-        """The state's coalition tables for exact Shapley, or None when it has none.
+    def scaled_tree_sum(self, x, background):
+        """The state's sum of trees with x and the background as ``score`` scales them, or None when it has none.
 
         A tree-shaped state (a tree, a boosted or randomized ensemble, a
-        constant) fills, for each background row, the scores of the hybrids
-        of x and that row over a column mask without scoring them (see
-        ``TreeArrays.coalition_tables``).  The inputs are standardized as
-        ``score`` standardizes them; standardizing maps each column on its
-        own, so a hybrid of the scaled rows is the scaled hybrid.
+        constant) has ``tree_sum()``: ``(start, weight, trees, link)`` with
+        ``score(X) = link(start + sum of weight * tree.apply(X))``, the trees
+        added in that order and a link of None standing for none.  Returns
+        that form, x and the background; ``explain`` builds its Shapley
+        tables from them.  Standardizing maps each column on its own, so a
+        hybrid of the scaled rows is the scaled hybrid.
         """
-        return self._walked("coalition_tables", x, background)
-
-    def leaf_tables(self, x, background) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]] | None:
-        """The state's leaf-id tables for sampled Shapley, or None when it has none.
-
-        A single tree (see ``TreeArrays.leaf_tables``) and a constant give,
-        for each background row, the leaf ids of the hybrids of x and that
-        row over a column mask, plus the leaf values those ids index.  The
-        inputs are standardized as in ``coalition_tables``.
-        """
-        return self._walked("leaf_tables", x, background)
-
-    def _walked(self, hook: str, x, background):
-        """The state's ``hook`` called on x and the background as ``score`` would scale them, or None without it."""
-        tables = getattr(self.state, hook, None)
-        if tables is None:
+        tree_sum = getattr(self.state, "tree_sum", None)
+        if tree_sum is None:
             return None
         x = np.asarray(x, dtype=np.float64)
         background = _check_inputs(background, self.feature_names)
         if self.standardizer is not None:
             x, background = self.standardizer.transform(x), self.standardizer.transform(background)
-        return tables(x, background)
+        return tree_sum(), x, background
 
     def predict(self, X) -> np.ndarray:
         return (self.score(X) >= 0.5).astype(np.int64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from opentrend.learners.base import positive_int, positive_number, register_family, sigmoid
-from opentrend.learners.trees import SSE, TreeArrays, grow_tree, make_exhaustive_finder, sort_columns, summed_tables
+from opentrend.learners.trees import SSE, TreeArrays, grow_tree, make_exhaustive_finder, sort_columns
 
 _HESSIAN_FLOOR = 1e-12
 
@@ -35,9 +35,9 @@ class BoostedTreesState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw(X))
 
-    def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``score`` of every hybrid of x and each background row, over all columns (see ``summed_tables``)."""
-        return summed_tables(self.trees, x, background, self.base_score, self.learning_rate, sigmoid)
+    def tree_sum(self):
+        """``score`` as a sum of trees (see ``TrainedModel.scaled_tree_sum``): ``raw``'s terms, then the sigmoid."""
+        return self.base_score, self.learning_rate, self.trees, sigmoid
 
 
 def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> BoostedTreesState:

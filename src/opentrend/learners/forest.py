@@ -21,7 +21,6 @@ from opentrend.learners.trees import (
     make_random_entropy_finder,
     random_candidates,
     sort_columns,
-    summed_tables,
 )
 
 
@@ -40,9 +39,9 @@ class ExtraTreesState:
             total += tree.apply(X)
         return total / len(self.trees)
 
-    def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``score`` of every hybrid of x and each background row, over all columns (see ``summed_tables``)."""
-        return summed_tables(self.trees, x, background, 0.0, 1.0, lambda total: total / len(self.trees))
+    def tree_sum(self):
+        """``score`` as a sum of trees (see ``TrainedModel.scaled_tree_sum``): the trees' mean."""
+        return 0.0, 1.0, self.trees, lambda total: total / len(self.trees)
 
 
 def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> ExtraTreesState:

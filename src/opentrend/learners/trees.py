@@ -100,24 +100,17 @@ incumbent, so equal-gain ties resolve to the lowest column index; within a
 column, thresholds are scanned in ascending order and the first optimum
 wins, i.e. the lowest threshold.
 
-Shapley attribution of a fitted tree walks it once per background row b
-(``TreeArrays._walk``, after Independent TreeSHAP, Lundberg et al. 2020)
-and writes one table per row: an entry per coalition of the columns where
-the attributed row and b part ways at a node some hybrid can reach.  The
-one walk has two outputs.  Exact Shapley (``coalition_tables``) writes leaf
-values, every row's table into one float array.  Sampled Shapley
-(``leaf_tables``) writes leaf ids, in the smallest unsigned dtype that holds
-a node id, one row's table at a time into one reused buffer that the caller
-reads before the walk moves on.
+For Shapley attribution each tree-shaped state states its score as a sum
+of trees, ``tree_sum()``: ``DecisionTreeState`` as its one tree; ``explain``
+walks the trees (see ``TrainedModel.scaled_tree_sum``).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -178,134 +171,6 @@ class TreeArrays:
             node[active] = np.where(go_left, self.left[cur], self.right[cur])
             active = active[self.feature[node[active]] >= 0]
         return self.value[node]
-
-    def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each background row's table of hybrid leaf values over its relevant columns.
-
-        Returns the (n_bg x d) masks of ``_relevant_columns`` and the tables
-        ``_walk`` fills with leaf values, row after row in one array.
-        """
-        masks = self._relevant_columns(x, background)
-        ends = np.cumsum(np.left_shift(1, masks.sum(axis=1))).tolist()
-        table = np.empty(ends[-1])
-        rows = (table[start:end] for start, end in zip([0, *ends], ends))
-        for _ in self._walk(x, background, masks, self.value.tolist(), rows):
-            pass
-        return masks, table
-
-    def leaf_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
-        """Each background row's table of hybrid leaf ids over its relevant columns, for sampled Shapley.
-
-        Returns the masks of ``_relevant_columns``, the leaf values, and an
-        iterator that walks row after row and yields each row's table of leaf
-        ids (``_walk``'s entries, in the smallest unsigned dtype that holds a
-        node id).  Every row's table is written into one reused buffer, so a
-        caller reads each before it asks for the next.
-        """
-        masks = self._relevant_columns(x, background)
-        buffer = np.empty(1 << int(masks.sum(axis=1).max()), dtype=np.min_scalar_type(self.feature.size - 1))
-        return masks, self.value, self._walk(x, background, masks, range(self.feature.size), itertools.repeat(buffer))
-
-    def _walk(self, x: np.ndarray, background: np.ndarray, masks: np.ndarray, leaves, rows) -> Iterator[np.ndarray]:
-        """Fill one table per background row with ``leaves[leaf]`` of each coalition's leaf; yield each filled table.
-
-        A hybrid takes each column of F_b (the set bits of ``masks[b]``) from
-        x or from b, and b's values elsewhere; entry t of row b's table is
-        for the hybrid that takes x at the k-th column of F_b when bit k of t
-        is set.  ``rows`` gives each row a flat array of at least 2^|F_b|
-        entries, which the walk fills from its start.  No hybrid is built:
-        the tree is walked once per row.  The walk follows x and b where they
-        go the same way.  Where they part on column j, it follows bit k of j
-        if the path already fixed it, and otherwise branches: x's way with
-        the bit set, b's way with it clear.  At a leaf it writes
-        ``leaves[leaf]`` into the entries of the coalitions the path admits:
-        in the row's ``(2,) * |F_b|`` C-order view, whose axis |F_b| - 1 - k
-        is bit k, the bits the path fixed and ``:`` for the others.  Every
-        coalition reaches exactly one leaf, the one ``apply`` gives its
-        hybrid.  Exact Shapley passes leaf values, sampled Shapley node ids.
-        """
-        widths = masks.sum(axis=1).tolist()
-        feature, left, right = (arr.tolist() for arr in (self.feature, self.left, self.right))
-        cols = np.maximum(self.feature, 0)  # a leaf's comparisons are never read
-        x_left = (x[cols] <= self.threshold).tolist()
-        b_lefts = background[:, cols] <= self.threshold
-        # axis of column j in row b's view: |F_b| - 1 - (rank of j in F_b)
-        axes = masks.sum(axis=1, keepdims=True) - np.cumsum(masks, axis=1)
-        free = slice(None)
-        for b, (width, row) in enumerate(zip(widths, rows)):
-            row = row[: 1 << width]
-            view = row.reshape((2,) * width)
-            b_left = b_lefts[b].tolist()
-            axis = axes[b].tolist()
-            stack = [(0, (free,) * width)]
-            while stack:
-                node, index = stack.pop()
-                while feature[node] >= 0:
-                    go_left = x_left[node]
-                    if go_left != b_left[node]:
-                        a = axis[feature[node]]
-                        if index[a] is free:
-                            stack.append((left[node] if b_left[node] else right[node], index[:a] + (0,) + index[a + 1 :]))
-                            index = index[:a] + (1,) + index[a + 1 :]
-                        elif not index[a]:
-                            go_left = b_left[node]
-                    node = left[node] if go_left else right[node]
-                view[index] = leaves[node]
-            yield row
-
-    def _relevant_columns(self, x: np.ndarray, background: np.ndarray) -> np.ndarray:
-        """(n_bg x d) masks of the columns that can move a hybrid of x and a background row.
-
-        A hybrid takes each column from x or from the background row b.  Column
-        j is set for b when some node tests j, x and b go different ways there,
-        and some hybrid of x and b may reach that node.  Elsewhere x and b go
-        the same way, so every hybrid does too: a hybrid lands in the same leaf
-        as the hybrid that takes only b's value at the unset columns.  A node is
-        counted as reachable when a parent is and x or b goes its way, a
-        superset of the nodes hybrids reach, which leaves that statement true.
-        Children follow their parent, so one pass in node order visits each
-        node after its parent.
-        """
-        internal = np.nonzero(self.feature >= 0)[0]
-        cols = self.feature[internal]
-        thr = self.threshold[internal]
-        x_left = x[cols] <= thr
-        b_left = (background[:, cols] <= thr).T  # (internal nodes, n_bg)
-        reach = np.zeros((self.feature.size, background.shape[0]), dtype=bool)
-        reach[0] = True
-        for i, node in enumerate(internal):
-            at = reach[node]
-            reach[self.left[node]] |= at & (x_left[i] | b_left[i])
-            reach[self.right[node]] |= at & ~(x_left[i] & b_left[i])
-        masks = np.zeros((background.shape[1], background.shape[0]), dtype=bool)
-        np.logical_or.at(masks, cols, reach[internal] & (b_left != x_left[:, None]))
-        return masks.T
-
-
-def summed_tables(
-    trees: list[TreeArrays], x: np.ndarray, background: np.ndarray, start: float, weight: float, link: Callable
-) -> tuple[np.ndarray, np.ndarray]:
-    """An ensemble's ``coalition_tables``: link(start + sum of weight * leaf value) of every hybrid, all columns set.
-
-    Row b's (2^d) table, entry t, scores the hybrid that takes x at column j
-    when bit j of t is set.  Each tree's own table for row b spans only its
-    relevant columns (``TreeArrays.coalition_tables``) and is broadcast over
-    the others.  The terms are added tree by tree, as an ensemble's ``score``
-    adds ``weight * tree.apply(X)``, and link is applied row by row (its
-    temporaries stay one table long), so every entry has ``score``'s bits.
-    """
-    d = x.size
-    sums = np.full((background.shape[0], 1 << d), float(start))
-    views = [row.reshape((2,) * d) for row in sums]
-    for tree in trees:
-        masks, table = tree.coalition_tables(x, background)
-        ends = np.cumsum(1 << masks.sum(axis=1)).tolist()
-        shapes = np.where(masks[:, ::-1], 2, 1).tolist()  # axis d - 1 - j of a view is column j
-        for view, end, shape in zip(views, ends, shapes):
-            view += weight * table[end - (1 << shape.count(2)) : end].reshape(shape)
-    for row in sums:
-        row[:] = link(row)
-    return np.ones(background.shape, dtype=bool), sums.ravel()
 
 
 @dataclass(frozen=True)
@@ -726,11 +591,9 @@ class DecisionTreeState:
     def score(self, X: np.ndarray) -> np.ndarray:
         return self.tree.apply(X)
 
-    def coalition_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.tree.coalition_tables(x, background)
-
-    def leaf_tables(self, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
-        return self.tree.leaf_tables(x, background)
+    def tree_sum(self):
+        """``score`` as a sum of trees (see ``TrainedModel.scaled_tree_sum``): the tree alone."""
+        return 0.0, 1.0, [self.tree], None
 
 
 @dataclass(frozen=True, eq=False)

@@ -181,7 +181,7 @@ def volatility(series: OhlcSeries, price_field: str = "close", period_days: int 
     of the returns; the periodized figure scales the daily one by
     sqrt(period_days).
     """
-    if not isinstance(period_days, int) or period_days <= 0:
+    if isinstance(period_days, bool) or not isinstance(period_days, int) or period_days <= 0:
         raise OhlcError(f"period_days must be a positive integer, got {period_days!r}")
     if len(series) < 3:
         raise OhlcError(f"volatility needs at least 3 bars, got {len(series)}")

@@ -53,7 +53,7 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r} (known: {GENERATOR_KINDS})")
-        if not isinstance(self.days, int) or self.days < 1:
+        if isinstance(self.days, bool) or not isinstance(self.days, int) or self.days < 1:
             raise ValueError(f"days must be a positive integer, got {self.days!r}")
         unknown = set(self.params) - set(_DEFAULT_PARAMS[self.kind])
         if unknown:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 
@@ -19,6 +20,8 @@ from opentrend.config import (
     load_config,
     parse_assignments,
 )
+from opentrend.dataset import DEFAULT_SPLIT_RATIO, split
+from opentrend.explain import DEFAULT_PERMUTATIONS, global_importance, shapley_sampled
 from opentrend.metrics import EvalRecord
 from opentrend.report import RESULTS_HEADER, Provenance, parse_results_csv, results_csv
 
@@ -100,6 +103,14 @@ class TestApplyAssignments:
 class TestValidate:
     def test_defaults_are_valid(self):
         RunConfig().validate()
+
+    def test_defaults_have_one_owner(self):
+        """The split ratio and the ordering count default to the constants their users default to."""
+        config = RunConfig()
+        assert config.split_ratio == DEFAULT_SPLIT_RATIO == inspect.signature(split).parameters["ratio"].default
+        assert config.shap_permutations == DEFAULT_PERMUTATIONS
+        for fn in (shapley_sampled, global_importance):
+            assert inspect.signature(fn).parameters["n_permutations"].default == DEFAULT_PERMUTATIONS
 
     @pytest.mark.parametrize(
         "key,value",

@@ -179,16 +179,31 @@ class CountingScore:
 
 
 class CountingTree(CountingScore):
-    """A fitted tree-shaped model that counts what it scores and its leaf walks, and passes its tables on."""
+    """A fitted tree-shaped model that counts what it scores and its tree-sum calls, and passes its tree sum on."""
 
-    walks = 0
+    hooks = 0
 
-    def coalition_tables(self, x, background):
-        return self.model.coalition_tables(x, background)
+    def scaled_tree_sum(self, x, background):
+        self.hooks += 1
+        return self.model.scaled_tree_sum(x, background)
 
-    def leaf_tables(self, x, background):
-        self.walks += 1
-        return self.model.leaf_tables(x, background)
+
+def tree_tables(model, x, background):
+    """A tree-shaped model's exact Shapley masks and tables."""
+    return explain._summed_tables(*model.scaled_tree_sum(x, background))
+
+
+def counted_walks(monkeypatch):
+    """A list that gains an entry per sampled leaf-id walk from now on."""
+    walks = []
+    leaf_ids = explain._leaf_ids
+
+    def counted(*args):
+        walks.append(args)
+        return leaf_ids(*args)
+
+    monkeypatch.setattr(explain, "_leaf_ids", counted)
+    return walks
 
 
 def hybrid_values(model, x, background):
@@ -239,7 +254,7 @@ def assert_same_attribution(monkeypatch):
 
     def check(model, x, bg, tables=True):
         if tables:
-            assert model.coalition_tables(x, bg) is not None
+            assert model.scaled_tree_sum(x, bg) is not None
         want, want_values = attribute(hybrid_values, model, x, bg)
         for threshold in (min_rows, 0):
             monkeypatch.setattr(explain, "_TABLE_MIN_ROWS", threshold)
@@ -339,7 +354,7 @@ class TestTreeTables:
         model, train, _ = tree_problem(10, 10, rounded=True)
         bg = background_sample(train, max_rows=32, seed=2)
         x = bg[5]
-        assert not model.coalition_tables(x, bg)[0][5].any()  # identical rows never part ways
+        assert not tree_tables(model, x, bg)[0][5].any()  # identical rows never part ways
         assert_same_attribution(model, x, bg)
 
     def test_row_on_the_thresholds(self, assert_same_attribution):
@@ -356,7 +371,7 @@ class TestTreeTables:
         model = fit(preset("dt"), X, y)
         assert isinstance(model.state, DecisionTreeState) and model.state.tree.feature.size == 1
         bg = np.random.default_rng(4).normal(size=(16, 3))
-        assert not model.coalition_tables(np.zeros(3), bg)[0].any()
+        assert not tree_tables(model, np.zeros(3), bg)[0].any()
         assert_same_attribution(model, np.zeros(3), bg)
 
     def test_hybrid_keeps_its_leaf_off_the_masks(self):
@@ -368,7 +383,7 @@ class TestTreeTables:
             leaf_of = TreeArrays(tree.feature, tree.threshold, tree.left, tree.right, np.arange(tree.feature.size, dtype=np.float64))
             bg = background_sample(train, max_rows=64, seed=7)
             for x in test[:5]:
-                masks, _ = model.coalition_tables(x, bg)
+                masks, _ = tree_tables(model, x, bg)
                 assert masks.shape == bg.shape and masks.any()
                 for _ in range(20):
                     S = rng.random(16) < 0.5
@@ -381,7 +396,7 @@ class TestTreeTables:
         bg = background_sample(train, max_rows=128, seed=8)
         counting = CountingTree(model)
         row = shapley_exact(counting, test[0], bg)
-        masks, table = model.coalition_tables(test[0], bg)
+        masks, table = tree_tables(model, test[0], bg)
         assert table.size == int((1 << masks.sum(axis=1)).sum()) < 2**16 * 128
         assert counting.call_rows == [1]  # the tables are walked, not scored: only the attributed row is
         assert row.efficiency_residual < 1e-9
@@ -413,31 +428,36 @@ class TestTreeTables:
         model = fit(preset("logreg"), X, np.zeros(200, dtype=np.int64))  # scaled, single class
         counting = CountingTree(model)
         row = shapley_exact(counting, X[0], X[:128])
-        masks, table = model.coalition_tables(X[0], X[:128])
+        masks, table = tree_tables(model, X[0], X[:128])
         assert not masks.any() and table.tolist() == [0.0] * 128  # one empty table entry per background row
         assert counting.call_rows == [1]  # filled, not scored: only the attributed row is
         assert not row.phi.any() and row.base_value == row.model_output == 0.0
 
     def test_tree_shaped_models_give_tables(self):
-        """Trees, ensembles and constant models fill tables; a single tree's span its relevant columns."""
+        """Trees, ensembles and constant models fill tables; each row's spans its trees' union of relevant columns."""
         rng = np.random.default_rng(9)
         X = rng.normal(size=(80, 3))
         y = (X[:, 0] > 0).astype(np.int64)
         x, bg = X[0], X[:8]
         for kind in ("dt", "dt-scaled"):
             model = small_tree_model(kind, X, y)
-            masks, table = model.coalition_tables(x, bg)
+            masks, table = tree_tables(model, x, bg)
             assert masks.shape == (8, 3) and table.shape == ((1 << masks.sum(axis=1)).sum(),), kind
-            np.testing.assert_array_equal(masks, model.state.tree._relevant_columns(*scaled_inputs(model, x, bg)))
+            np.testing.assert_array_equal(masks, explain._relevant_columns(model.state.tree, *scaled_inputs(model, x, bg)))
         for kind in ("xgb", "catboost", "extratrees"):
-            masks, table = small_tree_model(kind, X, y).coalition_tables(x, bg)
-            assert masks.shape == (8, 3) and masks.all() and table.shape == (8 * 2**3,), kind
+            model = small_tree_model(kind, X, y)
+            masks, table = tree_tables(model, x, bg)
+            assert masks.shape == (8, 3) and table.shape == ((1 << masks.sum(axis=1)).sum(),), kind
+            union = np.zeros_like(masks)
+            for tree in model.state.trees:
+                union |= explain._relevant_columns(tree, x, bg)
+            np.testing.assert_array_equal(masks, union)
         for spec in (preset("dt"), preset("logreg")):
             model = fit(spec, X, np.ones_like(y))
-            masks, table = model.coalition_tables(x, bg)
+            masks, table = tree_tables(model, x, bg)
             assert masks.shape == (8, 3) and not masks.any() and table.tolist() == [1.0] * 8, spec.family
         for name in ("logreg", "gnb", "knn"):
-            assert fit(preset(name), X, y).coalition_tables(x, bg) is None, name
+            assert fit(preset(name), X, y).scaled_tree_sum(x, bg) is None, name
 
     def test_tree_shaped_models_score_only_the_row(self):
         """At or above the threshold a tree-shaped model makes one score call: the attributed row."""
@@ -499,6 +519,69 @@ class TestTreeWalk:
         if model.standardizer is not None:  # raw values that scale onto the thresholds, up to rounding
             x, bg = (v * model.standardizer.std + model.standardizer.mean for v in (x, bg))
         assert_same_attribution(model, x, bg)
+
+    def test_paper_scale_xgb_row_memory(self):
+        """An xgb preset on 989 rows of 16 columns, 128 background rows: union tables, well under 128 all-column ones (64 MiB)."""
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(1236, 16))
+        y = (X[:, 0] - 0.7 * X[:, 15] + rng.normal(scale=0.8, size=1236) > 0).astype(np.int64)
+        model = fit(preset("xgb", seed=16), X[:989], y[:989])
+        bg = background_sample(X[:989], max_rows=128, seed=1)
+        tracemalloc.start()
+        try:
+            row = shapley_exact(model, X[1000], bg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert row.efficiency_residual < 1e-9
+
+
+#: sums of no tree or of one tree: (preset, hyperparameters, trees)
+EDGE_SUMS = {
+    "xgb-0-rounds": ("xgb", {"iterations": 0}, 0),
+    "xgb-1-round": ("xgb", {"iterations": 1}, 1),
+    "extratrees-1-tree": ("extratrees", {"n_trees": 1}, 1),
+}
+
+
+class TestEdgeTreeSums:
+    """Ensembles of no tree or one tree in both modes: one tree walks in sampled mode, no tree is scored."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        X, y, test = TestTreeWalk.problem(16, False, seed=21)
+        return X, y, background_sample(X, max_rows=32, seed=1), test[:2]
+
+    @staticmethod
+    def model(name, X, y):
+        kind, hyper, n_trees = EDGE_SUMS[name]
+        base = preset(kind, seed=6)
+        model = fit(ClassifierSpec(base.family, {**base.hyperparams, **hyper}, base.standardize, base.seed), X, y)
+        assert len(model.state.trees) == n_trees
+        return model
+
+    @pytest.mark.parametrize("name", EDGE_SUMS)
+    def test_exact_matches_the_hybrid_loop(self, assert_same_attribution, problem, name):
+        X, y, bg, rows = problem
+        model = self.model(name, X, y)
+        for x in rows:
+            assert_same_attribution(model, x, bg[:4])
+
+    @pytest.mark.parametrize("name", EDGE_SUMS)
+    def test_sampled_matches_the_stepwise_loop_and_the_scored_route(self, monkeypatch, problem, name):
+        X, y, bg, rows = problem
+        model = self.model(name, X, y)
+        n_trees = EDGE_SUMS[name][2]
+        for i, x in enumerate(rows):
+            counting = CountingTree(model)
+            walks = counted_walks(monkeypatch)
+            got = shapley_sampled(counting, x, bg, n_permutations=7, seed=i)
+            for want in (stepwise_sampled(model, x, bg, 7, i), shapley_sampled(ScoreOnly(model), x, bg, n_permutations=7, seed=i)):
+                assert got.phi.tobytes() == want.phi.tobytes()
+                assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
+            assert len(walks) == n_trees  # one walk for one tree, none for no tree
+            assert counting.calls == (2 if n_trees else 7 + 2)  # the background, each scored ordering, the row
 
 
 class TestSampled:
@@ -624,7 +707,7 @@ class TestSampledTreeWalk:
         want = stepwise_sampled(model, x, bg, n_permutations, seed)
         assert got.phi.tobytes() == want.phi.tobytes()
         assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
-        assert counting.walks >= 1 and counting.call_rows == [bg.shape[0], 1]
+        assert counting.hooks == 1 and counting.call_rows == [bg.shape[0], 1]
 
     @pytest.mark.parametrize("rounded", [False, True], ids=["continuous", "rounded"])
     @pytest.mark.parametrize("standardize", [False, True], ids=["unscaled", "scaled"])
@@ -675,9 +758,9 @@ class TestSampledTreeWalk:
         assert model.state.tree.feature.size < 256  # one byte per leaf id
         monkeypatch.setattr(explain, "_LEAF_ID_BYTES", per_block * 16 * 32)
         self.check(model, test[0], bg, n_permutations=10, seed=5)
-        counting = CountingTree(model)
-        shapley_sampled(counting, test[0], bg, n_permutations=10, seed=5)
-        assert counting.walks == math.ceil(10 / per_block)
+        walks = counted_walks(monkeypatch)
+        shapley_sampled(model, test[0], bg, n_permutations=10, seed=5)
+        assert len(walks) == math.ceil(10 / per_block)
 
     def test_two_byte_leaf_ids(self):
         """A tree of more than 256 nodes stores its leaf ids as uint16."""
@@ -686,8 +769,8 @@ class TestSampledTreeWalk:
         model = fit(ClassifierSpec("DecisionTree", {"max_depth": 30, "max_features": 16}), X[:1000], rng.integers(0, 2, 1000))
         assert model.state.tree.feature.size > 256
         bg = background_sample(X[:1000], max_rows=32, seed=1)
-        _, _, tables = model.leaf_tables(X[1000], bg)
-        assert next(tables).dtype == np.uint16
+        tree = model.state.tree
+        assert next(explain._leaf_ids(tree, X[1000], bg, explain._relevant_columns(tree, X[1000], bg))).dtype == np.uint16
         self.check(model, X[1000], bg)
 
     @pytest.fixture(scope="class")
@@ -699,12 +782,13 @@ class TestSampledTreeWalk:
         model = fit(preset("dt", seed=16), X[:989], y[:989])
         return model, X[1000], background_sample(X[:989], max_rows=128, seed=1)
 
-    def test_paper_scale_row_scores_two_calls(self, paper_row):
+    def test_paper_scale_row_scores_two_calls(self, paper_row, monkeypatch):
         """16 columns, 128 background rows, 200 orderings: the background and the row are scored, no hybrid."""
         model, x, bg = paper_row
         counting = CountingTree(model)
+        walks = counted_walks(monkeypatch)
         row = shapley_sampled(counting, x, bg)
-        assert counting.call_rows == [128, 1] and counting.walks == 1
+        assert counting.call_rows == [128, 1] and len(walks) == 1
         assert row.efficiency_residual < 1e-9
 
     @pytest.mark.parametrize("n_permutations", [200, 2000])

@@ -159,6 +159,13 @@ class TestTrueRange:
             assert tr[t] == pytest.approx(oracle_true_range(grw_series, t), rel=1e-12)
         assert np.all(tr >= 0)
 
+    def test_atr_is_the_sma_of_the_true_range(self, grw_series):
+        """Bit for bit the rolling window mean of the true range."""
+        n = 20
+        tr = true_range(grw_series)
+        want = np.concatenate((np.full(n - 1, np.nan), np.lib.stride_tricks.sliding_window_view(tr, n).mean(axis=1)))
+        assert atr(grw_series, n).tobytes() == want.tobytes()
+
     def test_atr_is_window_mean(self, grw_series):
         n = 20
         out = atr(grw_series, n)
@@ -290,6 +297,14 @@ class TestParams:
     def test_bad_window(self):
         with pytest.raises(ValueError, match="window_n"):
             IndicatorParams(window_n=0)
+
+    def test_bool_window_refused(self, grw_series):
+        """True would count as a window of 1."""
+        with pytest.raises(ValueError, match="window_n must be an integer >= 1, got True"):
+            IndicatorParams(window_n=True)
+        for fn, values in ((sma, np.arange(5.0)), (ema, np.arange(5.0)), (atr, grw_series)):
+            with pytest.raises(ValueError, match="window must be an integer >= 1, got True"):
+                fn(values, True)
 
     def test_negative_k(self):
         with pytest.raises(ValueError, match="keltner_k"):

@@ -104,6 +104,8 @@ class TestVectorShape:
             make_labels(series, TaskKind.OP_VS_OP, 9)
         with pytest.raises(ValueError, match="non-negative"):
             make_labels(series, TaskKind.OP_VS_OP, -1)
+        with pytest.raises(ValueError, match="non-negative integer, got True"):
+            make_labels(series, TaskKind.OP_VS_OP, True)  # would count as index 1
         assert len(make_labels(series, TaskKind.OP_VS_OP, 8)) == 1
 
     def test_alignment_enforced(self):

@@ -263,6 +263,8 @@ class TestVolatility:
     def test_bad_period(self, grw_series):
         with pytest.raises(OhlcError, match="period_days"):
             volatility(grw_series, period_days=0)
+        with pytest.raises(OhlcError, match="period_days must be a positive integer, got True"):
+            volatility(grw_series, period_days=True)
 
     def test_bad_field(self, grw_series):
         with pytest.raises(OhlcError, match="unknown price field"):

@@ -26,6 +26,8 @@ class TestSpec:
     def test_bad_days(self):
         with pytest.raises(ValueError, match="days must be"):
             GenSpec(kind="grw", days=0)
+        with pytest.raises(ValueError, match="days must be a positive integer, got True"):
+            GenSpec(kind="grw", days=True)  # would count as one day
 
     def test_unknown_param_names_rejected_per_kind(self):
         with pytest.raises(ValueError, match="unknown parameters for grw"):
