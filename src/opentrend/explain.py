@@ -10,34 +10,34 @@ speed.  The caller picks one; neither falls back to the other.  Attribution
 targets the pre-threshold score, never the 0/1 decision.
 
 A tree-shaped model (``dt``, scaled or not, the boosted ``xgb`` and
-``catboost``, the randomized ``extratrees`` and a single-class constant)
-describes its score as a sum of trees through one hook,
-``TrainedModel.scaled_tree_sum``: ``(start, weight, trees, link)`` with
-``score(X) = link(start + sum of weight * tree.apply(X))``, plus x and the
-background scaled as ``score`` scales them.  Everything built from that form
-lives here, after Independent TreeSHAP (Lundberg et al. 2020): the columns
-that can move a hybrid of x and a background row (``_relevant_columns``) and
-one walk of a tree per background row that fills the row's table of
-coalitions without building a hybrid (``_walk``).
+``catboost``, the randomized ``extratrees`` and a single-class constant) has
+a ``TreeSum`` state: its score *is* its sum of trees, ``(start, weight,
+trees, link)`` computed by ``TreeSum.evaluate``.  The one hook
+``TrainedModel.scaled_tree_sum`` hands that form over with x and the
+background scaled as ``score`` scales them.  Everything built from it lives
+here, after Independent TreeSHAP (Lundberg et al. 2020): the columns that
+can move a hybrid of x and a background row (``_relevant_columns``) and one
+walk of a tree per background row that fills the row's table of coalitions
+without building a hybrid (``_walk``).
 
 Exact enumeration reads the coalition values from one table per background
 row.  A tree-shaped model's table spans the union of its trees' relevant
-columns for that row; the walks add the trees' leaf values into it in the
-order ``score`` adds them, and link is applied row by row
-(``_summed_tables``).  Every other model, and every problem below
-``_TABLE_MIN_ROWS`` hybrids (2^d times the background size), scores tables
-over all d columns built by doubling.  Either way each table entry is the
-float scoring its hybrid row returns, so the coalition values keep the bits
-of scoring every hybrid row.
+columns for that row; each entry starts at start, each tree's walk adds its
+weighted leaf value, and link is applied row by row (``_summed_tables``):
+the steps of ``TreeSum.evaluate``.  Every other model, and every problem
+below ``_TABLE_MIN_ROWS`` hybrids (2^d times the background size), scores
+tables over all d columns built by doubling.  Either way each table entry
+is the float scoring its hybrid row returns, so the coalition values keep
+the bits of scoring every hybrid row.
 
 Sampled mode needs the d prefix coalitions of each ordering.  A form of
-exactly one tree gives them without scoring a hybrid: the same walk writes
-leaf ids instead of leaf values into each row's table, and each prefix's id
-is gathered from it, so a row costs two score calls (the background and the
-row itself).  The ids of a block of orderings stay under ``_LEAF_ID_BYTES``;
-each further block walks again.  A form of no tree or of several trees, and
-every other model, scores each ordering's hybrids stacked.  Either way every
-hybrid's mean has the bits of scoring that hybrid alone.
+exactly one tree over at most 16 columns gives them without scoring a
+hybrid: the same walk writes leaf ids instead of leaf values into each row's
+table, and each prefix's id is gathered from it, so a row costs two score
+calls (the background and the row itself).  The ids of a block of orderings
+stay under ``_LEAF_ID_BYTES``; each further block walks again.  Every other
+model scores each ordering's hybrids stacked.  Either way every hybrid's
+mean has the bits of scoring that hybrid alone.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from opentrend.learners.base import TreeSum
 
 MAX_EXACT_FEATURES = 16  # the canonical feature row's width
 DEFAULT_BACKGROUND_SIZE = 128
@@ -244,11 +246,10 @@ def _summed_tables(tree_sum, x: np.ndarray, background: np.ndarray) -> tuple[np.
     ``tree_sum`` is ``(start, weight, trees, link)`` (see
     ``TrainedModel.scaled_tree_sum``).  Row b's table spans F_b, the union
     of the trees' relevant columns for b, and the tables lie row after row
-    in one array.  The trees are walked in the order ``score`` adds them:
-    the first writes ``start + weight * leaf value`` into every entry (a
-    sum of no tree leaves ``start``), each further one adds
-    ``weight * leaf value``, and link is applied row by row (its
-    temporaries stay one table long), so every entry has ``score``'s bits.
+    in one array.  Every entry starts at ``start``, each tree's walk adds
+    ``weight * leaf value`` in the order ``TreeSum.evaluate`` adds the
+    trees, and link is applied row by row (its temporaries stay one table
+    long), so every entry has ``score``'s bits.
     """
     start, weight, trees, link = tree_sum
     masks = np.zeros(background.shape, dtype=bool)
@@ -257,9 +258,8 @@ def _summed_tables(tree_sum, x: np.ndarray, background: np.ndarray) -> tuple[np.
     ends = np.cumsum(np.left_shift(1, masks.sum(axis=1))).tolist()
     table = np.full(ends[-1], float(start))
     rows = [table[begin:end] for begin, end in zip([0, *ends], ends)]
-    for i, tree in enumerate(trees):
-        leaves = weight * tree.value
-        for _ in _walk(tree, x, background, masks, (leaves if i else start + leaves).tolist(), rows, add=i > 0):
+    for tree in trees:
+        for _ in _walk(tree, x, background, masks, (weight * tree.value).tolist(), rows, add=True):
             pass
     if link is not None:
         for row in rows:
@@ -358,7 +358,8 @@ def shapley_sampled(model, x, background, n_permutations: int = DEFAULT_PERMUTAT
     (``dt``, scaled or not, a constant, one-round ``xgb`` or a one-tree
     forest) scores only the background and the row: ``_walked_means`` reads
     each hybrid's leaf per background row from one walk of that tree per
-    row.  Any other model, a sum of no tree or of several trees included,
+    row.  Its table of leaf ids doubles per relevant column, so a row wider
+    than ``MAX_EXACT_FEATURES`` is not walked.  Any other model, or row,
     scores each ordering's hybrids stacked (``_scored_means``).  Either way
     each hybrid's mean score has the bits of scoring that hybrid alone, and
     the contributions are summed in the same order, so phi does not depend
@@ -374,7 +375,7 @@ def shapley_sampled(model, x, background, n_permutations: int = DEFAULT_PERMUTAT
 
     base_value = float(np.asarray(score(bg), dtype=np.float64).mean())
     hook = getattr(model, "scaled_tree_sum", None)
-    walked = hook(row, bg) if hook is not None else None
+    walked = hook(row, bg) if hook is not None and d <= MAX_EXACT_FEATURES else None
     if walked is None or len(walked[0][2]) != 1:
         means = _scored_means(score, row, bg, orders)
     else:
@@ -412,8 +413,8 @@ def _scored_means(score, row: np.ndarray, background: np.ndarray, orders):
 def _walked_means(tree_sum, row: np.ndarray, background: np.ndarray, orders, n_permutations: int):
     """Each ordering with its d hybrids' mean scores, read from leaf ids without scoring a hybrid.
 
-    ``tree_sum`` is ``(start, weight, [tree], link)`` and the leaf scores
-    are ``link(start + weight * tree.value)``, as ``score`` computes them.
+    ``tree_sum`` is ``(start, weight, [tree], link)``; ``TreeSum.evaluate``
+    on the tree's leaf values gives the leaf scores, as ``score`` does.
     With the relevant-column masks packed into ``_index_weights``, the leaf
     of ordering o's hybrid k over row b is entry ``cumsum(index_weight[b, o])[k]``
     of row b's table of leaf ids (``_leaf_ids``): the prefix coalitions'
@@ -425,10 +426,8 @@ def _walked_means(tree_sum, row: np.ndarray, background: np.ndarray, orders, n_p
     its scored mean.
     """
     n_bg, d = background.shape
-    start, weight, (tree,), link = tree_sum
-    leaves = start + weight * tree.value
-    if link is not None:
-        leaves = link(leaves)
+    (tree,) = tree_sum[2]
+    leaves = TreeSum.evaluate(tree_sum, [tree.value], tree.value.size)
     masks = _relevant_columns(tree, row, background)
     index_weight = _index_weights(masks)
     ids_dtype = np.min_scalar_type(tree.feature.size - 1)  # as _leaf_ids writes them

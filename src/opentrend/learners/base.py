@@ -10,7 +10,8 @@ nested lists and every field is read back by its annotation, so a family
 gets serialization by declaring its fields with types (``np.ndarray``,
 ``list[...]``, a nested dataclass or a scalar).  After decoding, every
 dataclass in the model that has ``check_columns`` checks itself against
-the model's column count.
+the model's column count.  A tree-shaped state is a ``TreeSum``, scored by
+evaluating the sum of trees it states.
 """
 
 from __future__ import annotations
@@ -121,8 +122,30 @@ class Standardizer:
             raise ValueError("std must be > 0")
 
 
+class TreeSum:
+    """A state whose ``tree_sum()``, ``(start, weight, trees, link)``, is its score.
+
+    The score is ``link(start + sum of weight * tree.apply(X))``, the trees
+    added in list order, a link of None meaning none.  ``explain`` runs
+    ``evaluate`` on a tree's own leaf values, so its leaf scores have these bits.
+    """
+
+    def score(self, X: np.ndarray) -> np.ndarray:
+        form = self.tree_sum()
+        return TreeSum.evaluate(form, (tree.apply(X) for tree in form[2]), X.shape[0])
+
+    @staticmethod
+    def evaluate(tree_sum, leaf_values, n: int) -> np.ndarray:
+        """``tree_sum`` over n rows: start, plus weight times each tree's n leaf values in ``leaf_values`` in turn, then link."""
+        start, weight, _, link = tree_sum
+        z = np.full(n, float(start))
+        for values in leaf_values:
+            z += weight * values
+        return z if link is None else link(z)
+
+
 @dataclass(eq=False)
-class ConstantState:
+class ConstantState(TreeSum):
     """Degenerate model produced when training labels contain a single class."""
 
     kind = "constant"
@@ -132,11 +155,8 @@ class ConstantState:
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
-    def score(self, X: np.ndarray) -> np.ndarray:
-        return np.full(X.shape[0], float(self.label))
-
     def tree_sum(self):
-        """``score`` as a sum of trees (see ``TrainedModel.scaled_tree_sum``): one single-leaf tree holding the label."""
+        """One single-leaf tree holding the label."""
         from opentrend.learners.trees import TreeArrays  # the trees module imports this one
 
         leaf = np.array([-1])
@@ -186,21 +206,18 @@ class TrainedModel:
         """The state's sum of trees with x and the background as ``score`` scales them, or None when it has none.
 
         A tree-shaped state (a tree, a boosted or randomized ensemble, a
-        constant) has ``tree_sum()``: ``(start, weight, trees, link)`` with
-        ``score(X) = link(start + sum of weight * tree.apply(X))``, the trees
-        added in that order and a link of None standing for none.  Returns
-        that form, x and the background; ``explain`` builds its Shapley
-        tables from them.  Standardizing maps each column on its own, so a
-        hybrid of the scaled rows is the scaled hybrid.
+        constant) is a ``TreeSum``.  Returns its ``tree_sum()``, x and the
+        background; ``explain`` builds its Shapley tables from them.
+        Standardizing maps each column on its own, so a hybrid of the scaled
+        rows is the scaled hybrid.
         """
-        tree_sum = getattr(self.state, "tree_sum", None)
-        if tree_sum is None:
+        if not isinstance(self.state, TreeSum):
             return None
         x = np.asarray(x, dtype=np.float64)
         background = _check_inputs(background, self.feature_names)
         if self.standardizer is not None:
             x, background = self.standardizer.transform(x), self.standardizer.transform(background)
-        return tree_sum(), x, background
+        return self.state.tree_sum(), x, background
 
     def predict(self, X) -> np.ndarray:
         return (self.score(X) >= 0.5).astype(np.int64)

@@ -13,30 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opentrend.learners.base import positive_int, positive_number, register_family, sigmoid
+from opentrend.learners.base import TreeSum, positive_int, positive_number, register_family, sigmoid
 from opentrend.learners.trees import SSE, TreeArrays, grow_tree, make_exhaustive_finder, sort_columns
 
 _HESSIAN_FLOOR = 1e-12
 
 
 @dataclass(eq=False)
-class BoostedTreesState:
+class BoostedTreesState(TreeSum):
     kind = "boosted_trees"
     base_score: float
     learning_rate: float
     trees: list[TreeArrays]
 
-    def raw(self, X: np.ndarray) -> np.ndarray:
-        z = np.full(X.shape[0], self.base_score)
-        for tree in self.trees:
-            z += self.learning_rate * tree.apply(X)
-        return z
-
-    def score(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(self.raw(X))
-
     def tree_sum(self):
-        """``score`` as a sum of trees (see ``TrainedModel.scaled_tree_sum``): ``raw``'s terms, then the sigmoid."""
+        """The raw score, base score plus learning rate times each tree, through the sigmoid."""
         return self.base_score, self.learning_rate, self.trees, sigmoid
 
 

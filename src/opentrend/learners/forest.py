@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opentrend.learners.base import positive_int, register_family
+from opentrend.learners.base import TreeSum, positive_int, register_family
 from opentrend.learners.trees import (
     TreeArrays,
     _UNBOUNDED_DEPTH,
@@ -25,7 +25,7 @@ from opentrend.learners.trees import (
 
 
 @dataclass(eq=False)
-class ExtraTreesState:
+class ExtraTreesState(TreeSum):
     kind = "extra_trees"
     trees: list[TreeArrays]
 
@@ -33,14 +33,8 @@ class ExtraTreesState:
         if not self.trees:
             raise ValueError("a forest needs at least one tree")
 
-    def score(self, X: np.ndarray) -> np.ndarray:
-        total = np.zeros(X.shape[0])
-        for tree in self.trees:
-            total += tree.apply(X)
-        return total / len(self.trees)
-
     def tree_sum(self):
-        """``score`` as a sum of trees (see ``TrainedModel.scaled_tree_sum``): the trees' mean."""
+        """The trees' mean."""
         return 0.0, 1.0, self.trees, lambda total: total / len(self.trees)
 
 

@@ -100,9 +100,8 @@ incumbent, so equal-gain ties resolve to the lowest column index; within a
 column, thresholds are scanned in ascending order and the first optimum
 wins, i.e. the lowest threshold.
 
-For Shapley attribution each tree-shaped state states its score as a sum
-of trees, ``tree_sum()``: ``DecisionTreeState`` as its one tree; ``explain``
-walks the trees (see ``TrainedModel.scaled_tree_sum``).
+``DecisionTreeState`` is a ``TreeSum`` of its one tree: its score is that
+sum, and ``explain`` walks the same tree for Shapley attribution.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from opentrend.learners.base import positive_int, register_family
+from opentrend.learners.base import TreeSum, positive_int, register_family
 
 _UNBOUNDED_DEPTH = 10**9
 
@@ -584,15 +583,12 @@ def make_random_entropy_finder(y: np.ndarray, rng: np.random.Generator):
 
 
 @dataclass(eq=False)
-class DecisionTreeState:
+class DecisionTreeState(TreeSum):
     kind = "decision_tree"
     tree: TreeArrays
 
-    def score(self, X: np.ndarray) -> np.ndarray:
-        return self.tree.apply(X)
-
     def tree_sum(self):
-        """``score`` as a sum of trees (see ``TrainedModel.scaled_tree_sum``): the tree alone."""
+        """The tree alone."""
         return 0.0, 1.0, [self.tree], None
 
 

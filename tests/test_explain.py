@@ -806,6 +806,28 @@ class TestSampledTreeWalk:
             tracemalloc.stop()
         assert peak < explain._LEAF_ID_BYTES + 2**20
 
+    def test_wide_row_is_scored_not_walked(self):
+        """40 columns, past the exact-mode cap: the hybrids are scored, not walked.
+
+        A deep tree on random labels gives some background row 25 relevant
+        columns, and a walk's table of 2^25 leaf ids would take 64 MiB.
+        """
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(3000, 40))
+        y = rng.integers(0, 2, size=3000)
+        model = fit(ClassifierSpec("DecisionTree", {"max_depth": 40, "max_features": 40}, seed=3), X, y)
+        bg = background_sample(X, max_rows=32, seed=1)
+        tracemalloc.start()
+        try:
+            got = shapley_sampled(model, X[0], bg, n_permutations=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = stepwise_sampled(model, X[0], bg, n_permutations=2, seed=0)
+        assert got.phi.tobytes() == want.phi.tobytes()
+        assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
+        assert peak < 8 * 2**20
+
 
 class TestGlobalImportance:
     def test_mean_absolute_phi(self, fitted_pair):

@@ -24,13 +24,16 @@ from opentrend.learners import (
     predict,
     preset,
 )
-from opentrend.learners.base import _STATE_TYPES, positive_number
+from opentrend.learners.base import _STATE_TYPES, TreeSum, positive_number, sigmoid
+from opentrend.learners.boosting import BoostedTreesState
+from opentrend.learners.forest import ExtraTreesState
 from opentrend.learners.linear import loss_and_gradient
 from opentrend.learners.mlp import loss_and_gradients
 from opentrend.learners.neighbors import KNearestState
 from opentrend.learners.trees import (
     GINI,
     SSE,
+    DecisionTreeState,
     TreeArrays,
     grow_tree,
     make_exhaustive_finder,
@@ -1451,6 +1454,65 @@ class TestExtraTrees:
             np.testing.assert_array_equal(
                 small.state.trees[t].apply(X), large.state.trees[t].apply(X)
             )
+
+
+def former_score(state, X):
+    """Each tree-shaped state's score as its own scorer once wrote it, for ``TreeSum.score`` to match bit for bit."""
+    if isinstance(state, DecisionTreeState):
+        return state.tree.apply(X)
+    if isinstance(state, BoostedTreesState):
+        z = np.full(X.shape[0], state.base_score)
+        for tree in state.trees:
+            z += state.learning_rate * tree.apply(X)
+        return sigmoid(z)
+    if isinstance(state, ExtraTreesState):
+        total = np.zeros(X.shape[0])
+        for tree in state.trees:
+            total += tree.apply(X)
+        return total / len(state.trees)
+    return np.full(X.shape[0], float(state.label))
+
+
+#: tree-shaped models: (preset, hyperparameters over the preset's, standardize, constant label or None)
+TREE_SUMS = {
+    "dt": ("dt", {}, False, None),
+    "dt-scaled": ("dt", {}, True, None),
+    "xgb": ("xgb", {}, False, None),
+    "xgb-0-rounds": ("xgb", {"iterations": 0}, False, None),
+    "catboost": ("catboost", {"iterations": 100}, False, None),
+    "extratrees": ("extratrees", {"n_trees": 50}, False, None),
+    "extratrees-1-tree": ("extratrees", {"n_trees": 1}, False, None),
+    "constant-0": ("dt", {}, False, 0),
+    "constant-1": ("dt", {}, False, 1),
+}
+
+
+class TestTreeSum:
+    """Every tree-shaped state scores through ``TreeSum.score``, with the bits of its former scorer."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        """Tie-heavy rounded training rows with noisy labels, so forest leaves hold fractions, and unrounded queries."""
+        rng = np.random.default_rng(27)
+        X = np.round(rng.normal(size=(240, 4)), 1)
+        y = (X[:, 0] - 0.5 * X[:, 1] + rng.normal(scale=1.0, size=240) > 0).astype(np.int64)
+        return X, y, rng.normal(size=(500, 4))
+
+    @pytest.mark.parametrize("name", TREE_SUMS)
+    def test_score_matches_the_former_scorer(self, problem, name):
+        X, y, queries = problem
+        kind, hyper, standardize, label = TREE_SUMS[name]
+        base = preset(kind, seed=2)
+        spec = ClassifierSpec(base.family, {**base.hyperparams, **hyper}, standardize, base.seed)
+        model = fit(spec, X, y if label is None else np.full_like(y, label))
+        assert isinstance(model.state, TreeSum)
+        assert isinstance(model.state, ConstantState) == (label is not None)
+        scaled = queries if model.standardizer is None else model.standardizer.transform(queries)
+        assert model.score(queries).tobytes() == former_score(model.state, scaled).tobytes()
+
+    def test_no_tree_shaped_state_writes_its_own_scorer(self):
+        for cls in (DecisionTreeState, BoostedTreesState, ExtraTreesState, ConstantState):
+            assert issubclass(cls, TreeSum) and "score" not in vars(cls), cls.__name__
 
 
 class TestGradientBoosting:
