@@ -32,17 +32,18 @@ the bits of scoring every hybrid row.
 
 Sampled mode needs the d prefix coalitions of each ordering.  A form of
 exactly one tree over at most 16 columns gives them without scoring a
-hybrid: the same walk writes leaf ids instead of leaf values into each row's
-table, and each prefix's id is gathered from it, so a row costs two score
-calls (the background and the row itself).  The ids of a block of orderings
-stay under ``_LEAF_ID_BYTES``; each further block walks again.  Every other
-model scores each ordering's hybrids stacked.  Either way every hybrid's
-mean has the bits of scoring that hybrid alone.
+hybrid: one walk per background row writes leaf ids instead of leaf values
+into the same row-after-row layout, one table of ids over all rows, and
+each ordering's prefix ids are gathered from it, so a row costs two score
+calls (the background and the row itself).  The orderings are not split
+into blocks: memory follows the tables, not the number of orderings.  Every
+other model, and every row wider than 16 columns, scores each ordering's
+hybrids stacked.  Either way every hybrid's mean has the bits of scoring
+that hybrid alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -58,7 +59,6 @@ DEFAULT_PERMUTATIONS = 200
 _COALITION_CHUNK = 256  # coalitions per gather block: its buffers stay in cache (256 KB each at 128 background rows)
 _TABLE_CHUNK = 1 << MAX_EXACT_FEATURES  # score-buffer rows: room for a table over every column
 _TABLE_MIN_ROWS = 1 << 13
-_LEAF_ID_BYTES = 1 << 20  # sampled leaf ids per block of orderings: 200 orderings x 16 columns x 128 rows at uint16 fit one
 
 SHAP_EXACT = "exact"
 SHAP_SAMPLED = "sampled"
@@ -121,6 +121,8 @@ def _score_fn(model):
 
 def _as_row(x) -> np.ndarray:
     row = np.asarray(x, dtype=np.float64).ravel()
+    if row.size == 0:
+        raise ValueError("attributed row has no columns")
     if not np.all(np.isfinite(row)):
         raise ValueError("non-finite value in attributed row")
     return row
@@ -188,15 +190,20 @@ def _relevant_columns(tree, x: np.ndarray, background: np.ndarray) -> np.ndarray
     return masks.T
 
 
-def _walk(tree, x: np.ndarray, background: np.ndarray, masks: np.ndarray, leaves, rows, add: bool = False):
-    """Write (or with ``add``, add) ``leaves[leaf]`` of each coalition's leaf into one table per background row; yield each.
+def _table_offsets(masks: np.ndarray) -> np.ndarray:
+    """Where each background row's table of 2^|F_b| entries starts when the tables lie row after row, then their total."""
+    return np.concatenate(([0], np.cumsum(np.left_shift(1, masks.sum(axis=1)))))
+
+
+def _walk(tree, x: np.ndarray, background: np.ndarray, masks: np.ndarray, leaves, table: np.ndarray, add: bool = False) -> None:
+    """Write (or with ``add``, add) ``leaves[leaf]`` of each coalition's leaf into each background row's table.
 
     A hybrid takes each column of F_b (the set bits of ``masks[b]``, which
     must hold ``tree``'s relevant columns for row b) from x or from b, and
     b's values elsewhere; entry t of row b's table is for the hybrid that
-    takes x at the k-th column of F_b when bit k of t is set.  ``rows``
-    gives each row a flat array of at least 2^|F_b| entries, which the walk
-    fills from its start.  No hybrid is built: the tree is walked once per
+    takes x at the k-th column of F_b when bit k of t is set.  The rows'
+    tables of 2^|F_b| entries lie row after row in ``table`` (see
+    ``_table_offsets``).  No hybrid is built: the tree is walked once per
     row.  The walk follows x and b where they go the same way.  Where they
     part on column j, it follows bit k of j if the path already fixed it,
     and otherwise branches: x's way with the bit set, b's way with it clear.
@@ -207,6 +214,7 @@ def _walk(tree, x: np.ndarray, background: np.ndarray, masks: np.ndarray, leaves
     coalition reaches exactly one leaf, the one ``apply`` gives its hybrid.
     """
     widths = masks.sum(axis=1).tolist()
+    offsets = _table_offsets(masks).tolist()
     feature, left, right = (arr.tolist() for arr in (tree.feature, tree.left, tree.right))
     cols = np.maximum(tree.feature, 0)  # a leaf's comparisons are never read
     x_left = (x[cols] <= tree.threshold).tolist()
@@ -214,9 +222,8 @@ def _walk(tree, x: np.ndarray, background: np.ndarray, masks: np.ndarray, leaves
     # axis of column j in row b's view: |F_b| - 1 - (rank of j in F_b)
     axes = masks.sum(axis=1, keepdims=True) - np.cumsum(masks, axis=1)
     free = slice(None)
-    for b, (width, row) in enumerate(zip(widths, rows)):
-        row = row[: 1 << width]
-        view = row.reshape((2,) * width)
+    for b, (width, begin, end) in enumerate(zip(widths, offsets, offsets[1:])):
+        view = table[begin:end].reshape((2,) * width)
         b_left = b_lefts[b].tolist()
         axis = axes[b].tolist()
         stack = [(0, (free,) * width)]
@@ -237,7 +244,6 @@ def _walk(tree, x: np.ndarray, background: np.ndarray, masks: np.ndarray, leaves
                 entries += leaves[node]
             else:
                 view[index] = leaves[node]
-        yield row
 
 
 def _summed_tables(tree_sum, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,15 +261,13 @@ def _summed_tables(tree_sum, x: np.ndarray, background: np.ndarray) -> tuple[np.
     masks = np.zeros(background.shape, dtype=bool)
     for tree in trees:
         masks |= _relevant_columns(tree, x, background)
-    ends = np.cumsum(np.left_shift(1, masks.sum(axis=1))).tolist()
-    table = np.full(ends[-1], float(start))
-    rows = [table[begin:end] for begin, end in zip([0, *ends], ends)]
+    offsets = _table_offsets(masks).tolist()
+    table = np.full(offsets[-1], float(start))
     for tree in trees:
-        for _ in _walk(tree, x, background, masks, (weight * tree.value).tolist(), rows, add=True):
-            pass
+        _walk(tree, x, background, masks, (weight * tree.value).tolist(), table, add=True)
     if link is not None:
-        for row in rows:
-            row[:] = link(row)
+        for begin, end in zip(offsets, offsets[1:]):
+            table[begin:end] = link(table[begin:end])
     return masks, table
 
 
@@ -299,7 +303,7 @@ def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarra
     else:
         masks, table = _summed_tables(*walked)
     weight = _index_weights(masks)
-    offsets = np.concatenate(([0], np.cumsum(1 << masks.sum(axis=1))))
+    offsets = _table_offsets(masks)
     # a block of coalitions S = start | i shares start's bits above i's, so an
     # index is the packed bits of i, built once by doubling, plus those of start
     n = min(_COALITION_CHUNK, 2**d)
@@ -357,13 +361,15 @@ def shapley_sampled(model, x, background, n_permutations: int = DEFAULT_PERMUTAT
     whose tree sum (``TrainedModel.scaled_tree_sum``) holds exactly one tree
     (``dt``, scaled or not, a constant, one-round ``xgb`` or a one-tree
     forest) scores only the background and the row: ``_walked_means`` reads
-    each hybrid's leaf per background row from one walk of that tree per
-    row.  Its table of leaf ids doubles per relevant column, so a row wider
-    than ``MAX_EXACT_FEATURES`` is not walked.  Any other model, or row,
-    scores each ordering's hybrids stacked (``_scored_means``).  Either way
-    each hybrid's mean score has the bits of scoring that hybrid alone, and
-    the contributions are summed in the same order, so phi does not depend
-    on the route.
+    each hybrid's leaf per background row from one table of leaf ids over
+    all background rows, filled by one walk of that tree per row before the
+    first ordering.  The orderings are not split into blocks, so memory
+    follows that table, not ``n_permutations``.  A row's table doubles per
+    relevant column, so a row wider than ``MAX_EXACT_FEATURES`` is not
+    walked but scored.  Any other model, or row, scores each ordering's
+    hybrids stacked (``_scored_means``).  Either way each hybrid's mean
+    score has the bits of scoring that hybrid alone, and the contributions
+    are summed in the same order, so phi does not depend on the route.
     """
     at_least_one("n_permutations", n_permutations)
     row = _as_row(x)
@@ -379,7 +385,7 @@ def shapley_sampled(model, x, background, n_permutations: int = DEFAULT_PERMUTAT
     if walked is None or len(walked[0][2]) != 1:
         means = _scored_means(score, row, bg, orders)
     else:
-        means = _walked_means(*walked, orders, n_permutations)
+        means = _walked_means(*walked, orders)
     phi = np.zeros(d)
     for order, hybrid_means in means:
         prev = base_value
@@ -410,46 +416,32 @@ def _scored_means(score, row: np.ndarray, background: np.ndarray, orders):
         yield order, means
 
 
-def _walked_means(tree_sum, row: np.ndarray, background: np.ndarray, orders, n_permutations: int):
+def _walked_means(tree_sum, row: np.ndarray, background: np.ndarray, orders):
     """Each ordering with its d hybrids' mean scores, read from leaf ids without scoring a hybrid.
 
     ``tree_sum`` is ``(start, weight, [tree], link)``; ``TreeSum.evaluate``
-    on the tree's leaf values gives the leaf scores, as ``score`` does.
-    With the relevant-column masks packed into ``_index_weights``, the leaf
-    of ordering o's hybrid k over row b is entry ``cumsum(index_weight[b, o])[k]``
-    of row b's table of leaf ids (``_leaf_ids``): the prefix coalitions'
-    packed bits, in ordering order.  The leaf ids of a block of orderings
-    fill one (orderings x d x n_bg) buffer of at most ``_LEAF_ID_BYTES``,
-    read row by row as the walk yields each row's table; each further block
-    walks again.  A hybrid's leaf scores over the background are then the
-    floats its score would return, in order, and their mean has the bits of
-    its scored mean.
+    on the tree's leaf values gives the leaf scores, as ``score`` does.  One
+    walk per background row writes its table of leaf ids, in the smallest
+    unsigned dtype that holds a node id, and the tables lie row after row in
+    one array, so memory follows the sum of 2^|F_b| over the background, not
+    the number of orderings.  With the relevant-column masks packed into
+    ``_index_weights``, the leaf of ordering o's hybrid k over row b is entry
+    ``cumsum(index_weight[b, o])[k]`` of row b's table: the prefix
+    coalitions' packed bits, in ordering order.  A hybrid's leaf scores over
+    the background are then the floats its score would return, in order,
+    and their mean has the bits of its scored mean.
     """
-    n_bg, d = background.shape
     (tree,) = tree_sum[2]
     leaves = TreeSum.evaluate(tree_sum, [tree.value], tree.value.size)
     masks = _relevant_columns(tree, row, background)
+    offsets = _table_offsets(masks)
+    ids = np.empty(offsets[-1], dtype=np.min_scalar_type(tree.feature.size - 1))
+    _walk(tree, row, background, masks, range(tree.feature.size), ids)
     index_weight = _index_weights(masks)
-    ids_dtype = np.min_scalar_type(tree.feature.size - 1)  # as _leaf_ids writes them
-    per_block = max(1, _LEAF_ID_BYTES // (d * n_bg * ids_dtype.itemsize))
-    ids = np.empty((min(per_block, n_permutations), d, n_bg), dtype=ids_dtype)
-    for _ in range(0, n_permutations, per_block):
-        block = np.array(list(itertools.islice(orders, per_block)))
-        for b, table in enumerate(_leaf_ids(tree, row, background, masks)):
-            ids[: len(block), :, b] = table[np.cumsum(index_weight[b, block], axis=1)]
-        for order, hybrid_ids in zip(block, ids):
-            yield order, leaves.take(hybrid_ids).mean(axis=1)
-
-
-def _leaf_ids(tree, x: np.ndarray, background: np.ndarray, masks: np.ndarray):
-    """One walk of ``tree``: an iterator over each background row's table of leaf ids over ``masks``.
-
-    The ids are in the smallest unsigned dtype that holds a node id.  Every
-    row's table is written into one reused buffer, so a caller reads each
-    before it asks for the next.
-    """
-    buffer = np.empty(1 << int(masks.sum(axis=1).max()), dtype=np.min_scalar_type(tree.feature.size - 1))
-    return _walk(tree, x, background, masks, range(tree.feature.size), itertools.repeat(buffer))
+    starts = offsets[:-1]
+    for order in orders:
+        hybrid_ids = ids.take(np.cumsum(index_weight[:, order], axis=1).T + starts)  # (d, n_bg)
+        yield order, leaves.take(hybrid_ids).mean(axis=1)
 
 
 def global_importance(

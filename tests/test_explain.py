@@ -150,6 +150,12 @@ class TestExact:
         with pytest.raises(ValueError, match="score"):
             shapley_exact(object(), np.zeros(2), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("attribute", [shapley_exact, shapley_sampled], ids=["exact", "sampled"])
+    def test_zero_column_row_refused(self, attribute):
+        """A row with no columns has nothing to attribute; both modes refuse it with the same message."""
+        with pytest.raises(ValueError, match="^attributed row has no columns$"):
+            attribute(ConstantScore(), np.zeros(0), np.zeros((4, 0)))
+
 
 class ScoreOnly:
     """A model seen through score alone, so exact Shapley tables span every column."""
@@ -194,15 +200,15 @@ def tree_tables(model, x, background):
 
 
 def counted_walks(monkeypatch):
-    """A list that gains an entry per sampled leaf-id walk from now on."""
+    """A list that gains an entry per tree walk (one call of ``explain._walk`` covers every background row) from now on."""
     walks = []
-    leaf_ids = explain._leaf_ids
+    walk = explain._walk
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         walks.append(args)
-        return leaf_ids(*args)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(explain, "_leaf_ids", counted)
+    monkeypatch.setattr(explain, "_walk", counted)
     return walks
 
 
@@ -750,28 +756,26 @@ class TestSampledTreeWalk:
         assert isinstance(model.state, ConstantState)
         self.check(model, X[0], X[:32])
 
-    @pytest.mark.parametrize("per_block", [1, 3, 7])
-    def test_blocks_of_orderings_walk_again(self, monkeypatch, per_block):
-        """A leaf-id budget of per_block orderings splits 10 orderings into blocks, each walked once."""
+    @pytest.mark.parametrize("n_permutations", [1, 10, 2000])
+    def test_any_number_of_orderings_walks_once(self, monkeypatch, n_permutations):
+        """The leaf ids of every background row are walked once, before the first ordering, however many follow."""
         model, train, test = tree_problem(16, 10, rounded=True, seed=3)
         bg = background_sample(train, max_rows=32, seed=4)
-        assert model.state.tree.feature.size < 256  # one byte per leaf id
-        monkeypatch.setattr(explain, "_LEAF_ID_BYTES", per_block * 16 * 32)
-        self.check(model, test[0], bg, n_permutations=10, seed=5)
         walks = counted_walks(monkeypatch)
-        shapley_sampled(model, test[0], bg, n_permutations=10, seed=5)
-        assert len(walks) == math.ceil(10 / per_block)
+        self.check(model, test[0], bg, n_permutations=n_permutations, seed=5)
+        assert len(walks) == 1
 
-    def test_two_byte_leaf_ids(self):
+    def test_two_byte_leaf_ids(self, monkeypatch):
         """A tree of more than 256 nodes stores its leaf ids as uint16."""
         rng = np.random.default_rng(18)
         X = rng.normal(size=(1001, 16))
         model = fit(ClassifierSpec("DecisionTree", {"max_depth": 30, "max_features": 16}), X[:1000], rng.integers(0, 2, 1000))
         assert model.state.tree.feature.size > 256
         bg = background_sample(X[:1000], max_rows=32, seed=1)
-        tree = model.state.tree
-        assert next(explain._leaf_ids(tree, X[1000], bg, explain._relevant_columns(tree, X[1000], bg))).dtype == np.uint16
+        walks = counted_walks(monkeypatch)
         self.check(model, X[1000], bg)
+        ((*_, ids),) = walks  # the table the walk wrote the ids into
+        assert ids.dtype == np.uint16
 
     @pytest.fixture(scope="class")
     def paper_row(self):
@@ -791,20 +795,27 @@ class TestSampledTreeWalk:
         assert counting.call_rows == [128, 1] and len(walks) == 1
         assert row.efficiency_residual < 1e-9
 
-    @pytest.mark.parametrize("n_permutations", [200, 2000])
-    def test_paper_scale_memory_stays_bounded(self, paper_row, n_permutations):
-        """One block's leaf ids, at most _LEAF_ID_BYTES, plus index and walk temporaries.
-
-        All 2,000 orderings' leaf ids at once would peak at about 4.7 MiB.
-        """
-        model, x, bg = paper_row
+    @staticmethod
+    def sampled_peak(model, x, bg, n_permutations):
+        """The tracemalloc peak of one sampled row, in bytes."""
         tracemalloc.start()
         try:
             shapley_sampled(model, x, bg, n_permutations=n_permutations)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < explain._LEAF_ID_BYTES + 2**20
+
+    @pytest.mark.parametrize("n_permutations", [200, 2000])
+    def test_paper_scale_memory_stays_bounded(self, paper_row, n_permutations):
+        """One table of leaf ids over the background, plus one ordering's index and the walk's temporaries.
+
+        Holding all 2,000 orderings' leaf ids at once would peak at about 4.7 MiB.
+        """
+        assert self.sampled_peak(*paper_row, n_permutations) < 2 * 2**20
+
+    def test_paper_scale_memory_does_not_grow_with_orderings(self, paper_row):
+        """2,000 orderings peak no higher than 200: each ordering's index is dropped before the next."""
+        assert self.sampled_peak(*paper_row, 2000) <= self.sampled_peak(*paper_row, 200) + 64 * 2**10
 
     def test_wide_row_is_scored_not_walked(self):
         """40 columns, past the exact-mode cap: the hybrids are scored, not walked.
