@@ -11,7 +11,11 @@ gets serialization by declaring its fields with types (``np.ndarray``,
 ``list[...]``, a nested dataclass or a scalar).  After decoding, every
 dataclass in the model that has ``check_columns`` checks itself against
 the model's column count.  A tree-shaped state is a ``TreeSum``, scored by
-evaluating the sum of trees it states.
+evaluating the sum of trees it states.  One walk scores all of a sum's
+trees: the rows go in blocks of at most ``_WALK_ENTRIES`` (tree, row)
+entries, each entry steps down its tree a level at a time, and the leaf
+values are added tree by tree in the order scoring one tree at a time adds
+them, so the bits are those of that scoring.
 """
 
 from __future__ import annotations
@@ -63,14 +67,11 @@ def positive_number(v) -> bool:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -122,17 +123,56 @@ class Standardizer:
             raise ValueError("std must be > 0")
 
 
+#: (tree, row) entries one block of ``TreeSum.score``'s walk holds at most: each
+#: int64 array over them is 512 KiB
+_WALK_ENTRIES = 1 << 16
+
+
 class TreeSum:
     """A state whose ``tree_sum()``, ``(start, weight, trees, link)``, is its score.
 
     The score is ``link(start + sum of weight * tree.apply(X))``, the trees
-    added in list order, a link of None meaning none.  ``explain`` runs
-    ``evaluate`` on a tree's own leaf values, so its leaf scores have these bits.
+    added in list order, a link of None meaning none.  ``score`` gets every
+    tree's leaf values from one walk of all the trees per block of rows, not
+    from one ``apply`` per tree.  ``explain`` runs ``evaluate`` on a tree's
+    own leaf values, so its leaf scores have these bits.
     """
 
     def score(self, X: np.ndarray) -> np.ndarray:
+        """The sum of trees on X's rows, from one walk of all the trees per block of rows.
+
+        The trees' node arrays are joined, each tree's child ids shifted by
+        its root's.  A block of rows gives every (tree, row) pair an entry at
+        the tree's root and steps the entries not yet at a leaf down one
+        level at a time, as ``TreeArrays.apply`` steps one tree's rows.
+        ``evaluate`` then adds the block's (trees, rows) leaf values tree by
+        tree, so each row gets the adds, in the order, of scoring one tree at
+        a time.  A block has at most ``_WALK_ENTRIES`` entries (and at least
+        one row), so memory does not grow with trees times rows.  A sum of
+        at most one tree has nothing to join: its tree's ``apply`` walks it.
+        """
         form = self.tree_sum()
-        return TreeSum.evaluate(form, (tree.apply(X) for tree in form[2]), X.shape[0])
+        trees = form[2]
+        if len(trees) <= 1:
+            return TreeSum.evaluate(form, (tree.apply(X) for tree in trees), X.shape[0])
+        roots, feature, threshold, left, right, value = _joined(trees)
+        n, d = X.shape
+        rows = max(1, _WALK_ENTRIES // len(trees))
+        out = np.empty(n)
+        for start in range(0, n, rows):
+            flat = X[start : start + rows].ravel()
+            b = flat.size // d
+            node = np.repeat(roots, b)  # entry t * b + r: tree t's node on the block's row r
+            at = np.tile(np.arange(0, b * d, d), len(trees))  # each entry's row in flat
+            active = np.nonzero(feature.take(node) >= 0)[0]
+            while active.size:
+                cur = node.take(active)
+                go_left = flat.take(at.take(active) + feature.take(cur)) <= threshold.take(cur)
+                step = np.where(go_left, left.take(cur), right.take(cur))
+                node[active] = step
+                active = active[feature.take(step) >= 0]
+            out[start : start + b] = TreeSum.evaluate(form, value.take(node).reshape(len(trees), b), b)
+        return out
 
     @staticmethod
     def evaluate(tree_sum, leaf_values, n: int) -> np.ndarray:
@@ -142,6 +182,19 @@ class TreeSum:
         for values in leaf_values:
             z += weight * values
         return z if link is None else link(z)
+
+
+def _joined(trees) -> tuple[np.ndarray, ...]:
+    """The trees' root ids and their node arrays laid end to end, each tree's child ids shifted by its root's id."""
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.cumsum([0, *sizes[:-1]])
+    feature, threshold, left, right, value = map(
+        np.concatenate, zip(*((tree.feature, tree.threshold, tree.left, tree.right, tree.value) for tree in trees))
+    )
+    shift = np.repeat(roots, sizes)  # a leaf's -1 children shift too, but are never followed
+    left += shift
+    right += shift
+    return roots, feature, threshold, left, right, value
 
 
 @dataclass(eq=False)

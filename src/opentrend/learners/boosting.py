@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from opentrend.learners.base import TreeSum, positive_int, positive_number, register_family, sigmoid
-from opentrend.learners.trees import SSE, TreeArrays, grow_tree, make_exhaustive_finder, sort_columns
+from opentrend.learners.trees import SSE, TreeArrays, grow_tree, make_exhaustive_finder, sort_columns, tie_span
 
 _HESSIAN_FLOOR = 1e-12
 
@@ -38,6 +38,7 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
     lr = float(hyper["learning_rate"])
     trees: list[TreeArrays] = []
     block = sort_columns(X)  # the features never change, only the target: one sort serves every round
+    criterion = SSE._replace(tied=tie_span(block))  # and so do the columns whose cuts can tie
     step = np.empty(X.shape[0])  # each row's leaf value in the current round's tree
     for _ in range(hyper["iterations"]):
         p = sigmoid(z)
@@ -54,7 +55,7 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
             gradient,
             max_depth=hyper["max_depth"],
             candidates=None,
-            find_split=make_exhaustive_finder(gradient, SSE),
+            find_split=make_exhaustive_finder(gradient, criterion),
             leaf_value=leaf_value,
             block=block,
         ).tree

@@ -61,6 +61,19 @@ can round onto hi (or overflow to an infinity), which would send every row
 to one side; then the threshold is lo, as scikit-learn does.  Either way
 rows with values <= lo go left and rows with values >= hi go right.
 
+A cut between two equal sorted values is no cut, so the finder masks its
+score.  Which columns need the mask is a property of the fit, not of the
+node: a node's block is a subsequence of the root's, so a column with no two
+equal neighbours in the root block has none in any node's.  A fit finds
+once the span from the first to the last column that ties in its root block
+(``tie_span``), and a node whose candidates are every column (boosting, and
+DecisionTree with ``max_features`` at or above the column count) compares
+and masks only that span, or nothing when no column ties.  A node with
+drawn candidates compares and masks them all.  On the benchmark's markets
+the 4 INT columns never tie and the 16 INT+HIST+NOW columns tie only in
+dc_u, dc_l and dc_m.  Unmasked columns have no equal neighbours, so every
+bit of the search stays as a full mask leaves it.
+
 Candidate columns come from a source ``grow_tree`` calls once per node it
 tries to split.  ExtraTrees draws them from each tree's own generator,
 because its draws interleave with the finder's uniform thresholds.  Boosting
@@ -102,6 +115,9 @@ wins, i.e. the lowest threshold.
 
 ``DecisionTreeState`` is a ``TreeSum`` of its one tree: its score is that
 sum, and ``explain`` walks the same tree for Shapley attribution.
+``TreeArrays.apply`` walks one tree's rows down a level at a time; a
+boosted or randomized ensemble is scored by ``TreeSum.score``, which walks
+all of its trees that way at once, over blocks of (tree, row) entries.
 """
 
 from __future__ import annotations
@@ -172,8 +188,7 @@ class TreeArrays:
         return self.value[node]
 
 
-@dataclass(frozen=True)
-class _SplitChoice:
+class _SplitChoice(NamedTuple):
     """A node's split; ``counts`` holds the exact target sums of the left and right child, when the finder has them."""
 
     column: int
@@ -186,6 +201,17 @@ def sort_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The root block of X: per column, row ids sorted by (value, row id) and the sorted values."""
     ids = np.argsort(X.T, axis=1, kind="stable")
     return ids, np.take_along_axis(X.T, ids, axis=1)
+
+
+def tie_span(block: tuple[np.ndarray, np.ndarray]) -> slice | None:
+    """The block's columns from the first to the last with two equal sorted neighbours; None when no column has.
+
+    A node's block is a subsequence of the root's, so a column with no tie
+    in the root block has none in any node's.
+    """
+    values = block[1]
+    tied = np.nonzero((values[:, :-1] == values[:, 1:]).any(axis=1))[0]
+    return slice(int(tied[0]), int(tied[-1]) + 1) if tied.size else None
 
 
 def random_candidates(rng: np.random.Generator, d: int, m: int) -> Callable[[], np.ndarray] | None:
@@ -325,7 +351,7 @@ def grow_tree(
             else:
                 value[node] = float((target[idx].sum() if count is None else count) / idx.size)
             continue
-        go_left = X[idx, choice.column] <= choice.threshold
+        go_left = X[:, choice.column].take(idx) <= choice.threshold
         feature[node] = choice.column
         threshold[node] = choice.threshold
         left_id, right_id = alloc(), alloc()
@@ -431,7 +457,7 @@ def _gini_count_table() -> tuple[np.ndarray, np.ndarray]:
     return table, starts
 
 
-def _gini_best_cut(total, n, n_left, n_right, sums, parent, ties):
+def _gini_best_cut(total, n, n_left, n_right, sums, parent, ties, tied=slice(None)):
     """Per cut, (n_left gini(left) + n_right gini(right)) / n, from the exact left counts in sums.
 
     On 0/1 labels each side's term depends only on its integer (ones, rows)
@@ -452,11 +478,12 @@ def _gini_best_cut(total, n, n_left, n_right, sums, parent, ties):
         _weighted_gini(right, n_right, tmp)
         scores += right
     scores /= n
-    np.copyto(scores, np.inf, where=ties)
+    if ties is not None:
+        np.copyto(scores[tied], np.inf, where=ties)
     return scores, parent - scores.min(axis=1)
 
 
-def _sse_best_cut(total, n, n_left, n_right, sums, parent, ties):
+def _sse_best_cut(total, n, n_left, n_right, sums, parent, ties, tied=slice(None)):
     """In place, left sums s_L become s_L^2 / n_left + s_R^2 / n_right."""
     right = np.subtract(total, sums)
     sums *= sums
@@ -464,7 +491,8 @@ def _sse_best_cut(total, n, n_left, n_right, sums, parent, ties):
     right *= right
     right /= n_right
     sums += right
-    np.copyto(sums, -np.inf, where=ties)
+    if ties is not None:
+        np.copyto(sums[tied], -np.inf, where=ties)
     return sums, sums.max(axis=1) - parent
 
 
@@ -472,21 +500,29 @@ class _Criterion(NamedTuple):
     """How the exhaustive finder scores cuts.
 
     parent_term(total, n) scores the node; best_cut(total, n, n_left,
-    n_right, sums, parent, ties) turns one row of left-hand target sums per
-    candidate column into each cut's score, ties marking the cuts between
-    equal values, and returns the scores and per column the gain of its best
+    n_right, sums, parent, ties, tied) turns one row of left-hand target sums
+    per candidate column into each cut's score, ties marking the cuts between
+    equal values in the rows ``tied`` (all by default; None for ties means
+    no cut ties), and returns the scores and per column the gain of its best
     cut (-inf where a column has none); best_position(row) is the first best
     cut of one row of scores.  With ``exact_counts`` the targets are 0/1
     labels: the left sums are summed as int64 counts and the chosen cut's
     counts are handed to the children.  Each criterion picks with its own
     min/max: gini on 0/1 labels and SSE rank splits alike in exact
     arithmetic, but rounding breaks near-ties differently.
+
+    ``tied`` holds the columns whose cuts can fall between equal values in
+    a node whose candidates are every column: all of them (``GINI`` and
+    ``SSE``), or a fit's ``tie_span`` of its root block.  There the finder
+    compares and masks only those columns, and none when it is None.  A
+    node with drawn candidates compares and masks them all.
     """
 
     parent_term: Callable
     best_cut: Callable
     best_position: Callable
     exact_counts: bool
+    tied: slice | None = slice(None)
 
 
 GINI = _Criterion(_gini_from_counts, _gini_best_cut, np.ndarray.argmin, True)  # class impurity of 0/1 labels
@@ -501,7 +537,7 @@ def make_exhaustive_finder(target: np.ndarray, criterion: _Criterion):
     docstring); ``idx`` holds the node's at least two row indices in
     ascending order.  ``target`` is a float64 array (0/1 for GINI).
     """
-    parent_term, best_cut, best_position, counted = criterion
+    parent_term, best_cut, best_position, counted, tied = criterion
     summed = target.astype(np.int64) if counted else target  # 0/1 labels sum exactly as integers
     counts = np.arange(1.0, target.size)  # n_left of every cut; reversed, n_right
 
@@ -513,12 +549,15 @@ def make_exhaustive_finder(target: np.ndarray, criterion: _Criterion):
             total = int(summed[idx].sum()) if counted else float(target[idx].sum())
         parent = parent_term(total, n)
         rows, xs = block
+        span = tied
         if candidates.size < rows.shape[0]:
             rows, xs = rows.take(candidates, axis=0), xs.take(candidates, axis=0)
+            span = slice(None)
         sums = summed.take(rows[:, :-1])
         sums.cumsum(axis=1, out=sums)
         n_left = counts[: n - 1]
-        scores, gain = best_cut(total, n, n_left, n_left[::-1], sums, parent, xs[:, :-1] == xs[:, 1:])
+        ties = None if span is None else xs[span, :-1] == xs[span, 1:]
+        scores, gain = best_cut(total, n, n_left, n_left[::-1], sums, parent, ties, span)
         c = int(gain.argmax())  # first maximum: lowest column
         if gain[c] <= 0.0:
             return None
@@ -683,12 +722,13 @@ def _resume(seed_draws: _SeedDraws, X: np.ndarray, y: np.ndarray, max_depth: int
 def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> DecisionTreeState:
     seed_draws = _draw_list(seed, X.shape[1], hyper["max_features"])
     block, previous = _resume(seed_draws, X, y, hyper["max_depth"])
+    drawing = seed_draws.draw is not None
     grown = grow_tree(
         X,
         y,
         max_depth=hyper["max_depth"],
-        candidates=None if seed_draws.draw is None else _DrawReader(seed_draws),
-        find_split=make_exhaustive_finder(y, GINI),
+        candidates=_DrawReader(seed_draws) if drawing else None,
+        find_split=make_exhaustive_finder(y, GINI if drawing else GINI._replace(tied=tie_span(block))),
         block=block,
         previous=previous,
     )

@@ -26,7 +26,10 @@ cells and a Shapley set outside the grid included.  The kNN score digests
 were recorded while kNN scoring still built one difference array per 1,024
 query rows and sorted every distance row in full; they pin the bits of the
 ``knn`` preset's scores on the 247-row test span, which the model JSON does
-not hold and the bundles see only through thresholded predictions.
+not hold and the bundles see only through thresholded predictions.  The
+tree-sum score digests were recorded while ``TreeSum.score`` still walked
+each tree on its own; they pin the bits of ``xgb``, ``catboost`` cut to 100
+rounds and ``extratrees`` cut to 50 trees on the same test span.
 """
 
 from __future__ import annotations
@@ -97,6 +100,16 @@ KNN_SCORE_SHA256 = {
     "INT+HIST+NOW": "e7872c857cca3f723e0537a10cb69c2435815d876141051f31d9fb3febb2e253",
     "INT": "bca7b3da206bbfd70705d2d1c29da8dfff99bd36093f60cbddf875d8ed248308",
 }
+#: xgb, catboost cut to 100 rounds and extratrees cut to 50 trees: scores on the 247-row test span, trained on the 989-row span
+TREE_SUM_SCORE_SHA256 = {
+    ("xgb", "INT+HIST+NOW"): "89d3a22fdb4b02d028373edff3b23d2955ce19c4ce7fb5913a233fe6e4669b9f",
+    ("catboost", "INT+HIST+NOW"): "fe4a7e689b1580d5d1b7cb66e20d811253b25ee6cd96614899a036ca99cd8605",
+    ("extratrees", "INT+HIST+NOW"): "fc7e3b9756d05017b6e5a8264b83c03fd9748a911d6c11cb45f004d4b91da64c",
+    ("xgb", "INT"): "6e6afb802bb120d30b76e1c1797d39e1fc2c31852ebac4a9730f392087ee93ca",
+    ("catboost", "INT"): "33da77c850c9b00f42548eec812a9548128e74c6b4acef43f8ac29f7431d77c3",
+    ("extratrees", "INT"): "d94ecbd7605605e366479d09ed5e93a0ea1786bf3366edd9d51fde201572f706",
+}
+TREE_SUM_CUTS = {"xgb": {}, "catboost": {"iterations": 100}, "extratrees": {"n_trees": 50}}
 #: one rolling run on a 120-day market, with exact Shapley on a set outside the grid
 RUN_BUNDLE_SHA256 = {
     "results.csv": "e2b7c25ccce235c487839d9f038b0b83a5d44e5f900685cd41979931b93a09b0",
@@ -241,6 +254,18 @@ def test_knn_score_bits(market, feature_set):
     scores = model.score(X[n_train:])
     assert scores.shape == (247,)
     assert sha256(scores.tobytes()) == KNN_SCORE_SHA256[feature_set], feature_set
+
+
+@pytest.mark.parametrize(("name", "feature_set"), list(TREE_SUM_SCORE_SHA256))
+def test_tree_sum_score_bits(market, name, feature_set):
+    ds, n_train = op_dataset(market, feature_set)
+    X = ds.matrix.values
+    base = preset(name)
+    spec = ClassifierSpec(base.family, {**base.hyperparams, **TREE_SUM_CUTS[name]}, base.standardize, base.seed)
+    model = fit(spec, X[:n_train], ds.labels[:n_train], feature_names=ds.matrix.columns)
+    scores = model.score(X[n_train:])
+    assert scores.shape == (247,)
+    assert sha256(scores.tobytes()) == TREE_SUM_SCORE_SHA256[name, feature_set], (name, feature_set)
 
 
 def test_run_bundle_bits(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from opentrend.learners import (
     predict,
     preset,
 )
-from opentrend.learners.base import _STATE_TYPES, TreeSum, positive_number, sigmoid
+from opentrend.learners.base import _STATE_TYPES, _WALK_ENTRIES, TreeSum, positive_number, sigmoid
 from opentrend.learners.boosting import BoostedTreesState
 from opentrend.learners.forest import ExtraTreesState
 from opentrend.learners.linear import loss_and_gradient
@@ -40,6 +40,7 @@ from opentrend.learners.trees import (
     make_random_entropy_finder,
     random_candidates,
     sort_columns,
+    tie_span,
 )
 
 
@@ -1088,6 +1089,75 @@ class TestExhaustiveFinder:
         target = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
         assert self.split(X, target, criterion, np.arange(6), np.arange(2)) is None
 
+    @staticmethod
+    def interleaved(rng, n_rows, n_cols):
+        """Tie-free continuous columns with some columns of few integers, which tie, placed among them at random."""
+        X = rng.normal(size=(n_rows, n_cols))
+        tied = rng.random(n_cols) < 0.4
+        X[:, tied] = rng.integers(0, 4, size=(n_rows, int(tied.sum())))
+        return X
+
+    @pytest.mark.parametrize("criterion", [GINI, SSE], ids=["gini", "sse"])
+    def test_root_tie_span_matches_per_column_search(self, criterion):
+        """A finder told the root block's tie span equals the reference, with every column a candidate and with a subset."""
+        rng = np.random.default_rng(8)
+        found = no_ties = untied_inside = 0
+        for _ in range(1500):
+            n_rows = int(rng.integers(2, 40))
+            n_cols = int(rng.integers(1, 8))
+            X = self.interleaved(rng, n_rows, n_cols)
+            tied = [j for j in range(n_cols) if np.unique(X[:, j]).size < n_rows]
+            span = tie_span(sort_columns(X))
+            assert span == (slice(tied[0], tied[-1] + 1) if tied else None)
+            no_ties += span is None
+            untied_inside += span is not None and len(tied) < span.stop - span.start
+            if criterion is GINI:
+                target = rng.integers(0, 2, size=n_rows).astype(np.float64)
+            else:
+                target = np.round(rng.normal(size=n_rows), int(rng.integers(0, 3)))
+            idx = np.sort(rng.choice(n_rows, size=int(rng.integers(2, n_rows + 1)), replace=False))
+            subset = np.sort(rng.choice(n_cols, size=int(rng.integers(1, n_cols + 1)), replace=False))
+            find = make_exhaustive_finder(target, criterion._replace(tied=span))
+            for candidates in (np.arange(n_cols), subset):
+                choice = find(idx, candidates, self.block(X, idx))
+                expected = reference_split(X, target, criterion, idx, candidates)
+                assert (None if choice is None else (choice.column, choice.threshold, choice.gain)) == expected
+                found += expected is not None
+        assert found > 1000 and no_ties > 100 and untied_inside > 100
+
+    def test_fits_with_the_tie_span_equal_fits_that_mask_every_column(self, monkeypatch):
+        """Boosting and an all-column dt write the same model JSON when the tie span is forced to every column."""
+        from opentrend.learners import boosting, trees
+
+        rng = np.random.default_rng(9)
+        tied = rng.normal(size=(300, 6))
+        tied[:, [1, 4]] = np.round(tied[:, [1, 4]], 1)  # tied columns 1 and 4 around tie-free 2 and 3
+        untied = rng.normal(size=(300, 6))
+        specs = (
+            ClassifierSpec("GradientBoostedTrees", {"iterations": 20, "max_depth": 4, "learning_rate": 0.3}),
+            ClassifierSpec("DecisionTree", {"max_depth": 8, "max_features": 6}),
+        )
+        for X, span in ((tied, slice(1, 5)), (untied, None)):
+            assert tie_span(sort_columns(X)) == span
+            y = (X[:, 0] + X[:, 1] - X[:, 4] + rng.normal(size=300) > 0).astype(np.int64)
+            models = []
+            for forced in (False, True):
+                with monkeypatch.context() as m:
+                    spans = []
+
+                    def every(block):
+                        spans.append(block)
+                        return slice(None)
+
+                    if forced:
+                        m.setattr(boosting, "tie_span", every)
+                        m.setattr(trees, "tie_span", every)
+                    for spec in specs:
+                        trees._draw_list.cache_clear()  # a kept dt fit of the same rows would be copied, not grown
+                        models.append(model_to_json(fit(spec, X, y)))
+                    assert len(spans) == (2 if forced else 0)
+            assert models[:2] == models[2:]
+
 
 class TestCountTable:
     """The GINI count table and the counts handed down the tree, against the direct scoring, bit for bit."""
@@ -1513,6 +1583,55 @@ class TestTreeSum:
     def test_no_tree_shaped_state_writes_its_own_scorer(self):
         for cls in (DecisionTreeState, BoostedTreesState, ExtraTreesState, ConstantState):
             assert issubclass(cls, TreeSum) and "score" not in vars(cls), cls.__name__
+
+    #: two full walk blocks of a 50-tree sum and three rows more: past the block bound of every sum of 50 or more trees
+    PAST_BLOCK_ROWS = 2 * (_WALK_ENTRIES // 50) + 3
+
+    @pytest.mark.parametrize("name", TREE_SUMS)
+    def test_score_matches_the_former_scorer_at_one_row_and_past_the_block_bound(self, problem, name):
+        X, y, _ = problem
+        kind, hyper, standardize, label = TREE_SUMS[name]
+        base = preset(kind, seed=2)
+        spec = ClassifierSpec(base.family, {**base.hyperparams, **hyper}, standardize, base.seed)
+        model = fit(spec, X, y if label is None else np.full_like(y, label))
+        queries = np.random.default_rng(28).normal(size=(self.PAST_BLOCK_ROWS, 4))
+        for rows in (queries[:1], queries):
+            scaled = rows if model.standardizer is None else model.standardizer.transform(rows)
+            assert model.score(rows).tobytes() == former_score(model.state, scaled).tobytes(), rows.shape[0]
+
+    def test_scoring_memory_does_not_grow_with_trees_times_rows(self, problem):
+        X, y, _ = problem
+        model = fit(ClassifierSpec("ExtraTrees", {"n_trees": 200}, seed=2), X, y)
+        queries = np.random.default_rng(29).normal(size=(65536, 4))
+        tracemalloc.start()
+        try:
+            model.state.score(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # one (rows x trees) int64 array would be 100 MiB
+
+
+class TestSigmoid:
+    @staticmethod
+    def two_branch(z):
+        """The logistic function as two masked gathers and scatters, one per sign."""
+        z = np.asarray(z, dtype=np.float64)
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def test_bits_equal_the_two_branch_form(self):
+        """Signed zeros, subnormals, the saturation and underflow edges, the largest doubles and 10^5 values over many scales."""
+        edges = np.array([0.0, 5e-324, 1e-300, 36.75, 709.78, 745.2, 1e308])
+        rng = np.random.default_rng(31)
+        exponents = np.concatenate([rng.uniform(-12.0, 3.0, 50_000), rng.uniform(-300.0, 308.0, 50_000)])
+        z = np.concatenate([edges, -edges, rng.uniform(-1.0, 1.0, exponents.size) * 10.0**exponents])
+        assert np.signbit(z[edges.size])  # -0.0 is among them
+        assert sigmoid(z).tobytes() == self.two_branch(z).tobytes()
 
 
 class TestGradientBoosting:
