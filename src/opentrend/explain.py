@@ -30,14 +30,14 @@ tables over all d columns built by doubling.  Either way each table entry
 is the float scoring its hybrid row returns, so the coalition values keep
 the bits of scoring every hybrid row.
 
-Sampled mode needs the d prefix coalitions of each ordering.  A form of
-exactly one tree over at most 16 columns gives them without scoring a
-hybrid: one walk per background row writes leaf ids instead of leaf values
-into the same row-after-row layout, one table of ids over all rows, and
-each ordering's prefix ids are gathered from it, so a row costs two score
-calls (the background and the row itself).  The orderings are not split
-into blocks: memory follows the tables, not the number of orderings.  Every
-other model, and every row wider than 16 columns, scores each ordering's
+Sampled mode needs the d prefix coalitions of each ordering.  A tree sum
+over at most 16 columns gives them without scoring a hybrid: each tree is
+walked once per background row into its own table of leaf ids, laid out row
+after row as above, and each ordering evaluates the sum over its prefix
+leaves, so a row costs two score calls (the background and the row itself).
+Trees whose tables would together hold more than ``_TABLE_CHUNK`` ids per
+background row (exact mode's largest table) are not walked; they, every
+other model and every row wider than 16 columns score each ordering's
 hybrids stacked.  Either way every hybrid's mean has the bits of scoring
 that hybrid alone.
 """
@@ -357,19 +357,19 @@ def shapley_exact(model, x, background) -> AttributionRow:
 def shapley_sampled(model, x, background, n_permutations: int = DEFAULT_PERMUTATIONS, seed: int = 0) -> AttributionRow:
     """Monte-Carlo Shapley: average marginal contributions over seeded orderings.
 
-    Ordering k's hybrids take x at its first 1, 2, ..., d columns.  A model
-    whose tree sum (``TrainedModel.scaled_tree_sum``) holds exactly one tree
-    (``dt``, scaled or not, a constant, one-round ``xgb`` or a one-tree
-    forest) scores only the background and the row: ``_walked_means`` reads
-    each hybrid's leaf per background row from one table of leaf ids over
-    all background rows, filled by one walk of that tree per row before the
-    first ordering.  The orderings are not split into blocks, so memory
-    follows that table, not ``n_permutations``.  A row's table doubles per
-    relevant column, so a row wider than ``MAX_EXACT_FEATURES`` is not
-    walked but scored.  Any other model, or row, scores each ordering's
-    hybrids stacked (``_scored_means``).  Either way each hybrid's mean
-    score has the bits of scoring that hybrid alone, and the contributions
-    are summed in the same order, so phi does not depend on the route.
+    Ordering k's hybrids take x at its first 1, 2, ..., d columns.  A
+    tree-shaped model (one with ``TrainedModel.scaled_tree_sum``) scores
+    only the background and the row: ``_walked_means`` reads each hybrid's
+    leaf in every tree from that tree's table of leaf ids over all
+    background rows, filled by one walk of the tree per row before the first
+    ordering, so memory follows those tables, not ``n_permutations``.  A
+    row wider than ``MAX_EXACT_FEATURES`` is not walked (a row's table
+    doubles per relevant column), nor are trees whose tables together pass
+    ``_TABLE_CHUNK`` ids per background row.  Those, and every other model,
+    score each ordering's hybrids stacked (``_scored_means``).  Either way
+    each hybrid's mean score has the bits of scoring that hybrid alone, and
+    the contributions are summed in the same order, so phi does not depend
+    on the route.
     """
     at_least_one("n_permutations", n_permutations)
     row = _as_row(x)
@@ -382,10 +382,9 @@ def shapley_sampled(model, x, background, n_permutations: int = DEFAULT_PERMUTAT
     base_value = float(np.asarray(score(bg), dtype=np.float64).mean())
     hook = getattr(model, "scaled_tree_sum", None)
     walked = hook(row, bg) if hook is not None and d <= MAX_EXACT_FEATURES else None
-    if walked is None or len(walked[0][2]) != 1:
+    means = None if walked is None else _walked_means(*walked, orders)
+    if means is None:
         means = _scored_means(score, row, bg, orders)
-    else:
-        means = _walked_means(*walked, orders)
     phi = np.zeros(d)
     for order, hybrid_means in means:
         prev = base_value
@@ -417,31 +416,42 @@ def _scored_means(score, row: np.ndarray, background: np.ndarray, orders):
 
 
 def _walked_means(tree_sum, row: np.ndarray, background: np.ndarray, orders):
-    """Each ordering with its d hybrids' mean scores, read from leaf ids without scoring a hybrid.
+    """Each ordering with its d hybrids' mean scores, read from leaf ids without scoring a hybrid; None past the budget.
 
-    ``tree_sum`` is ``(start, weight, [tree], link)``; ``TreeSum.evaluate``
-    on the tree's leaf values gives the leaf scores, as ``score`` does.  One
-    walk per background row writes its table of leaf ids, in the smallest
-    unsigned dtype that holds a node id, and the tables lie row after row in
-    one array, so memory follows the sum of 2^|F_b| over the background, not
-    the number of orderings.  With the relevant-column masks packed into
-    ``_index_weights``, the leaf of ordering o's hybrid k over row b is entry
+    ``tree_sum`` is ``(start, weight, trees, link)``.  Each tree gets its own
+    table of leaf ids: one walk per background row writes the row's ids, in
+    the smallest unsigned dtype that holds a node id, and the rows' tables
+    lie row after row in one array.  Every table is sized before any tree is
+    walked; if together they would hold more than ``_TABLE_CHUNK`` ids per
+    background row (exact mode's largest table), nothing is walked and None
+    is returned.  Memory follows the tables, not the number of orderings.
+    With a tree's relevant-column masks packed into ``_index_weights``, the
+    leaf of ordering o's hybrid k over row b is entry
     ``cumsum(index_weight[b, o])[k]`` of row b's table: the prefix
-    coalitions' packed bits, in ordering order.  A hybrid's leaf scores over
-    the background are then the floats its score would return, in order,
-    and their mean has the bits of its scored mean.
+    coalitions' packed bits, in ordering order.  ``TreeSum.evaluate`` adds
+    each tree's (d x n_bg) leaf values in ``score``'s order, so a hybrid's
+    scores are the floats scoring it returns, and their mean has its bits.
     """
-    (tree,) = tree_sum[2]
-    leaves = TreeSum.evaluate(tree_sum, [tree.value], tree.value.size)
-    masks = _relevant_columns(tree, row, background)
-    offsets = _table_offsets(masks)
-    ids = np.empty(offsets[-1], dtype=np.min_scalar_type(tree.feature.size - 1))
-    _walk(tree, row, background, masks, range(tree.feature.size), ids)
-    index_weight = _index_weights(masks)
-    starts = offsets[:-1]
-    for order in orders:
-        hybrid_ids = ids.take(np.cumsum(index_weight[:, order], axis=1).T + starts)  # (d, n_bg)
-        yield order, leaves.take(hybrid_ids).mean(axis=1)
+    trees = tree_sum[2]
+    masks = [_relevant_columns(tree, row, background) for tree in trees]
+    offsets = [_table_offsets(tree_masks) for tree_masks in masks]
+    if sum(ends[-1] for ends in offsets) > background.shape[0] * _TABLE_CHUNK:
+        return None
+    tables = []
+    for tree, tree_masks, ends in zip(trees, masks, offsets):
+        ids = np.empty(ends[-1], dtype=np.min_scalar_type(tree.feature.size - 1))
+        _walk(tree, row, background, tree_masks, range(tree.feature.size), ids)
+        # a bit of at most 16 columns fits in 2 bytes: a quarter of the int64 weights
+        tables.append((tree.value, ids, _index_weights(tree_masks).astype(np.uint16), ends[:-1]))
+
+    def hybrid_means(order):
+        leaf_values = (
+            value.take(ids.take(np.cumsum(weight[:, order], axis=1, dtype=np.int64).T + starts))  # (d, n_bg)
+            for value, ids, weight, starts in tables
+        )
+        return TreeSum.evaluate(tree_sum, leaf_values, (row.size, background.shape[0])).mean(axis=1)
+
+    return ((order, hybrid_means(order)) for order in orders)
 
 
 def global_importance(

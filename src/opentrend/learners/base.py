@@ -134,8 +134,9 @@ class TreeSum:
     The score is ``link(start + sum of weight * tree.apply(X))``, the trees
     added in list order, a link of None meaning none.  ``score`` gets every
     tree's leaf values from one walk of all the trees per block of rows, not
-    from one ``apply`` per tree.  ``explain`` runs ``evaluate`` on a tree's
-    own leaf values, so its leaf scores have these bits.
+    from one ``apply`` per tree.  ``explain`` runs ``evaluate`` on each
+    tree's leaf values for a (hybrids, background rows) grid, so every
+    element of the grid has these bits.
     """
 
     def score(self, X: np.ndarray) -> np.ndarray:
@@ -175,8 +176,12 @@ class TreeSum:
         return out
 
     @staticmethod
-    def evaluate(tree_sum, leaf_values, n: int) -> np.ndarray:
-        """``tree_sum`` over n rows: start, plus weight times each tree's n leaf values in ``leaf_values`` in turn, then link."""
+    def evaluate(tree_sum, leaf_values, n: int | tuple[int, ...]) -> np.ndarray:
+        """``tree_sum`` over n rows, or a grid of shape n: start, plus weight times each tree's leaf values in turn, then link.
+
+        Each array in ``leaf_values`` has n's shape, and every element takes
+        the same IEEE operations in the same order, so the shape leaves its bits alone.
+        """
         start, weight, _, link = tree_sum
         z = np.full(n, float(start))
         for values in leaf_values:

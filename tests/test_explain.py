@@ -552,7 +552,7 @@ EDGE_SUMS = {
 
 
 class TestEdgeTreeSums:
-    """Ensembles of no tree or one tree in both modes: one tree walks in sampled mode, no tree is scored."""
+    """Ensembles of no tree or one tree in both modes: sampled mode walks each tree, and scores no hybrid."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -587,7 +587,7 @@ class TestEdgeTreeSums:
                 assert got.phi.tobytes() == want.phi.tobytes()
                 assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
             assert len(walks) == n_trees  # one walk for one tree, none for no tree
-            assert counting.calls == (2 if n_trees else 7 + 2)  # the background, each scored ordering, the row
+            assert counting.calls == 2  # the background and the row
 
 
 class TestSampled:
@@ -703,17 +703,30 @@ class TestBatchedSampled:
 
 
 class TestSampledTreeWalk:
-    """Sampled Shapley of a tree or a constant read from leaf tables, bit for bit the stepwise loop's."""
+    """Sampled Shapley of every tree sum read from per-tree leaf tables, bit for bit the stepwise loop's."""
 
     @staticmethod
     def check(model, x, bg, n_permutations=7, seed=0):
-        """The walked row equals the stepwise loop's; the hook is used, and only the background and the row are scored."""
+        """The walked row equals the stepwise loop's; the hook is used, each tree is walked once, and only the background and the row are scored."""
         counting = CountingTree(model)
-        got = shapley_sampled(counting, x, bg, n_permutations=n_permutations, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            walks = counted_walks(patch)
+            got = shapley_sampled(counting, x, bg, n_permutations=n_permutations, seed=seed)
         want = stepwise_sampled(model, x, bg, n_permutations, seed)
         assert got.phi.tobytes() == want.phi.tobytes()
         assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
         assert counting.hooks == 1 and counting.call_rows == [bg.shape[0], 1]
+        assert len(walks) == len(model.scaled_tree_sum(x, bg)[0][2])
+
+    @staticmethod
+    def tree_sum_model(kind, X, y):
+        """A ``TREE_KINDS`` model or an ``EDGE_SUMS`` ensemble."""
+        return TestEdgeTreeSums.model(kind, X, y) if kind in EDGE_SUMS else small_tree_model(kind, X, y, seed=5)
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        X, y, test = TestTreeWalk.problem(16, False, seed=21)
+        return X, y, background_sample(X, max_rows=32, seed=1), test[0]
 
     @pytest.mark.parametrize("rounded", [False, True], ids=["continuous", "rounded"])
     @pytest.mark.parametrize("standardize", [False, True], ids=["unscaled", "scaled"])
@@ -765,6 +778,38 @@ class TestSampledTreeWalk:
         self.check(model, test[0], bg, n_permutations=n_permutations, seed=5)
         assert len(walks) == 1
 
+    @pytest.mark.parametrize("n_permutations", [1, 10, 2000])
+    @pytest.mark.parametrize("kind", [*TREE_KINDS, *EDGE_SUMS])
+    def test_every_tree_sum_walks_each_tree_once(self, problem, kind, n_permutations):
+        """Trees, ensembles, constants and sums of no tree or one: one walk per tree, however many orderings follow."""
+        X, y, bg, x = problem
+        self.check(self.tree_sum_model(kind, X, y), x, bg, n_permutations=n_permutations, seed=n_permutations)
+
+    @pytest.mark.parametrize("kind", ["xgb", "extratrees"])
+    def test_past_the_budget_nothing_is_walked(self, problem, monkeypatch, kind):
+        """Tables of more than ``_TABLE_CHUNK`` ids per background row in all are not walked: the hybrids are scored.
+
+        Two equal background rows give each tree two tables of one size, so
+        the trees' ids are even, and at half their count per row they exactly
+        fill the budget.
+        """
+        X, y, bg, x = problem
+        bg = bg[[3, 3]]
+        model = small_tree_model(kind, X, y, seed=5)
+        tree_sum, sx, sbg = model.scaled_tree_sum(x, bg)
+        assert len(tree_sum[2]) == 3
+        ids = sum(int(explain._table_offsets(explain._relevant_columns(tree, sx, sbg))[-1]) for tree in tree_sum[2])
+        monkeypatch.setattr(explain, "_TABLE_CHUNK", ids // 2)  # the trees' ids just fit
+        self.check(model, x, bg)
+        monkeypatch.setattr(explain, "_TABLE_CHUNK", ids // 2 - 1)  # one id per row short
+        counting = CountingTree(model)
+        walks = counted_walks(monkeypatch)
+        got = shapley_sampled(counting, x, bg, n_permutations=7, seed=0)
+        for want in (stepwise_sampled(model, x, bg, 7, 0), shapley_sampled(ScoreOnly(model), x, bg, n_permutations=7, seed=0)):
+            assert got.phi.tobytes() == want.phi.tobytes()
+            assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
+        assert walks == [] and counting.calls == 7 + 2  # the background, each scored ordering, the row
+
     def test_two_byte_leaf_ids(self, monkeypatch):
         """A tree of more than 256 nodes stores its leaf ids as uint16."""
         rng = np.random.default_rng(18)
@@ -778,13 +823,18 @@ class TestSampledTreeWalk:
         assert ids.dtype == np.uint16
 
     @pytest.fixture(scope="class")
-    def paper_row(self):
-        """A dt preset fitted on 989 of 1,236 rows of 16 columns, a 128-row background and a held-out row."""
+    def paper_data(self):
+        """989 training rows of 16 columns and their labels, a 128-row background and a held-out row."""
         rng = np.random.default_rng(16)
         X = rng.normal(size=(1236, 16))
         y = (X[:, 0] - 0.7 * X[:, 15] + rng.normal(scale=0.8, size=1236) > 0).astype(np.int64)
-        model = fit(preset("dt", seed=16), X[:989], y[:989])
-        return model, X[1000], background_sample(X[:989], max_rows=128, seed=1)
+        return X[:989], y[:989], background_sample(X[:989], max_rows=128, seed=1), X[1000]
+
+    @pytest.fixture(scope="class")
+    def paper_row(self, paper_data):
+        """A dt preset fitted on the paper-scale rows, with the background and the held-out row."""
+        X, y, bg, x = paper_data
+        return fit(preset("dt", seed=16), X, y), x, bg
 
     def test_paper_scale_row_scores_two_calls(self, paper_row, monkeypatch):
         """16 columns, 128 background rows, 200 orderings: the background and the row are scored, no hybrid."""
@@ -793,6 +843,21 @@ class TestSampledTreeWalk:
         walks = counted_walks(monkeypatch)
         row = shapley_sampled(counting, x, bg)
         assert counting.call_rows == [128, 1] and len(walks) == 1
+        assert row.efficiency_residual < 1e-9
+
+    @pytest.fixture(scope="class")
+    def paper_xgb_row(self, paper_data):
+        """The xgb preset (100 trees) fitted on the paper-scale rows, with the background and the held-out row."""
+        X, y, bg, x = paper_data
+        return fit(preset("xgb", seed=16), X, y), x, bg
+
+    def test_paper_scale_xgb_row_scores_two_calls(self, paper_xgb_row, monkeypatch):
+        """16 columns, 128 background rows, 200 orderings, 100 trees: one walk per tree, no hybrid scored."""
+        model, x, bg = paper_xgb_row
+        counting = CountingTree(model)
+        walks = counted_walks(monkeypatch)
+        row = shapley_sampled(counting, x, bg)
+        assert counting.call_rows == [128, 1] and len(walks) == 100
         assert row.efficiency_residual < 1e-9
 
     @staticmethod
@@ -816,6 +881,17 @@ class TestSampledTreeWalk:
     def test_paper_scale_memory_does_not_grow_with_orderings(self, paper_row):
         """2,000 orderings peak no higher than 200: each ordering's index is dropped before the next."""
         assert self.sampled_peak(*paper_row, 2000) <= self.sampled_peak(*paper_row, 200) + 64 * 2**10
+
+    def test_paper_scale_xgb_memory_stays_bounded(self, paper_xgb_row):
+        """100 tables of leaf ids and their compact index weights, plus one tree's gather at a time.
+
+        Scoring the hybrids peaked at 4.9 MiB, and int64 index weights would
+        add 1.6 MiB.  2,000 orderings peak no higher than 200: each
+        ordering's gathers are dropped before the next.
+        """
+        peak = self.sampled_peak(*paper_xgb_row, 200)
+        assert peak < 2 * 2**20
+        assert self.sampled_peak(*paper_xgb_row, 2000) <= peak + 64 * 2**10
 
     def test_wide_row_is_scored_not_walked(self):
         """40 columns, past the exact-mode cap: the hybrids are scored, not walked.

@@ -29,7 +29,11 @@ query rows and sorted every distance row in full; they pin the bits of the
 not hold and the bundles see only through thresholded predictions.  The
 tree-sum score digests were recorded while ``TreeSum.score`` still walked
 each tree on its own; they pin the bits of ``xgb``, ``catboost`` cut to 100
-rounds and ``extratrees`` cut to 50 trees on the same test span.
+rounds and ``extratrees`` cut to 50 trees on the same test span.  The
+sampled Shapley digests were recorded while sampled attribution still scored
+every hybrid of a sum of more than one tree; they pin the bytes of phi, the
+base value and the output of ``dt`` and of those three cut ensembles, on 16
+columns and on 4.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import pytest
 
 from opentrend.config import load_config
 from opentrend.dataset import bind, split
-from opentrend.explain import background_sample, shapley_exact
+from opentrend.explain import background_sample, shapley_exact, shapley_sampled
 from opentrend.features import CANONICAL_COLUMNS, FeatureSetMask, assemble, select
 from opentrend.labeling import ALL_TASKS, TaskKind, make_labels
 from opentrend.learners import ClassifierSpec, fit, model_to_json, preset
@@ -110,6 +114,17 @@ TREE_SUM_SCORE_SHA256 = {
     ("extratrees", "INT"): "d94ecbd7605605e366479d09ed5e93a0ea1786bf3366edd9d51fde201572f706",
 }
 TREE_SUM_CUTS = {"xgb": {}, "catboost": {"iterations": 100}, "extratrees": {"n_trees": 50}}
+#: sampled Shapley, 20 orderings, of the first two test rows against a 128-row background: dt and the cut tree sums
+SAMPLED_SHAPLEY_SHA256 = {
+    ("dt", "INT+HIST+NOW"): "f5116dbf5d088d5381fae3ebdd8a5ce25dba5549e9473789f86f9ecf0f1f0f4c",
+    ("xgb", "INT+HIST+NOW"): "3c8acfc78b16be556ebffa39e29bfaec870de23f37704b926cbc712111db30bb",
+    ("catboost", "INT+HIST+NOW"): "1126e55ae24648bbafd94c8708a820a357cd3412ac133d538d5e6881021f4529",
+    ("extratrees", "INT+HIST+NOW"): "4c6959d5d889b8902033a5759a12e89a489ae383ca4ab4b3c5cb246f384c2dd6",
+    ("dt", "INT"): "593a52d37a26d4b6173edcf7903627d6baf1bf4a78fd4bbc83459f3fb0e35662",
+    ("xgb", "INT"): "97325134400f98f6c42f6f2fc74edc64ed40ad05a2dc19bd9c3a7ff8164127d5",
+    ("catboost", "INT"): "74edd87ac664df8e3e2c126be251438aaa74c856936184eb73c494d8c374adaf",
+    ("extratrees", "INT"): "4cb230cadf6c3166c75b256404e9d1bb88a5ee21a10d732ae7ae6d4fe6129fc5",
+}
 #: one rolling run on a 120-day market, with exact Shapley on a set outside the grid
 RUN_BUNDLE_SHA256 = {
     "results.csv": "e2b7c25ccce235c487839d9f038b0b83a5d44e5f900685cd41979931b93a09b0",
@@ -266,6 +281,22 @@ def test_tree_sum_score_bits(market, name, feature_set):
     scores = model.score(X[n_train:])
     assert scores.shape == (247,)
     assert sha256(scores.tobytes()) == TREE_SUM_SCORE_SHA256[name, feature_set], (name, feature_set)
+
+
+@pytest.mark.parametrize(("name", "feature_set"), list(SAMPLED_SHAPLEY_SHA256))
+def test_sampled_shapley_bits(market, name, feature_set):
+    ds, n_train = op_dataset(market, feature_set)
+    X = ds.matrix.values
+    base = preset(name)
+    spec = ClassifierSpec(base.family, {**base.hyperparams, **TREE_SUM_CUTS.get(name, {})}, base.standardize, base.seed)
+    model = fit(spec, X[:n_train], ds.labels[:n_train], feature_names=ds.matrix.columns)
+    background = background_sample(X[:n_train], 128, seed=0)
+    digest = hashlib.sha256()
+    for i, x in enumerate(X[n_train : n_train + 2]):
+        row = shapley_sampled(model, x, background, n_permutations=20, seed=i)
+        digest.update(row.phi.tobytes())
+        digest.update(np.array([row.base_value, row.model_output]).tobytes())
+    assert digest.hexdigest() == SAMPLED_SHAPLEY_SHA256[name, feature_set], (name, feature_set)
 
 
 def test_run_bundle_bits(tmp_path, monkeypatch):
