@@ -421,10 +421,11 @@ def _walked_means(tree_sum, row: np.ndarray, background: np.ndarray, orders):
     ``tree_sum`` is ``(start, weight, trees, link)``.  Each tree gets its own
     table of leaf ids: one walk per background row writes the row's ids, in
     the smallest unsigned dtype that holds a node id, and the rows' tables
-    lie row after row in one array.  Every table is sized before any tree is
-    walked; if together they would hold more than ``_TABLE_CHUNK`` ids per
-    background row (exact mode's largest table), nothing is walked and None
-    is returned.  Memory follows the tables, not the number of orderings.
+    lie row after row in one array.  The tables are sized tree by tree
+    before any tree is walked; as soon as those sized so far would hold more
+    than ``_TABLE_CHUNK`` ids per background row (exact mode's largest
+    table), sizing stops, nothing is walked and None is returned.  Memory
+    follows the tables, not the number of orderings.
     With a tree's relevant-column masks packed into ``_index_weights``, the
     leaf of ordering o's hybrid k over row b is entry
     ``cumsum(index_weight[b, o])[k]`` of row b's table: the prefix
@@ -433,10 +434,14 @@ def _walked_means(tree_sum, row: np.ndarray, background: np.ndarray, orders):
     scores are the floats scoring it returns, and their mean has its bits.
     """
     trees = tree_sum[2]
-    masks = [_relevant_columns(tree, row, background) for tree in trees]
-    offsets = [_table_offsets(tree_masks) for tree_masks in masks]
-    if sum(ends[-1] for ends in offsets) > background.shape[0] * _TABLE_CHUNK:
-        return None
+    masks, offsets = [], []
+    room = background.shape[0] * _TABLE_CHUNK
+    for tree in trees:
+        masks.append(_relevant_columns(tree, row, background))
+        offsets.append(_table_offsets(masks[-1]))
+        room -= offsets[-1][-1]
+        if room < 0:
+            return None
     tables = []
     for tree, tree_masks, ends in zip(trees, masks, offsets):
         ids = np.empty(ends[-1], dtype=np.min_scalar_type(tree.feature.size - 1))

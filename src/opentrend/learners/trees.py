@@ -33,7 +33,13 @@ Blocks are therefore gathered through flat indices: a child's block is one
 the candidate columns' rows and their targets with ``take``.  It then
 scores the cuts in place in the gathered buffer, each element through the
 operations of the plain array expression in its order, so no bit depends
-on the buffering.
+on the buffering.  For the same reason sums, prefix sums and extrema call
+the ufuncs (``np.add.reduce``, ``np.add.accumulate``, ``np.maximum.reduce``,
+``np.minimum.reduce``) rather than the ``sum``/``cumsum``/``max``/``min``
+wrappers, which run the same loops behind a Python layer; a split reads its
+go-left flags from a contiguous row of a transposed copy of X, made once per
+grow, rather than from a strided column; and a split appends both children
+to the node lists at once.
 
 DecisionTree's labels are 0/1, so every left-hand sum of its gini search
 is an exact count: L ones among the l rows left of a cut.  Each side's term
@@ -224,8 +230,9 @@ def random_candidates(rng: np.random.Generator, d: int, m: int) -> Callable[[], 
 def _compress(block: tuple[np.ndarray, np.ndarray], keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries of a block where keep is set; each column keeps its order."""
     ids, values = block
-    flat = keep.ravel().nonzero()[0]  # one flat gather costs a fraction of a 2-D boolean mask
-    return ids.take(flat).reshape(ids.shape[0], -1), values.take(flat).reshape(ids.shape[0], -1)
+    # one flat gather costs a fraction of a 2-D boolean mask; shaped once, the positions shape both takes
+    flat = keep.ravel().nonzero()[0].reshape(ids.shape[0], -1)
+    return ids.take(flat), values.take(flat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,31 +283,19 @@ def grow_tree(
     its node ids shifted, and the source is advanced past the draws it used.
     """
     all_columns = np.arange(X.shape[1])
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    draws: list[int] = []
+    columns = np.ascontiguousarray(X.T)  # a split's go-left flags read one contiguous row
+    # the root node; a split appends both its children at once
+    feature, threshold, left, right, value, draws = [-1], [0.0], [-1], [-1], [0.0], [-1]
     drawn = 0  # draws made or copied so far: the next drawing node's index
     in_left = np.zeros(X.shape[0], dtype=bool)  # go-left flags, valid only at the rows of the node just split
-
-    def alloc() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        draws.append(-1)
-        return len(feature) - 1
 
     def splittable(idx: np.ndarray, depth: int, count: int | None) -> bool:
         if depth >= max_depth or idx.size < 2:
             return False
         if count is not None:
             return 0 < count < idx.size
-        t = target[idx]
-        return t.max() != t.min()
+        t = target.take(idx)
+        return np.maximum.reduce(t) != np.minimum.reduce(t)
 
     if previous is not None:
         old = previous.tree
@@ -326,11 +321,10 @@ def grow_tree(
         right.extend(i + shift if i >= 0 else -1 for i in old_right[start:end])
         return max(old_draws[twin], *old_draws[start:end]) + 1 - old_draws[twin]  # a subtree's draws are consecutive
 
-    root = alloc()
     idx = np.arange(X.shape[0])
     # a node without a block is a leaf; twin is its counterpart in the previous tree, -1 for none;
     # count is the node's target sum, None where no split handed it down
-    stack = [(root, idx, 0, block if splittable(idx, 0, None) else None, -1 if previous is None else 0, None)]
+    stack = [(0, idx, 0, block if splittable(idx, 0, None) else None, -1 if previous is None else 0, None)]
     while stack:
         node, idx, depth, node_block, twin, count = stack.pop()
         choice = None
@@ -351,12 +345,17 @@ def grow_tree(
             else:
                 value[node] = float((target[idx].sum() if count is None else count) / idx.size)
             continue
-        go_left = X[:, choice.column].take(idx) <= choice.threshold
+        go_left = columns[choice.column].take(idx) <= choice.threshold
         feature[node] = choice.column
         threshold[node] = choice.threshold
-        left_id, right_id = alloc(), alloc()
-        left[node] = left_id
-        right[node] = right_id
+        left_id = left[node] = len(feature)
+        right_id = right[node] = left_id + 1
+        feature += (-1, -1)
+        threshold += (0.0, 0.0)
+        left += (-1, -1)
+        right += (-1, -1)
+        value += (0.0, 0.0)
+        draws += (-1, -1)
         left_idx, right_idx = idx[go_left], idx[~go_left]
         left_count, right_count = choice.counts or (None, None)
         left_ok = splittable(left_idx, depth + 1, left_count)
@@ -480,7 +479,7 @@ def _gini_best_cut(total, n, n_left, n_right, sums, parent, ties, tied=slice(Non
     scores /= n
     if ties is not None:
         np.copyto(scores[tied], np.inf, where=ties)
-    return scores, parent - scores.min(axis=1)
+    return scores, parent - np.minimum.reduce(scores, axis=1)
 
 
 def _sse_best_cut(total, n, n_left, n_right, sums, parent, ties, tied=slice(None)):
@@ -493,7 +492,7 @@ def _sse_best_cut(total, n, n_left, n_right, sums, parent, ties, tied=slice(None
     sums += right
     if ties is not None:
         np.copyto(sums[tied], -np.inf, where=ties)
-    return sums, sums.max(axis=1) - parent
+    return sums, np.maximum.reduce(sums, axis=1) - parent
 
 
 class _Criterion(NamedTuple):
@@ -546,7 +545,7 @@ def make_exhaustive_finder(target: np.ndarray, criterion: _Criterion):
     ) -> _SplitChoice | None:
         n = idx.size
         if total is None:
-            total = int(summed[idx].sum()) if counted else float(target[idx].sum())
+            total = int(np.add.reduce(summed.take(idx))) if counted else float(np.add.reduce(target.take(idx)))
         parent = parent_term(total, n)
         rows, xs = block
         span = tied
@@ -554,7 +553,7 @@ def make_exhaustive_finder(target: np.ndarray, criterion: _Criterion):
             rows, xs = rows.take(candidates, axis=0), xs.take(candidates, axis=0)
             span = slice(None)
         sums = summed.take(rows[:, :-1])
-        sums.cumsum(axis=1, out=sums)
+        np.add.accumulate(sums, axis=1, out=sums)
         n_left = counts[: n - 1]
         ties = None if span is None else xs[span, :-1] == xs[span, 1:]
         scores, gain = best_cut(total, n, n_left, n_left[::-1], sums, parent, ties, span)

@@ -34,8 +34,9 @@ def _is_number(value) -> bool:
 class OhlcSeries:
     """One market's daily bars, stored as one read-only float64 array per field.
 
-    Construction checks every bar at once: prices are positive finite numbers,
-    low <= open, close <= high, and dates strictly increase.  A violation
+    Construction checks every bar at once: dates are ``datetime.date``
+    values (not datetimes) and strictly increase, prices are positive finite
+    numbers, and low <= open, close <= high.  A violation
     names the first offending date.
     """
 
@@ -49,6 +50,10 @@ class OhlcSeries:
     def __post_init__(self) -> None:
         dates = tuple(self.dates)
         object.__setattr__(self, "dates", dates)
+        # a datetime is a date subclass that does not compare with a date
+        t = next((i for i, day in enumerate(dates) if type(day) is not dt.date), None)
+        if t is not None:
+            raise OhlcError(f"dates must be datetime.date values, got {dates[t]!r} at position {t}")
         for name in PRICE_FIELDS:
             given = getattr(self, name)
             raw = np.asarray(given)
@@ -79,10 +84,9 @@ class OhlcSeries:
                 f"bar invariant violated at {dates[t].isoformat()}: "
                 f"open={o[t].item()} high={h[t].item()} low={lo[t].item()} close={c[t].item()}"
             )
-        days = np.array(dates, dtype="datetime64[D]")
-        stalled = np.flatnonzero(days[1:] <= days[:-1])
-        if stalled.size:
-            t = int(stalled[0]) + 1
+        # compared as dates: a datetime64 array of them costs milliseconds on a paper-scale market
+        t = next((i for i in range(1, len(dates)) if dates[i] <= dates[i - 1]), None)
+        if t is not None:
             raise OhlcError(f"non-increasing dates: {dates[t].isoformat()} follows {dates[t - 1].isoformat()}")
 
     def __len__(self) -> int:

@@ -860,6 +860,28 @@ class TestSampledTreeWalk:
         assert counting.call_rows == [128, 1] and len(walks) == 100
         assert row.efficiency_residual < 1e-9
 
+    def test_sizing_stops_at_the_tree_past_the_budget(self, paper_xgb_row, monkeypatch):
+        """A budget the first ten of 100 trees fill: no tree after the one that overruns it is sized, none is walked.
+
+        The hybrids are then scored, with the bytes of the scored route.
+        """
+        model, x, bg = paper_xgb_row
+        tree_sum, sx, sbg = model.scaled_tree_sum(x, bg)
+        ids = np.cumsum([int(explain._table_offsets(explain._relevant_columns(tree, sx, sbg))[-1]) for tree in tree_sum[2]])
+        chunk = int(ids[9]) // 128
+        stop = int(np.argmax(ids > chunk * 128))  # the first tree whose running total passes the budget
+        assert 0 < stop < 20
+        monkeypatch.setattr(explain, "_TABLE_CHUNK", chunk)
+        sized = []
+        relevant = explain._relevant_columns
+        monkeypatch.setattr(explain, "_relevant_columns", lambda *args: sized.append(1) or relevant(*args))
+        walks = counted_walks(monkeypatch)
+        got = shapley_sampled(model, x, bg, n_permutations=3, seed=0)
+        assert len(sized) == stop + 1 and walks == []
+        want = shapley_sampled(ScoreOnly(model), x, bg, n_permutations=3, seed=0)
+        assert got.phi.tobytes() == want.phi.tobytes()
+        assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
+
     @staticmethod
     def sampled_peak(model, x, bg, n_permutations):
         """The tracemalloc peak of one sampled row, in bytes."""

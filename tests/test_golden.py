@@ -33,7 +33,11 @@ rounds and ``extratrees`` cut to 50 trees on the same test span.  The
 sampled Shapley digests were recorded while sampled attribution still scored
 every hybrid of a sum of more than one tree; they pin the bytes of phi, the
 base value and the output of ``dt`` and of those three cut ensembles, on 16
-columns and on 4.
+columns and on 4.  The full ``catboost`` digests were recorded before the
+grower read its go-left flags from a transposed copy of the matrix and
+before boosting summed each leaf's gradient and hessian from one (2, n)
+buffer; they pin all 1,000 rounds on 16 columns and on 4, where the cut
+models above stop at 100 (the ``xgb`` model digests pin its full 100).
 """
 
 from __future__ import annotations
@@ -112,6 +116,11 @@ TREE_SUM_SCORE_SHA256 = {
     ("xgb", "INT"): "6e6afb802bb120d30b76e1c1797d39e1fc2c31852ebac4a9730f392087ee93ca",
     ("catboost", "INT"): "33da77c850c9b00f42548eec812a9548128e74c6b4acef43f8ac29f7431d77c3",
     ("extratrees", "INT"): "d94ecbd7605605e366479d09ed5e93a0ea1786bf3366edd9d51fde201572f706",
+}
+#: the full catboost preset (1,000 rounds) on the 989-row span
+CATBOOST_SHA256 = {
+    "INT+HIST+NOW": "544d47b90d0ea2e3d03752f2971db28ef985efb713fb54ea7655af9f10810806",
+    "INT": "762e5e7b6be2a039c6c1e88998b48b4a19ac51f675dba170c818e57a2db41097",
 }
 TREE_SUM_CUTS = {"xgb": {}, "catboost": {"iterations": 100}, "extratrees": {"n_trees": 50}}
 #: sampled Shapley, 20 orderings, of the first two test rows against a 128-row background: dt and the cut tree sums
@@ -269,6 +278,13 @@ def test_knn_score_bits(market, feature_set):
     scores = model.score(X[n_train:])
     assert scores.shape == (247,)
     assert sha256(scores.tobytes()) == KNN_SCORE_SHA256[feature_set], feature_set
+
+
+@pytest.mark.parametrize("feature_set", list(CATBOOST_SHA256))
+def test_full_catboost_bits(market, feature_set):
+    X, y, columns = training_span(market, feature_set)
+    model = fit(preset("catboost"), X, y, feature_names=columns)
+    assert sha256(model_to_json(model).encode("utf-8")) == CATBOOST_SHA256[feature_set], feature_set
 
 
 @pytest.mark.parametrize(("name", "feature_set"), list(TREE_SUM_SCORE_SHA256))

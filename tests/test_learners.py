@@ -25,7 +25,7 @@ from opentrend.learners import (
     preset,
 )
 from opentrend.learners.base import _STATE_TYPES, _WALK_ENTRIES, TreeSum, positive_number, sigmoid
-from opentrend.learners.boosting import BoostedTreesState
+from opentrend.learners.boosting import BoostedTreesState, _leaf_sums
 from opentrend.learners.forest import ExtraTreesState
 from opentrend.learners.linear import loss_and_gradient
 from opentrend.learners.mlp import loss_and_gradients
@@ -1656,6 +1656,22 @@ class TestGradientBoosting:
             eps = 1e-12
             losses.append(-(y * np.log(s + eps) + (1 - y) * np.log(1 - s + eps)).mean())
         assert losses[0] > losses[1] > losses[2]
+
+    #: leaf sizes on both sides of numpy's 8-element unrolled blocks and 128-element pairwise blocks
+    LEAF_SIZES = [1, 2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 383, 384, 385, 1000, 2047, 2999, 3000]
+
+    @pytest.mark.parametrize("size", LEAF_SIZES)
+    def test_leaf_sums_have_the_bits_of_each_rows_sum(self, size):
+        """Both sums of a leaf's (2, k) gather equal ``gradient[idx].sum()`` and ``hessian[idx].sum()`` bit for bit."""
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            p = sigmoid(rng.normal(scale=4.0, size=3000))
+            gradient = rng.integers(0, 2, 3000) - p
+            pairs = np.stack([gradient, p * (1.0 - p)])
+            idx = np.sort(rng.choice(3000, size=size, replace=False))
+            g, h = _leaf_sums(pairs, idx)
+            assert g.tobytes() == pairs[0][idx].sum().tobytes()
+            assert h.tobytes() == pairs[1][idx].sum().tobytes()
 
 
 class TestGaussianNB:

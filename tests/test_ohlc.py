@@ -78,6 +78,18 @@ class TestSeriesInvariants:
         with pytest.raises(OhlcError, match="non-increasing dates"):
             OhlcSeries("x", dates, [100.0] * 2, [110.0] * 2, [95.0] * 2, [105.0] * 2)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [1, "2019-04-02", dt.datetime(2019, 4, 2), dt.datetime(2019, 4, 2, 9, 30)],
+        ids=["int", "str", "datetime-midnight", "datetime"],
+    )
+    def test_non_date_entries_rejected(self, entry):
+        """The first entry that is not a ``datetime.date`` is named, ahead of any price or order check."""
+        dates = (dt.date(2019, 4, 1), entry, dt.date(2019, 4, 3), 4)
+        with pytest.raises(OhlcError) as caught:
+            OhlcSeries("x", dates, [100.0] * 4, [110.0] * 4, [95.0] * 4, [-1.0] * 4)
+        assert str(caught.value) == f"dates must be datetime.date values, got {entry!r} at position 1"
+
     def test_prices_array(self, grw_series):
         closes = grw_series.prices("close")
         assert closes.shape == (len(grw_series),)
