@@ -27,8 +27,12 @@ weighted leaf value, and link is applied row by row (``_summed_tables``):
 the steps of ``TreeSum.evaluate``.  Every other model, and every problem
 below ``_TABLE_MIN_ROWS`` hybrids (2^d times the background size), scores
 tables over all d columns built by doubling.  Either way each table entry
-is the float scoring its hybrid row returns, so the coalition values keep
-the bits of scoring every hybrid row.
+is the float scoring its hybrid row returns.  ``_table_means`` averages the
+tables without building an index or gathering: a row's table is the grid
+of coalitions with length 1 on the axes of the columns outside its set, so
+it broadcasts onto the grid, and the rows are added in the order numpy's
+pairwise sum adds a row of floats.  So the coalition values keep the bits
+of scoring every hybrid row and averaging with ``mean``.
 
 Sampled mode needs the d prefix coalitions of each ordering.  A tree sum
 over at most 16 columns gives them without scoring a hybrid: each tree is
@@ -56,7 +60,6 @@ MAX_EXACT_FEATURES = 16  # the canonical feature row's width
 DEFAULT_BACKGROUND_SIZE = 128
 DEFAULT_ROW_SUBSAMPLE = 100
 DEFAULT_PERMUTATIONS = 200
-_COALITION_CHUNK = 256  # coalitions per gather block: its buffers stay in cache (256 KB each at 128 background rows)
 _TABLE_CHUNK = 1 << MAX_EXACT_FEATURES  # score-buffer rows: room for a table over every column
 _TABLE_MIN_ROWS = 1 << 13
 
@@ -120,7 +123,11 @@ def _score_fn(model):
 
 
 def _as_row(x) -> np.ndarray:
-    row = np.asarray(x, dtype=np.float64).ravel()
+    """x as one flat row; a (1, d) matrix is one row too, but several rows, or more dimensions, are refused."""
+    row = np.asarray(x, dtype=np.float64)
+    if row.ndim > 2 or (row.ndim == 2 and row.shape[0] != 1):
+        raise ValueError(f"attributed row must have shape (d,) or (1, d), got {row.shape}")
+    row = row.ravel()
     if row.size == 0:
         raise ValueError("attributed row has no columns")
     if not np.all(np.isfinite(row)):
@@ -286,8 +293,8 @@ def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarra
     scoring a hybrid, over the union of its trees' relevant columns; the
     hybrid of S with row b then scores as the entry whose index is S's bits
     at F_b packed together.  Any other model gets F_b = every column and
-    ``_scored_tables``.  Each block of coalitions reduces the same floats,
-    in the same order, as scoring every hybrid row would, so v(S) keeps its
+    ``_scored_tables``.  ``_table_means`` averages the entries in the order
+    that averaging the scores of every hybrid row would, so v(S) keeps its
     bits.  Below ``_TABLE_MIN_ROWS`` hybrid rows (2^d times the background
     size) every hybrid is scored, which costs less there: for ``dt`` and
     ``xgb`` the two crossed at about 8,192 rows.
@@ -298,29 +305,113 @@ def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarra
     if hook is not None and 2**d * background.shape[0] >= _TABLE_MIN_ROWS:
         walked = hook(x, background)
     if walked is None:
-        masks = np.ones(background.shape, dtype=bool)
-        table = _scored_tables(_score_fn(model), x, background)
-    else:
-        masks, table = _summed_tables(*walked)
-    weight = _index_weights(masks)
-    offsets = _table_offsets(masks)
-    # a block of coalitions S = start | i shares start's bits above i's, so an
-    # index is the packed bits of i, built once by doubling, plus those of start
-    n = min(_COALITION_CHUNK, 2**d)
-    low = np.empty((n, offsets.size - 1), dtype=np.int64)
-    low[0] = offsets[:-1]
-    for j in range(n.bit_length() - 1):
-        low[1 << j : 2 << j] = low[: 1 << j] + weight[:, j]
-    values = np.empty(2**d)
-    # one index and one gather buffer for all blocks: fresh ones per block
-    # can cost a page fault per page each
-    index = np.empty_like(low)
-    gathered = np.empty(low.shape)
-    for start in range(0, 2**d, n):
-        np.add(low, weight @ ((start >> np.arange(d)) & 1), out=index)
-        # every index is in range; "clip" only spares take a buffered copy of out
-        values[start : start + n] = np.take(table, index, out=gathered, mode="clip").mean(axis=1)
+        return _table_means(np.ones(background.shape, dtype=bool), _scored_tables(_score_fn(model), x, background))
+    return _table_means(*_summed_tables(*walked))
+
+
+def _table_means(masks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """For every bitmask S, the mean over background rows b of row b's table entry for S, with ``.mean``'s bits.
+
+    Row b's table (the set bits of ``masks[b]`` are F_b, the tables lie row
+    after row as ``_table_offsets`` says) has the entry for S at the index
+    that packs S's bits at F_b.  No index is built.  In C order, axis
+    d - 1 - j of the (2,) * d grid of coalitions is bit j of S, and row b's
+    table already is that grid with length 1 on the axes of the columns off
+    F_b, so it broadcasts onto the grid as it lies.  Only the low 8 bits
+    are expanded, by one ``take`` of the row's packed low bits, so numpy's
+    inner loops stay 256 entries long.  The rows' terms are added onto the
+    grid in the order numpy's pairwise sum adds a contiguous row of n_bg
+    floats (``_pairwise_into``), then onto the identity +0.0, and divided by
+    n_bg: the steps ``.mean(axis=1)`` takes over the (2^d, n_bg) gather of
+    the entries.  The grid is summed in passes of 2^14 coalitions, one per
+    value of its top bits, so the accumulators stay in cache.
+    """
+    n_bg, d = masks.shape
+    low, grid = min(d, 8), min(d, 14)  # bits expanded by take; bits summed per pass
+    bits = (np.arange(1 << low) >> np.arange(low)[:, None]) & 1
+    low_index = _index_weights(masks[:, :low]) @ bits  # (n_bg, 2^low): each row's packed low bits
+    taken = np.empty(1 << grid)  # one row's term, reused
+    offsets = _table_offsets(masks).tolist()
+    high = range(d - 1, grid - 1, -1)  # the columns a pass fixes, in axis order
+    rows = []
+    for b, on in enumerate(masks.tolist()):
+        # one axis per column from d - 1 down to low, of length 2 on F_b, then the packed low bits
+        lengths = [2 if on[j] else 1 for j in range(d - 1, low - 1, -1)]
+        grid_b = table[offsets[b] : offsets[b + 1]].reshape(*lengths, 1 << sum(on[:low]))
+        term = taken[: math.prod(lengths[d - grid :]) << low].reshape(*lengths[d - grid :], 1 << low)
+        rows.append((on, grid_b, low_index[b], term))
+    shape = (2,) * (grid - low) + (1 << low,)
+    spare = np.empty((_accumulators_needed(n_bg) - 1, *shape))
+    values = np.empty(1 << d)
+    for top in range(1 << (d - grid)):
+        # the pass's bit of column j where row b's axis has length 2, else 0
+        terms = [
+            (grid_b[tuple(top >> (j - grid) & on[j] for j in high)], index, term) for on, grid_b, index, term in rows
+        ]
+        out = values[top << grid : (top + 1) << grid].reshape(shape)
+        _pairwise_into(out, terms, spare)
+        out += 0.0  # the identity: numpy adds the pairwise sum onto +0.0, so an all -0.0 sum is +0.0
+        out /= n_bg
     return values
+
+
+def _fill(term) -> np.ndarray:
+    """One background row's term: its table entries for the pass's coalitions, shaped to broadcast onto the grid."""
+    source, index, out = term
+    # every index is in range; "clip" only spares take a buffered copy of out
+    return np.take(source, index, axis=-1, out=out, mode="clip")
+
+
+def _running_sum(out: np.ndarray, terms) -> None:
+    out[...] = _fill(terms[0])
+    for term in terms[1:]:
+        out += _fill(term)
+
+
+def _pairwise_into(out: np.ndarray, terms: list, spare: np.ndarray) -> None:
+    """Write the sum of ``terms`` into ``out`` in the order numpy's pairwise sum adds a contiguous row of floats.
+
+    Below 8 terms a running sum; up to 128, eight running sums r_j over the
+    terms j, j + 8, ..., combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the last n mod 8 terms one at a time; above 128, the
+    sums of the halves split at n // 2 rounded down to a multiple of 8.  A
+    right-hand sum goes into ``spare[0]`` while the left-hand one stays in
+    ``out``, so ``spare`` needs ``_accumulators_needed(n) - 1`` entries.
+    The recursion is a module-level function, not a closure: a closure that
+    calls itself is a reference cycle and would keep its buffers alive.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _pairwise_into(out, terms[:half], spare)
+        _pairwise_into(spare[0], terms[half:], spare[1:])
+        out += spare[0]
+    elif n < 8:
+        _running_sum(out, terms)
+    else:
+        body = n - n % 8
+        _combined_into(out, [terms[j:body:8] for j in range(8)], spare)
+        for term in terms[body:]:
+            out += _fill(term)
+
+
+def _combined_into(out: np.ndarray, groups: list, spare: np.ndarray) -> None:
+    """Write the running sums of ``groups`` into ``out``, combined by halving: (left half's) + (right half's)."""
+    if len(groups) == 1:
+        _running_sum(out, groups[0])
+        return
+    half = len(groups) // 2
+    _combined_into(out, groups[:half], spare)
+    _combined_into(spare[0], groups[half:], spare[1:])
+    out += spare[0]
+
+
+def _accumulators_needed(n: int) -> int:
+    """Grids ``_pairwise_into`` holds at once for n terms, its output included: 4 up to 128, one more per split above."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return max(_accumulators_needed(half), 1 + _accumulators_needed(n - half))
+    return 4 if n >= 8 else 1
 
 
 def shapley_exact(model, x, background) -> AttributionRow:

@@ -56,6 +56,7 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
     trees: list[TreeArrays] = []
     block = sort_columns(X)  # the features never change, only the target: one sort serves every round
     criterion = SSE._replace(tied=tie_span(block))  # and so do the columns whose cuts can tie
+    columns = np.ascontiguousarray(X.T)  # and one transposed copy
     pairs = np.empty((2, X.shape[0]))  # each round's gradient and hessian, rewritten in place
     gradient, hessian = pairs
     find_split = make_exhaustive_finder(gradient, criterion)  # reads the gradient row as each round leaves it
@@ -75,7 +76,7 @@ def _fit_boosted_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
         hessian *= p  # p * (1 - p): a product has the same bits in either order
         leaves.clear()
         tree = grow_tree(
-            X,
+            columns,
             gradient,
             max_depth=hyper["max_depth"],
             candidates=None,

@@ -42,12 +42,13 @@ def _fit_extra_trees(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> Ex
     n_features = X.shape[1]
     max_features = max(1, int(math.sqrt(n_features) + 0.5))
     block = sort_columns(X)  # the rows never change, only the draws: one sort serves every tree
+    columns = np.ascontiguousarray(X.T)  # and one transposed copy
     trees = []
     for t in range(hyper["n_trees"]):
         rng = np.random.default_rng([seed, t])
         trees.append(
             grow_tree(
-                X,
+                columns,
                 y,
                 max_depth=_UNBOUNDED_DEPTH,
                 candidates=random_candidates(rng, n_features, max_features),  # interleaves with the finder's draws

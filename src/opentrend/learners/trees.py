@@ -38,8 +38,8 @@ the ufuncs (``np.add.reduce``, ``np.add.accumulate``, ``np.maximum.reduce``,
 ``np.minimum.reduce``) rather than the ``sum``/``cumsum``/``max``/``min``
 wrappers, which run the same loops behind a Python layer; a split reads its
 go-left flags from a contiguous row of a transposed copy of X, made once per
-grow, rather than from a strided column; and a split appends both children
-to the node lists at once.
+fit and shared by every tree, rather than from a strided column; and a split
+appends both children to the node lists at once.
 
 DecisionTree's labels are 0/1, so every left-hand sum of its gini search
 is an exact count: L ones among the l rows left of a cut.  Each side's term
@@ -250,7 +250,7 @@ class GrownTree:
 
 
 def grow_tree(
-    X: np.ndarray,
+    columns: np.ndarray,
     target: np.ndarray,
     *,
     max_depth: int,
@@ -262,9 +262,12 @@ def grow_tree(
 ) -> GrownTree:
     """Grow one tree over row indices of X with pluggable split logic.
 
-    ``block`` is ``sort_columns(X)``.  A node with constant target is a
-    leaf; a leaf holds the mean target of its rows unless ``leaf_value`` maps
-    its row indices to another value.  ``candidates()`` returns the next
+    ``columns`` is X.T, made C-contiguous once per fit
+    (``np.ascontiguousarray(X.T)``) so that a split's go-left flags read one
+    contiguous row; every tree of an ensemble shares it.  ``block`` is
+    ``sort_columns(X)``.  A node with constant target is a leaf; a leaf
+    holds the mean target of its rows unless ``leaf_value`` maps its row
+    indices to another value.  ``candidates()`` returns the next
     node's sorted candidate columns; with no source every node gets all of
     them.  ``find_split(idx, candidates, node_block, count)`` gets the node's
     ascending row indices, its candidate columns, the node's block and the
@@ -282,12 +285,11 @@ def grow_tree(
     candidates, so it would grow the same subtree: that subtree is copied,
     its node ids shifted, and the source is advanced past the draws it used.
     """
-    all_columns = np.arange(X.shape[1])
-    columns = np.ascontiguousarray(X.T)  # a split's go-left flags read one contiguous row
+    all_columns = np.arange(columns.shape[0])
     # the root node; a split appends both its children at once
     feature, threshold, left, right, value, draws = [-1], [0.0], [-1], [-1], [0.0], [-1]
     drawn = 0  # draws made or copied so far: the next drawing node's index
-    in_left = np.zeros(X.shape[0], dtype=bool)  # go-left flags, valid only at the rows of the node just split
+    in_left = np.zeros(columns.shape[1], dtype=bool)  # go-left flags, valid only at the rows of the node just split
 
     def splittable(idx: np.ndarray, depth: int, count: int | None) -> bool:
         if depth >= max_depth or idx.size < 2:
@@ -321,7 +323,7 @@ def grow_tree(
         right.extend(i + shift if i >= 0 else -1 for i in old_right[start:end])
         return max(old_draws[twin], *old_draws[start:end]) + 1 - old_draws[twin]  # a subtree's draws are consecutive
 
-    idx = np.arange(X.shape[0])
+    idx = np.arange(columns.shape[1])
     # a node without a block is a leaf; twin is its counterpart in the previous tree, -1 for none;
     # count is the node's target sum, None where no split handed it down
     stack = [(0, idx, 0, block if splittable(idx, 0, None) else None, -1 if previous is None else 0, None)]
@@ -378,7 +380,7 @@ def grow_tree(
         right=np.array(right, dtype=np.int64),
         value=np.array(value, dtype=np.float64),
     )
-    return GrownTree(tree=tree, draws=np.array(draws, dtype=np.int64), n_rows=X.shape[0])
+    return GrownTree(tree=tree, draws=np.array(draws, dtype=np.int64), n_rows=columns.shape[1])
 
 
 def _subtree_ends(feature: list[int], left: list[int], right: list[int]) -> list[int]:
@@ -723,7 +725,7 @@ def _fit_decision_tree(X: np.ndarray, y: np.ndarray, hyper: dict, seed: int) -> 
     block, previous = _resume(seed_draws, X, y, hyper["max_depth"])
     drawing = seed_draws.draw is not None
     grown = grow_tree(
-        X,
+        np.ascontiguousarray(X.T),
         y,
         max_depth=hyper["max_depth"],
         candidates=_DrawReader(seed_draws) if drawing else None,

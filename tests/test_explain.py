@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
 
@@ -156,6 +157,22 @@ class TestExact:
         with pytest.raises(ValueError, match="^attributed row has no columns$"):
             attribute(ConstantScore(), np.zeros(0), np.zeros((4, 0)))
 
+    @pytest.mark.parametrize("attribute", [shapley_exact, shapley_sampled], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("shape", [(2, 2), (0, 4), (1, 1, 4), (4, 1)])
+    def test_more_than_one_row_refused(self, attribute, shape):
+        """Two rows, no row, or a stack of rows is not one row: flattening it would attribute made-up columns."""
+        with pytest.raises(ValueError, match=r"^attributed row must have shape \(d,\) or \(1, d\)"):
+            attribute(ConstantScore(), np.arange(float(np.prod(shape))).reshape(shape), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("attribute", [shapley_exact, shapley_sampled], ids=["exact", "sampled"])
+    def test_one_row_matrix_is_the_row(self, attribute):
+        """A (1, d) matrix is attributed as the (d,) row it holds."""
+        rng = np.random.default_rng(4)
+        model, x, bg = LinearScore(rng.normal(size=4)), rng.normal(size=4), rng.normal(size=(8, 4))
+        want, got = attribute(model, x, bg), attribute(model, x.reshape(1, 4), bg)
+        assert got.phi.tobytes() == want.phi.tobytes()
+        assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
+
 
 class ScoreOnly:
     """A model seen through score alone, so exact Shapley tables span every column."""
@@ -309,6 +326,79 @@ def scaled_inputs(model, x, bg):
     return model.standardizer.transform(x), model.standardizer.transform(bg)
 
 
+def gathered_means(masks, table):
+    """Reference v(S): each coalition's entry gathered from every row's table, then ``.mean(axis=1)``, 4,096 at a time."""
+    n_bg, d = masks.shape
+    bit = np.where(masks, 1 << (np.cumsum(masks, axis=1) - 1), 0)  # 2^(rank of j in F_b) on F_b
+    starts = np.concatenate(([0], np.cumsum(1 << masks.sum(axis=1))))[:-1]
+    values = np.empty(2**d)
+    for start in range(0, 2**d, 4096):
+        coalitions = np.arange(start, min(start + 4096, 2**d))
+        index = ((coalitions[:, None] >> np.arange(d)) & 1) @ bit.T + starts  # (coalitions, n_bg)
+        values[start : start + coalitions.size] = np.take(table, index).mean(axis=1)
+    return values
+
+
+#: background sizes on each side of numpy's pairwise-sum cuts: 8 running sums from 8 terms, one split above 128
+PAIRWISE_SIZES = (1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 300)
+
+
+class TestTableMeans:
+    """The broadcast reducer of the coalition tables against gathering every entry and ``.mean(axis=1)``, bit for bit.
+
+    The reducer re-creates the order numpy's pairwise sum adds a row of
+    floats in.  If a numpy version adds in another order, these fail.
+    """
+
+    @staticmethod
+    def tables(rng, masks, kind):
+        size = int((1 << masks.sum(axis=1)).sum())
+        if kind == "negative-zeros":
+            return np.full(size, -0.0)
+        table = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)  # magnitudes whose sum depends on the order
+        table[rng.random(size) < 0.1] = 0.0
+        table[rng.random(size) < 0.1] = -0.0
+        return table
+
+    @pytest.mark.parametrize("kind", ["mixed", "negative-zeros"])
+    @pytest.mark.parametrize(
+        "d, n_bg", [(d, n_bg) for d in (1, 4, 8, 9, 16) for n_bg in PAIRWISE_SIZES if d <= 12 or n_bg <= 128]
+    )
+    def test_matches_the_gathered_mean(self, d, n_bg, kind):
+        rng = np.random.default_rng(1000 * d + n_bg)
+        masks = rng.random((n_bg, d)) < 0.5
+        masks[0] = True
+        if n_bg > 1:
+            masks[-1] = False  # a row with no relevant column: a table of one entry
+        table = self.tables(rng, masks, kind)
+        got, want = explain._table_means(masks, table), gathered_means(masks, table)
+        assert got.tobytes() == want.tobytes()
+        if kind == "negative-zeros":
+            assert not np.signbit(got).any()  # the mean starts from the identity +0.0
+
+    def test_paper_scale_memory(self):
+        """A 16-column dt row, 128 background rows: the tables plus under 1.83 MiB, and nothing kept after the call.
+
+        The bound leaves 0.5 MiB above the 1.34 MiB that an index and a
+        gather buffer over 256 coalitions at a time took.
+        """
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(1236, 16))
+        y = (X[:, 0] - 0.7 * X[:, 15] + rng.normal(scale=0.8, size=1236) > 0).astype(np.int64)
+        model, x, bg = fit(preset("dt", seed=16), X[:989], y[:989]), X[1000], background_sample(X[:989], seed=1)
+        table_bytes = tree_tables(model, x, bg)[1].nbytes
+        coalition_values(model, x, bg)  # numpy's small caches fill on the first call
+        tracemalloc.start()
+        try:
+            coalition_values(model, x, bg)
+            gc.collect()  # and with it Python's free lists of small objects
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - table_bytes < 1.83 * 2**20
+        assert left < 16 * 2**10  # numpy's small caches at most
+
+
 class TestOneTablePath:
     """Every model's coalition values come from the tables and equal the hybrid loop's."""
 
@@ -355,6 +445,16 @@ class TestTreeTables:
         model, train, test = tree_problem(d, max_depth, rounded, seed=d + max_depth)
         bg = background_sample(train, max_rows=n_bg, seed=1)
         assert_same_attribution(model, test[0], bg)
+
+    @pytest.mark.parametrize("kind", ["dt", "score-only"])
+    @pytest.mark.parametrize("n_bg", [7, 9, 129])
+    def test_pairwise_cuts_match_the_hybrid_loop(self, assert_same_attribution, kind, n_bg):
+        """Background sizes where numpy's pairwise sum changes course: a dt's tables and a score-only model's full ones."""
+        model, train, test = tree_problem(12, 10, rounded=False, seed=n_bg)
+        bg = background_sample(train, max_rows=n_bg, seed=1)
+        if kind == "score-only":
+            model = ScoreOnly(model)
+        assert_same_attribution(model, test[0], bg, tables=kind == "dt")
 
     def test_row_equal_to_a_background_row(self, assert_same_attribution):
         model, train, _ = tree_problem(10, 10, rounded=True)

@@ -1237,7 +1237,7 @@ class TestCountTable:
                 seen.append(idx.size)
                 return find(idx, candidates, block, count)
 
-            tree = grow_tree(X, y, max_depth=10**9, candidates=None, find_split=checking, block=sort_columns(X)).tree
+            tree = grow_tree(X.T, y, max_depth=10**9, candidates=None, find_split=checking, block=sort_columns(X)).tree
             assert max(seen[1:]) > 256 and min(seen) < 256
             expected = reference_tree(
                 X,
@@ -1351,7 +1351,7 @@ class TestGrowTree:
             y = rng.integers(0, 2, size=X.shape[0]).astype(np.float64)
             max_features = int(rng.integers(1, X.shape[1] + 1))
             tree = grow_tree(
-                X,
+                X.T,
                 y,
                 max_depth=max_depth,
                 candidates=random_candidates(np.random.default_rng(case), X.shape[1], max_features),
@@ -1384,7 +1384,7 @@ class TestGrowTree:
                 return float(gradient[idx].sum() / (hessian[idx].sum() + 1e-12))
 
             tree = grow_tree(
-                X,
+                X.T,
                 gradient,
                 max_depth=max_depth,
                 candidates=None,
@@ -1420,7 +1420,7 @@ class TestGrowTree:
             else:
                 target = np.round(rng.normal(size=n_rows), 1)
             tree = grow_tree(
-                X,
+                X.T,
                 target,
                 max_depth=12,
                 candidates=None,
@@ -1479,7 +1479,7 @@ class TestGrowTree:
             kwargs = dict(max_depth=max_depth, max_features=max_features)
             tree_rng = np.random.default_rng(case)
             tree = grow_tree(
-                X,
+                X.T,
                 y,
                 max_depth=max_depth,
                 candidates=random_candidates(tree_rng, X.shape[1], max_features),
