@@ -81,9 +81,11 @@ class RunConfig:
         _keyed("window_n", IndicatorParams, window_n=self.window_n)
         _keyed("bollinger_k", IndicatorParams, bollinger_k=self.bollinger_k)
         _keyed("keltner_k", IndicatorParams, keltner_k=self.keltner_k)
+        _keyed("bollinger_paper_literal", IndicatorParams, bollinger_paper_literal=self.bollinger_paper_literal)
         _keyed("split_ratio", train_fraction, self.split_ratio)
         _keyed("eval_mode", EvalMode, kind=self.eval_mode)
         _keyed("refit_every", EvalMode, refit_every=self.refit_every)
+        _keyed("freeze_window", EvalMode, freeze_window=self.freeze_window)
         tasks = _canonical_grid("tasks", self.tasks, lambda code: TaskKind.from_code(code).value)
         feature_sets = _canonical_grid("feature_sets", self.feature_sets, _feature_set_name)
         classifiers = _canonical_grid("classifiers", self.classifiers, _preset_name)

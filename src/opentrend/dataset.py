@@ -45,6 +45,8 @@ class EvalMode:
             raise ValueError(f"unknown eval mode {self.kind!r}")
         if not positive_int(self.refit_every):
             raise ValueError(f"refit_every must be an integer >= 1, got {self.refit_every!r}")
+        if not isinstance(self.freeze_window, bool):  # a truthy "no" would freeze the window
+            raise ValueError(f"freeze_window must be a bool, got {self.freeze_window!r}")
 
 
 @dataclass(frozen=True, eq=False)

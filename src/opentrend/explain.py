@@ -20,19 +20,21 @@ can move a hybrid of x and a background row (``_relevant_columns``) and one
 walk of a tree per background row that fills the row's table of coalitions
 without building a hybrid (``_walk``).
 
-Exact enumeration reads the coalition values from one table per background
-row.  A tree-shaped model's table spans the union of its trees' relevant
-columns for that row; each entry starts at start, each tree's walk adds its
-weighted leaf value, and link is applied row by row (``_summed_tables``):
-the steps of ``TreeSum.evaluate``.  Every other model, and every problem
-below ``_TABLE_MIN_ROWS`` hybrids (2^d times the background size), scores
-tables over all d columns built by doubling.  Either way each table entry
+Exact enumeration needs the values of all 2^d coalitions.  A tree-shaped
+model reads them from one table per background row, which spans the union
+of its trees' relevant columns for that row; each entry starts at start,
+each tree's walk adds its weighted leaf value, and link is applied row by
+row (``_summed_tables``): the steps of ``TreeSum.evaluate``, so each entry
 is the float scoring its hybrid row returns.  ``_table_means`` averages the
 tables without building an index or gathering: a row's table is the grid
 of coalitions with length 1 on the axes of the columns outside its set, so
 it broadcasts onto the grid, and the rows are added in the order numpy's
-pairwise sum adds a row of floats.  So the coalition values keep the bits
-of scoring every hybrid row and averaging with ``mean``.
+pairwise sum adds a row of floats.  Every other model, and every problem
+below ``_TABLE_MIN_ROWS`` hybrids (2^d times the background size), scores
+the hybrids coalition after coalition, a bounded number of rows per call,
+and averages each coalition's scores with ``mean`` (``_hybrid_means``).
+Either way the coalition values keep the bits of scoring every hybrid row
+and averaging with ``mean``.
 
 Sampled mode needs the d prefix coalitions of each ordering.  A tree sum
 over at most 16 columns gives them without scoring a hybrid: each tree is
@@ -40,10 +42,10 @@ walked once per background row into its own table of leaf ids, laid out row
 after row as above, and each ordering evaluates the sum over its prefix
 leaves, so a row costs two score calls (the background and the row itself).
 Trees whose tables would together hold more than ``_TABLE_CHUNK`` ids per
-background row (exact mode's largest table) are not walked; they, every
-other model and every row wider than 16 columns score each ordering's
-hybrids stacked.  Either way every hybrid's mean has the bits of scoring
-that hybrid alone.
+background row are not walked; they, every other model and every row wider
+than 16 columns score each ordering's d prefix coalitions through
+``_hybrid_means``, as exact mode scores its 2^d.  Either way every hybrid's
+mean has the bits of scoring that hybrid alone.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ MAX_EXACT_FEATURES = 16  # the canonical feature row's width
 DEFAULT_BACKGROUND_SIZE = 128
 DEFAULT_ROW_SUBSAMPLE = 100
 DEFAULT_PERMUTATIONS = 200
-_TABLE_CHUNK = 1 << MAX_EXACT_FEATURES  # score-buffer rows: room for a table over every column
+_TABLE_CHUNK = 1 << MAX_EXACT_FEATURES  # hybrid rows per score call; sampled mode's leaf ids per background row
 _TABLE_MIN_ROWS = 1 << 13
 
 SHAP_EXACT = "exact"
@@ -144,28 +146,28 @@ def _as_background(background, d: int) -> np.ndarray:
     return bg
 
 
-def _scored_tables(score, x: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """Every hybrid of x and each background row, scored: row b's 2^d entries, row after row.
+def _hybrid_means(score, x: np.ndarray, background: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """The mean hybrid score of each coalition: row k of ``taken`` (k x d bools) marks the columns taken from x.
 
-    Row b's block starts at ``background[b]`` and doubles once per column j
-    (copy the first 2^j rows, set column j to ``x[j]``), so entry t takes x
-    where t has a bit set.  Blocks fill one reused buffer of ``_TABLE_CHUNK``
-    rows, scored whenever the next block would not fit.
+    Coalition k's hybrids take x where ``taken[k]`` is set and a background
+    row's values elsewhere.  The coalitions are scored in order, each with
+    every background row in order, as many per call as fit in
+    ``_TABLE_CHUNK`` rows (at least one).  Each coalition's n_bg scores are
+    averaged with ``.mean``, so its mean has the bits of scoring its hybrids
+    alone.
     """
-    d, n_bg = x.size, background.shape[0]
-    size = 1 << d
-    per_call = min(n_bg, _TABLE_CHUNK // size)
-    table = np.empty(n_bg * size)
-    buffer = np.empty((per_call, size, d))
-    for start in range(0, n_bg, per_call):
-        rows = background[start : start + per_call]
-        blocks = buffer[: rows.shape[0]]
-        blocks[:, 0] = rows
-        for j in range(d):
-            blocks[:, 1 << j : 2 << j] = blocks[:, : 1 << j]
-            blocks[:, 1 << j : 2 << j, j] = x[j]
-        table[start * size : (start + rows.shape[0]) * size] = np.asarray(score(blocks.reshape(-1, d)), dtype=np.float64)
-    return table
+    n_bg, d = background.shape
+    per_call = max(1, _TABLE_CHUNK // n_bg)
+    # x copied onto every background row and each mask repeated per row, so that np.where
+    # runs over a coalition's (n_bg x d) block in one flat loop, not n_bg loops of d
+    xs = np.tile(x, (n_bg, 1))
+    means = np.empty(taken.shape[0])
+    for start in range(0, taken.shape[0], per_call):
+        mask = np.repeat(taken[start : start + per_call], n_bg, axis=0).reshape(-1, n_bg, d)
+        hybrids = np.where(mask, xs, background)
+        scores = np.asarray(score(hybrids.reshape(-1, d)), dtype=np.float64)
+        means[start : start + per_call] = scores.reshape(-1, n_bg).mean(axis=1)
+    return means
 
 
 def _relevant_columns(tree, x: np.ndarray, background: np.ndarray) -> np.ndarray:
@@ -284,20 +286,19 @@ def _index_weights(masks: np.ndarray) -> np.ndarray:
 
 
 def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """v(S) for every bitmask S from one table of hybrid scores per background row.
+    """v(S) for every bitmask S: the mean score of S's hybrids, x at the columns whose bits S sets.
 
-    Row b's table holds the scores of the 2^|F_b| hybrids over a column set
-    F_b: entry t takes x at the r-th column of F_b when bit r of t is set and
-    row b's values elsewhere.  A tree-shaped model (one with
-    ``scaled_tree_sum``) gets its tables from ``_summed_tables`` without
-    scoring a hybrid, over the union of its trees' relevant columns; the
-    hybrid of S with row b then scores as the entry whose index is S's bits
-    at F_b packed together.  Any other model gets F_b = every column and
-    ``_scored_tables``.  ``_table_means`` averages the entries in the order
-    that averaging the scores of every hybrid row would, so v(S) keeps its
-    bits.  Below ``_TABLE_MIN_ROWS`` hybrid rows (2^d times the background
-    size) every hybrid is scored, which costs less there: for ``dt`` and
-    ``xgb`` the two crossed at about 8,192 rows.
+    A tree-shaped model (one with ``scaled_tree_sum``) gets one table per
+    background row b from ``_summed_tables`` without scoring a hybrid: row
+    b's table spans F_b, the union of its trees' relevant columns, and the
+    hybrid of S with row b scores as the entry whose index is S's bits at F_b
+    packed together.  ``_table_means`` averages the entries in the order
+    ``.mean`` would average the hybrids' scores.  Any other model, and every
+    problem below ``_TABLE_MIN_ROWS`` hybrid rows (2^d times the background
+    size), scores the hybrids of all 2^d coalitions (bit j of S is column j)
+    through ``_hybrid_means``, which costs less there: for ``dt`` and ``xgb``
+    the two crossed at about 8,192 rows.  Either way v(S) has the bits of
+    scoring S's hybrids and averaging them with ``.mean``.
     """
     d = x.size
     hook = getattr(model, "scaled_tree_sum", None)
@@ -305,7 +306,8 @@ def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarra
     if hook is not None and 2**d * background.shape[0] >= _TABLE_MIN_ROWS:
         walked = hook(x, background)
     if walked is None:
-        return _table_means(np.ones(background.shape, dtype=bool), _scored_tables(_score_fn(model), x, background))
+        taken = (np.arange(1 << d)[:, None] & 1 << np.arange(d)).astype(bool)
+        return _hybrid_means(_score_fn(model), x, background, taken)
     return _table_means(*_summed_tables(*walked))
 
 
@@ -457,10 +459,10 @@ def shapley_sampled(model, x, background, n_permutations: int = DEFAULT_PERMUTAT
     row wider than ``MAX_EXACT_FEATURES`` is not walked (a row's table
     doubles per relevant column), nor are trees whose tables together pass
     ``_TABLE_CHUNK`` ids per background row.  Those, and every other model,
-    score each ordering's hybrids stacked (``_scored_means``).  Either way
-    each hybrid's mean score has the bits of scoring that hybrid alone, and
-    the contributions are summed in the same order, so phi does not depend
-    on the route.
+    score each ordering's prefix coalitions through ``_hybrid_means``.
+    Either way each hybrid's mean score has the bits of scoring that hybrid
+    alone, and the contributions are summed in the same order, so phi does
+    not depend on the route.
     """
     at_least_one("n_permutations", n_permutations)
     row = _as_row(x)
@@ -475,7 +477,8 @@ def shapley_sampled(model, x, background, n_permutations: int = DEFAULT_PERMUTAT
     walked = hook(row, bg) if hook is not None and d <= MAX_EXACT_FEATURES else None
     means = None if walked is None else _walked_means(*walked, orders)
     if means is None:
-        means = _scored_means(score, row, bg, orders)
+        prefixes = np.tri(d, dtype=bool)  # hybrid k takes x at the ordering's first k + 1 columns
+        means = ((order, _hybrid_means(score, row, bg, prefixes[:, np.argsort(order)])) for order in orders)
     phi = np.zeros(d)
     for order, hybrid_means in means:
         prev = base_value
@@ -485,25 +488,6 @@ def shapley_sampled(model, x, background, n_permutations: int = DEFAULT_PERMUTAT
     phi /= n_permutations
     out = float(np.asarray(score(row.reshape(1, -1)), dtype=np.float64)[0])
     return AttributionRow(phi=phi, base_value=base_value, model_output=out)
-
-
-def _scored_means(score, row: np.ndarray, background: np.ndarray, orders):
-    """Each ordering with its d hybrids' mean scores, from one score call per ordering.
-
-    The call takes the ordering's hybrids stacked (fewer when d times the
-    background size passes ``_TABLE_CHUNK`` rows); each hybrid's block of
-    scores is averaged on its own.
-    """
-    n_bg, d = background.shape
-    per_call = max(1, _TABLE_CHUNK // n_bg)  # hybrids per score call: at most one exact-path buffer of rows
-    for order in orders:
-        taken = np.tri(d, dtype=bool)[:, np.argsort(order)]  # hybrid k takes x at the order's first k + 1 columns
-        means = np.empty(d)
-        for start in range(0, d, per_call):
-            hybrids = np.where(taken[start : start + per_call, None, :], row, background)
-            scores = np.asarray(score(hybrids.reshape(-1, d)), dtype=np.float64)
-            means[start : start + per_call] = scores.reshape(-1, n_bg).mean(axis=1)
-        yield order, means
 
 
 def _walked_means(tree_sum, row: np.ndarray, background: np.ndarray, orders):

@@ -48,6 +48,8 @@ class IndicatorParams:
             raise ValueError(f"bollinger_k must be finite and non-negative, got {self.bollinger_k!r}")
         if not (self.keltner_k >= 0 and np.isfinite(self.keltner_k)):
             raise ValueError(f"keltner_k must be finite and non-negative, got {self.keltner_k!r}")
+        if not isinstance(self.bollinger_paper_literal, bool):  # a truthy "false" would switch it on
+            raise ValueError(f"bollinger_paper_literal must be a bool, got {self.bollinger_paper_literal!r}")
 
 
 # ---------------------------------------------------------------------------

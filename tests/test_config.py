@@ -150,6 +150,14 @@ class TestValidate:
         with pytest.raises(ConfigError, match=f"invalid config key '{key}': .* must be an integer, got {value!r}"):
             RunConfig(**{key: value}).validate()
 
+    @pytest.mark.parametrize("key", ["bollinger_paper_literal", "freeze_window"])
+    @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1, np.True_])
+    def test_non_bool_flags_name_the_key(self, key, value):
+        """Only a bool is a flag: the string "false" or "no" is truthy and would switch the flag on."""
+        message = f"invalid config key '{key}': {key} must be a bool, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(**{key: value}).validate()
+
     def test_numpy_integer_sizes_accepted(self):
         config = RunConfig(shap_background=np.int64(64), shap_rows=np.int32(3), shap_permutations=np.uint16(20))
         assert config.validate().shap_permutations == 20

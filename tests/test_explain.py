@@ -400,7 +400,7 @@ class TestTableMeans:
 
 
 class TestOneTablePath:
-    """Every model's coalition values come from the tables and equal the hybrid loop's."""
+    """Every model's coalition values, from the tree tables or from scored hybrids, equal the hybrid loop's."""
 
     @pytest.mark.parametrize("name", [*SMALL_PRESETS, "score-only"])
     @pytest.mark.parametrize("d", [1, 4, 9])
@@ -417,21 +417,55 @@ class TestOneTablePath:
         for x in X[100:103]:
             assert_same_attribution(model, x, bg, tables=name in TREE_SHAPED)
 
-    @pytest.mark.parametrize("d, n_bg", [(12, 24), (16, 4)])
+    @pytest.mark.parametrize("d, n_bg", [(12, 24), (16, 4), (16, 129)])
     def test_full_buffers_match_the_hybrid_loop(self, assert_same_attribution, d, n_bg):
-        """Tables of 2^12 and 2^16 rows: a buffer of 16 tables plus a part-filled one, and one table per buffer."""
+        """Coalitions per call: 2,730 then 1,366; 4 x 16,384; 129 x 508 then 4 (129 rows do not divide 2^16)."""
         rng = np.random.default_rng(d)
         X = rng.normal(size=(120, d))
         model = fit(preset("logreg"), X, (X[:, 0] > 0).astype(np.int64))
         assert_same_attribution(model, X[0], X[1 : 1 + n_bg], tables=False)
 
-    def test_score_only_model_scores_one_table_per_call(self):
+    def test_one_coalition_past_a_call_of_rows_is_scored_alone(self, assert_same_attribution):
+        """2^16 + 1 background rows: each of the 4 coalitions takes a call of its own, past ``_TABLE_CHUNK`` rows."""
+        rng = np.random.default_rng(2)
+        model, x, bg = LinearScore(rng.normal(size=2)), rng.normal(size=2), rng.normal(size=(2**16 + 1, 2))
+        assert_same_attribution(model, x, bg, tables=False)
+        counting = CountingScore(model)
+        shapley_exact(counting, x, bg)
+        assert counting.call_rows == [2**16 + 1] * 4 + [1]
+
+    def test_score_only_model_scores_coalitions_in_order(self):
+        """2^16 coalitions, 128 background rows: 512 coalitions per call, each with every background row in order."""
         rng = np.random.default_rng(16)
-        counting = CountingScore(LinearScore(rng.normal(size=16)))
-        row = shapley_exact(counting, rng.normal(size=16), rng.normal(size=(128, 16)))
-        assert counting.calls == 128 + 1  # one 2^16-row table per background row, plus the row itself
+        x, bg = rng.normal(size=16), rng.normal(size=(128, 16))
+        first = []
+
+        class Recording(CountingScore):
+            def score(self, X):
+                if not first:
+                    first.append(np.array(X))
+                return super().score(X)
+
+        counting = Recording(LinearScore(rng.normal(size=16)))
+        row = shapley_exact(counting, x, bg)
+        assert counting.calls == 128 + 1  # 2^16 / 512 calls, plus the row itself
         assert counting.rows == 2**16 * 128 + 1
+        taken = ((np.arange(512)[:, None] >> np.arange(16)) & 1).astype(bool)  # bit j of S is column j
+        assert first[0].tobytes() == np.where(taken[:, None, :], x, bg).reshape(-1, 16).tobytes()
         assert row.efficiency_residual < 1e-9
+
+    def test_paper_scale_score_only_row_memory(self):
+        """One 16-column row over 128 background rows peaks under 32 MiB: no 2^16 x 128 table of scores is kept."""
+        rng = np.random.default_rng(16)
+        model, x, bg = LinearScore(rng.normal(size=16)), rng.normal(size=16), rng.normal(size=(128, 16))
+        shapley_exact(model, x, bg)  # numpy's small caches fill on the first call
+        tracemalloc.start()
+        try:
+            shapley_exact(model, x, bg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestTreeTables:
