@@ -7,7 +7,12 @@ Grammar (one setting per line)::
     input = MARKET:path.csv        ... except `input`, which may
     tasks = op,hi,lo,cl            lists are comma-separated
     feature_sets = INT,INT+NOW
-    bollinger_paper_literal = false   booleans are true/false
+    bollinger_paper_literal = false   booleans are true/false, yes/no,
+                                      on/off or 1/0, in any case
+
+A comment takes its own line: ``#`` after a value is part of the value.
+The config hash records a boolean as ``true`` or ``false``, however it
+was spelled.
 
 Unknown keys, unparseable values, out-of-range settings, a list entry
 that repeats another and a market tag that holds a comma or names its files
@@ -24,6 +29,7 @@ value (``IndicatorParams``, ``EvalMode``, ``dataset.train_fraction``,
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 from opentrend.dataset import DEFAULT_SPLIT_RATIO, EvalMode, train_fraction
@@ -39,6 +45,7 @@ from opentrend.features import FeatureSetMask, NAMED_FEATURE_SETS
 from opentrend.indicators import IndicatorParams
 from opentrend.labeling import ALL_TASKS, TaskKind
 from opentrend.learners import PRESET_NAMES, preset
+from opentrend.learners.base import positive_int
 from opentrend.metrics import ACC_THRESHOLD, MCC_THRESHOLD
 
 SHAP_FEATURE_SET_DEFAULT = "INT+HIST+NOW"
@@ -89,9 +96,11 @@ class RunConfig:
         tasks = _canonical_grid("tasks", self.tasks, lambda code: TaskKind.from_code(code).value)
         feature_sets = _canonical_grid("feature_sets", self.feature_sets, _feature_set_name)
         classifiers = _canonical_grid("classifiers", self.classifiers, _preset_name)
-        _check(self.workers >= 1, "workers", self.workers)
-        _check(0.0 <= self.acc_threshold <= 1.0, "acc_threshold", self.acc_threshold)
-        _check(-1.0 <= self.mcc_threshold <= 1.0, "mcc_threshold", self.mcc_threshold)
+        # the provenance line writes the seed and reads it back as an int: a negative one round-trips, 1.5 or True not
+        _check(isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool), "seed", self.seed)
+        _check(positive_int(self.workers), "workers", self.workers)
+        _check(_real(self.acc_threshold) and 0.0 <= self.acc_threshold <= 1.0, "acc_threshold", self.acc_threshold)
+        _check(_real(self.mcc_threshold) and -1.0 <= self.mcc_threshold <= 1.0, "mcc_threshold", self.mcc_threshold)
         if self.shap_model:
             _keyed("shap_model", preset, self.shap_model)
         _keyed("shap_mode", attribution_mode, self.shap_mode)
@@ -157,6 +166,11 @@ def _check(ok: bool, key: str, value) -> None:
         raise ConfigError(f"invalid config key {key!r}: bad value {value!r}")
 
 
+def _real(value) -> bool:
+    """A real number that is not a bool: True compares as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _keyed(key: str, build, *args, **kwargs):
     """build(*args, **kwargs), with a ValueError it raises turned into a ConfigError naming key."""
     try:
@@ -191,7 +205,7 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ValueError(f"expected true/false, got {raw!r}")
+    raise ValueError(f"expected true/false, yes/no, on/off or 1/0, got {raw!r}")
 
 
 def _parse_list(raw: str) -> tuple[str, ...]:

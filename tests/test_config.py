@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ class TestGrammar:
         assert config.refit_every == 5
         assert config.freeze_window is True
         assert config.seed == 11
+
+    def test_readme_example_loads(self):
+        """The ini block under README "## Config files" is a config load_config accepts as written."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+        block = re.search(r"^```ini\n(.*?)^```$", section, re.DOTALL | re.MULTILINE).group(1)
+        config = load_config(block, source="README.md")
+        assert config.shap_model == "dt"
+        assert [market for market, _path in config.inputs] == ["alpha", "beta"]
 
 
 class TestApplyAssignments:
@@ -135,10 +145,21 @@ class TestValidate:
             ("mcc_threshold", "nan"),
             ("mcc_threshold", "5"),
             ("mcc_threshold", "-2"),
+            # typed values only the Python API can pass: a bool compares as 0 or 1, and a seed of 1.5 or True
+            # would be written into a provenance line that reads it back with int()
+            ("seed", True),
+            ("seed", 1.5),
+            ("seed", 3.0),
+            ("workers", True),
+            ("workers", 2.0),
+            ("acc_threshold", True),
+            ("acc_threshold", np.True_),
+            ("mcc_threshold", False),
         ],
     )
     def test_out_of_range_values_name_the_key(self, key, value):
-        config = apply_assignments(RunConfig(), [(key, value)])
+        """Text goes through the config parser first; a typed value straight into the config."""
+        config = apply_assignments(RunConfig(), [(key, value)]) if isinstance(value, str) else RunConfig(**{key: value})
         with pytest.raises(ConfigError, match=f"'{key}'") as refused:
             config.validate()
         assert OWNER_TEXT.get(key, "") in str(refused.value)
@@ -161,6 +182,11 @@ class TestValidate:
     def test_numpy_integer_sizes_accepted(self):
         config = RunConfig(shap_background=np.int64(64), shap_rows=np.int32(3), shap_permutations=np.uint16(20))
         assert config.validate().shap_permutations == 20
+
+    @pytest.mark.parametrize("seed", [-3, np.int64(7)])
+    def test_integer_seeds_round_trip_through_provenance(self, seed):
+        config = RunConfig(seed=seed).validate()
+        assert Provenance.from_comment(Provenance(config.seed, config.config_hash).comment).seed == seed
 
     def test_bad_task_code(self):
         config = apply_assignments(RunConfig(), [("tasks", "op,volatility")])
