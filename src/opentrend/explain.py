@@ -29,12 +29,19 @@ is the float scoring its hybrid row returns.  ``_table_means`` averages the
 tables without building an index or gathering: a row's table is the grid
 of coalitions with length 1 on the axes of the columns outside its set, so
 it broadcasts onto the grid, and the rows are added in the order numpy's
-pairwise sum adds a row of floats.  Every other model, and every problem
-below ``_TABLE_MIN_ROWS`` hybrids (2^d times the background size), scores
-the hybrids coalition after coalition, a bounded number of rows per call,
-and averages each coalition's scores with ``mean`` (``_hybrid_means``).
-Either way the coalition values keep the bits of scoring every hybrid row
-and averaging with ``mean``.
+pairwise sum adds a row of floats.  A row's term has one of two sources,
+picked by size (``_streams``).  Tables that hold no more entries than the
+extra accumulators of one pass over the 2^d grid are stored, and the grid
+is summed in passes of 2^14 coalitions.  Larger tables are never stored:
+each row's table is walked into one reused buffer when the pairwise sum
+first needs it, and the grid is summed in one pass, so memory follows the
+accumulators, not the tables.  Either route gives every v(S) the same adds
+in the same order.  Every other model, and every problem below
+``_TABLE_MIN_ROWS`` hybrids (2^d times the background size), scores the
+hybrids coalition after coalition, a bounded number of rows per call, and
+averages each coalition's scores with ``mean`` (``_hybrid_means``).  Either
+way the coalition values keep the bits of scoring every hybrid row and
+averaging with ``mean``.
 
 Sampled mode needs the d prefix coalitions of each ordering.  A tree sum
 over at most 16 columns gives them without scoring a hybrid: each tree is
@@ -52,7 +59,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -204,79 +213,118 @@ def _table_offsets(masks: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.left_shift(1, masks.sum(axis=1)))))
 
 
-def _walk(tree, x: np.ndarray, background: np.ndarray, masks: np.ndarray, leaves, table: np.ndarray, add: bool = False) -> None:
-    """Write (or with ``add``, add) ``leaves[leaf]`` of each coalition's leaf into each background row's table.
+def _axes(masks: np.ndarray) -> list:
+    """Per background row, the axis of column j in the row's ``(2,) * |F_b|`` table: |F_b| - 1 - (rank of j in F_b)."""
+    return (masks.sum(axis=1, keepdims=True) - np.cumsum(masks, axis=1)).tolist()
 
-    A hybrid takes each column of F_b (the set bits of ``masks[b]``, which
-    must hold ``tree``'s relevant columns for row b) from x or from b, and
-    b's values elsewhere; entry t of row b's table is for the hybrid that
-    takes x at the k-th column of F_b when bit k of t is set.  The rows'
-    tables of 2^|F_b| entries lie row after row in ``table`` (see
-    ``_table_offsets``).  No hybrid is built: the tree is walked once per
-    row.  The walk follows x and b where they go the same way.  Where they
-    part on column j, it follows bit k of j if the path already fixed it,
-    and otherwise branches: x's way with the bit set, b's way with it clear.
-    At a leaf it writes into the entries of the coalitions the path admits:
-    in the row's ``(2,) * |F_b|`` C-order view, whose axis |F_b| - 1 - k is
-    bit k, the bits the path fixed and ``:`` for the others, so a column of
-    F_b the tree never branches on takes the same value both ways.  Every
-    coalition reaches exactly one leaf, the one ``apply`` gives its hybrid.
+
+def _nodes(tree, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list, list, list]]:
+    """What ``_walk`` reads of ``tree`` for x: each node's column (0 at a leaf), then its lists.
+
+    The lists are each node's feature, left and right child, and whether x goes left there.
     """
-    widths = masks.sum(axis=1).tolist()
-    offsets = _table_offsets(masks).tolist()
-    feature, left, right = (arr.tolist() for arr in (tree.feature, tree.left, tree.right))
     cols = np.maximum(tree.feature, 0)  # a leaf's comparisons are never read
-    x_left = (x[cols] <= tree.threshold).tolist()
-    b_lefts = background[:, cols] <= tree.threshold
-    # axis of column j in row b's view: |F_b| - 1 - (rank of j in F_b)
-    axes = masks.sum(axis=1, keepdims=True) - np.cumsum(masks, axis=1)
+    return cols, (tree.feature.tolist(), tree.left.tolist(), tree.right.tolist(), (x[cols] <= tree.threshold).tolist())
+
+
+def _walk(nodes: tuple, b_left: list, axis: list, view: np.ndarray, leaves, add: bool = False) -> None:
+    """Write (or with ``add``, add) ``leaves[leaf]`` of each coalition's leaf into one background row's table ``view``.
+
+    ``nodes`` is ``_nodes(tree, x)[1]``, ``b_left[node]`` says whether the
+    background row b goes left at a node, and ``axis`` is row b's entry of
+    ``_axes(masks)``.  A hybrid takes each column of F_b (the set bits of
+    ``masks[b]``, which must hold the tree's relevant columns for b) from x
+    or from b, and b's values elsewhere; entry t of the table is for the
+    hybrid that takes x at the k-th column of F_b when bit k of t is set,
+    so in the ``(2,) * |F_b|`` C-order ``view`` axis |F_b| - 1 - k is bit
+    k.  No hybrid is built: the tree is walked once for the row.  The walk
+    follows x and b where they go the same way.  Where they part on column
+    j, it follows j's bit if the path already fixed it, and otherwise
+    branches: x's way with the bit set, b's way with it clear.  At a leaf
+    it writes into the entries of the coalitions the path admits: the bits
+    the path fixed and ``:`` for the others, so a column of F_b the tree
+    never branches on takes the same value both ways.  Every coalition
+    reaches exactly one leaf, the one ``apply`` gives its hybrid.
+
+    Sampled mode walks each tree over every row into that tree's table of
+    leaf ids (``_walked_means``).  Exact mode walks every tree over one row
+    into the row's table of scores (``_summed_tables``), either when the
+    tables are stored or, streamed, when the pairwise sum needs the row.
+    """
+    feature, left, right, x_left = nodes
     free = slice(None)
-    for b, (width, begin, end) in enumerate(zip(widths, offsets, offsets[1:])):
-        view = table[begin:end].reshape((2,) * width)
-        b_left = b_lefts[b].tolist()
-        axis = axes[b].tolist()
-        stack = [(0, (free,) * width)]
-        while stack:
-            node, index = stack.pop()
-            while feature[node] >= 0:
-                go_left = x_left[node]
-                if go_left != b_left[node]:
-                    a = axis[feature[node]]
-                    if index[a] is free:
-                        stack.append((left[node] if b_left[node] else right[node], index[:a] + (0,) + index[a + 1 :]))
-                        index = index[:a] + (1,) + index[a + 1 :]
-                    elif not index[a]:
-                        go_left = b_left[node]
-                node = left[node] if go_left else right[node]
-            if add:
-                entries = view[index + (Ellipsis,)]  # a view even where every bit is fixed
-                entries += leaves[node]
-            else:
-                view[index] = leaves[node]
+    stack = [(0, (free,) * view.ndim)]
+    while stack:
+        node, index = stack.pop()
+        while feature[node] >= 0:
+            go_left = x_left[node]
+            if go_left != b_left[node]:
+                a = axis[feature[node]]
+                if index[a] is free:
+                    stack.append((left[node] if b_left[node] else right[node], index[:a] + (0,) + index[a + 1 :]))
+                    index = index[:a] + (1,) + index[a + 1 :]
+                elif not index[a]:
+                    go_left = b_left[node]
+            node = left[node] if go_left else right[node]
+        if add:
+            entries = view[index + (Ellipsis,)]  # a view even where every bit is fixed
+            entries += leaves[node]
+        else:
+            view[index] = leaves[node]
 
 
-def _summed_tables(tree_sum, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _streams(masks: np.ndarray) -> bool:
+    """Whether exact mode streams the rows' tables: they would hold more entries than one pass's extra accumulators.
+
+    One pass over the 2^d coalition grid holds ``_accumulators_needed(n_bg)
+    - 1`` grids besides its output (see ``_pairwise_into``).  Tables that
+    hold more entries than those grids cost more memory than the pass, so
+    they are walked one row at a time into the pass instead of stored.
+    """
+    n_bg, d = masks.shape
+    return int(_table_offsets(masks)[-1]) > (_accumulators_needed(n_bg) - 1) << d
+
+
+def _summed_tables(tree_sum, x: np.ndarray, background: np.ndarray) -> tuple[np.ndarray, np.ndarray | Callable]:
     """A tree sum's masks and tables: row b's table holds link(start + sum of weight * leaf value) of its hybrids.
 
     ``tree_sum`` is ``(start, weight, trees, link)`` (see
     ``TrainedModel.scaled_tree_sum``).  Row b's table spans F_b, the union
-    of the trees' relevant columns for b, and the tables lie row after row
-    in one array.  Every entry starts at ``start``, each tree's walk adds
-    ``weight * leaf value`` in the order ``TreeSum.evaluate`` adds the
-    trees, and link is applied row by row (its temporaries stay one table
-    long), so every entry has ``score``'s bits.
+    of the trees' relevant columns for b.  It is filled row by row: every
+    entry starts at ``start``, each tree's walk adds ``weight * leaf value``
+    in the order ``TreeSum.evaluate`` adds the trees, and link is applied to
+    the row (its temporaries stay one table long), so every entry has
+    ``score``'s bits.  Per tree, only what every row's walk reads is kept
+    (``_nodes``); a row's comparisons are made as the row is walked.
+
+    Stored (``_streams`` says no), the tables lie row after row in one
+    array.  Streamed, the second item is a function that walks row b's
+    table into one reused buffer of the largest table's size and returns
+    it, for ``_table_means`` to call once per row.
     """
     start, weight, trees, link = tree_sum
     masks = np.zeros(background.shape, dtype=bool)
     for tree in trees:
         masks |= _relevant_columns(tree, x, background)
+    walks = [(*_nodes(tree, x), tree.threshold, (weight * tree.value).tolist()) for tree in trees]
+    axes, widths = _axes(masks), masks.sum(axis=1).tolist()
+
+    def fill(b: int, out: np.ndarray) -> np.ndarray:
+        out[...] = float(start)
+        view = out.reshape((2,) * widths[b])
+        for cols, nodes, threshold, leaves in walks:
+            _walk(nodes, (background[b].take(cols) <= threshold).tolist(), axes[b], view, leaves, add=True)
+        if link is not None:
+            out[...] = link(out)
+        return out
+
+    if _streams(masks):
+        row = np.empty(1 << max(widths))
+        return masks, lambda b: fill(b, row[: 1 << widths[b]])
     offsets = _table_offsets(masks).tolist()
-    table = np.full(offsets[-1], float(start))
-    for tree in trees:
-        _walk(tree, x, background, masks, (weight * tree.value).tolist(), table, add=True)
-    if link is not None:
-        for begin, end in zip(offsets, offsets[1:]):
-            table[begin:end] = link(table[begin:end])
+    table = np.empty(offsets[-1])
+    for b, (begin, end) in enumerate(zip(offsets, offsets[1:])):
+        fill(b, table[begin:end])
     return masks, table
 
 
@@ -293,12 +341,16 @@ def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarra
     b's table spans F_b, the union of its trees' relevant columns, and the
     hybrid of S with row b scores as the entry whose index is S's bits at F_b
     packed together.  ``_table_means`` averages the entries in the order
-    ``.mean`` would average the hybrids' scores.  Any other model, and every
-    problem below ``_TABLE_MIN_ROWS`` hybrid rows (2^d times the background
-    size), scores the hybrids of all 2^d coalitions (bit j of S is column j)
-    through ``_hybrid_means``, which costs less there: for ``dt`` and ``xgb``
-    the two crossed at about 8,192 rows.  Either way v(S) has the bits of
-    scoring S's hybrids and averaging them with ``.mean``.
+    ``.mean`` would average the hybrids' scores.  The tables are stored
+    while they hold no more entries than one pass over the coalition grid
+    needs for its extra accumulators; past that size (``_streams``) each
+    row's table is walked into one reused buffer when the pairwise sum
+    first needs it, and the grid is summed in one pass.  Any other model,
+    and every problem below ``_TABLE_MIN_ROWS`` hybrid rows (2^d times the
+    background size), scores the hybrids of all 2^d coalitions (bit j of S
+    is column j) through ``_hybrid_means``, which costs less there: for
+    ``dt`` and ``xgb`` the two crossed at about 8,192 rows.  Either way v(S)
+    has the bits of scoring S's hybrids and averaging them with ``.mean``.
     """
     d = x.size
     hook = getattr(model, "scaled_tree_sum", None)
@@ -311,25 +363,31 @@ def _coalition_values(model, x: np.ndarray, background: np.ndarray) -> np.ndarra
     return _table_means(*_summed_tables(*walked))
 
 
-def _table_means(masks: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _table_means(masks: np.ndarray, table) -> np.ndarray:
     """For every bitmask S, the mean over background rows b of row b's table entry for S, with ``.mean``'s bits.
 
-    Row b's table (the set bits of ``masks[b]`` are F_b, the tables lie row
-    after row as ``_table_offsets`` says) has the entry for S at the index
-    that packs S's bits at F_b.  No index is built.  In C order, axis
-    d - 1 - j of the (2,) * d grid of coalitions is bit j of S, and row b's
-    table already is that grid with length 1 on the axes of the columns off
-    F_b, so it broadcasts onto the grid as it lies.  Only the low 8 bits
-    are expanded, by one ``take`` of the row's packed low bits, so numpy's
-    inner loops stay 256 entries long.  The rows' terms are added onto the
-    grid in the order numpy's pairwise sum adds a contiguous row of n_bg
-    floats (``_pairwise_into``), then onto the identity +0.0, and divided by
-    n_bg: the steps ``.mean(axis=1)`` takes over the (2^d, n_bg) gather of
-    the entries.  The grid is summed in passes of 2^14 coalitions, one per
-    value of its top bits, so the accumulators stay in cache.
+    Row b's table (the set bits of ``masks[b]`` are F_b) has the entry for
+    S at the index that packs S's bits at F_b.  ``table`` holds the tables
+    row after row as ``_table_offsets`` says (stored), or is a function
+    that returns row b's table when called with b (streamed).  No index is
+    built.  In C order, axis d - 1 - j of the (2,) * d grid of coalitions
+    is bit j of S, and row b's table already is that grid with length 1 on
+    the axes of the columns off F_b, so it broadcasts onto the grid as it
+    lies.  Only the low 8 bits are expanded, by one ``take`` of the row's
+    packed low bits, so numpy's inner loops stay 256 entries long.  The
+    rows' terms are added onto the grid in the order numpy's pairwise sum
+    adds a contiguous row of n_bg floats (``_pairwise_into``), then onto
+    the identity +0.0, and divided by n_bg: the steps ``.mean(axis=1)``
+    takes over the (2^d, n_bg) gather of the entries.  Stored tables are
+    summed in passes of 2^14 coalitions, one per value of the grid's top
+    bits, so the accumulators stay in cache.  Streamed tables are summed
+    in one pass, and each row's function is called when ``_fill`` first
+    needs the row's term, so each row is walked once; only the source of
+    a term differs, and every v(S) takes the same adds in the same order.
     """
     n_bg, d = masks.shape
-    low, grid = min(d, 8), min(d, 14)  # bits expanded by take; bits summed per pass
+    streamed = callable(table)
+    low, grid = min(d, 8), d if streamed else min(d, 14)  # bits expanded by take; bits summed per pass
     bits = (np.arange(1 << low) >> np.arange(low)[:, None]) & 1
     low_index = _index_weights(masks[:, :low]) @ bits  # (n_bg, 2^low): each row's packed low bits
     taken = np.empty(1 << grid)  # one row's term, reused
@@ -339,16 +397,21 @@ def _table_means(masks: np.ndarray, table: np.ndarray) -> np.ndarray:
     for b, on in enumerate(masks.tolist()):
         # one axis per column from d - 1 down to low, of length 2 on F_b, then the packed low bits
         lengths = [2 if on[j] else 1 for j in range(d - 1, low - 1, -1)]
-        grid_b = table[offsets[b] : offsets[b + 1]].reshape(*lengths, 1 << sum(on[:low]))
+        shape_b = (*lengths, 1 << sum(on[:low]))
+        if streamed:
+            source = partial(_streamed_table, table, b, shape_b)
+        else:
+            source = table[offsets[b] : offsets[b + 1]].reshape(shape_b)
         term = taken[: math.prod(lengths[d - grid :]) << low].reshape(*lengths[d - grid :], 1 << low)
-        rows.append((on, grid_b, low_index[b], term))
+        rows.append((on, source, low_index[b], term))
     shape = (2,) * (grid - low) + (1 << low,)
     spare = np.empty((_accumulators_needed(n_bg) - 1, *shape))
     values = np.empty(1 << d)
     for top in range(1 << (d - grid)):
-        # the pass's bit of column j where row b's axis has length 2, else 0
+        # the pass's bit of column j where row b's axis has length 2, else 0; one pass takes every source whole
         terms = [
-            (grid_b[tuple(top >> (j - grid) & on[j] for j in high)], index, term) for on, grid_b, index, term in rows
+            (source[tuple(top >> (j - grid) & on[j] for j in high)] if high else source, index, term)
+            for on, source, index, term in rows
         ]
         out = values[top << grid : (top + 1) << grid].reshape(shape)
         _pairwise_into(out, terms, spare)
@@ -357,9 +420,16 @@ def _table_means(masks: np.ndarray, table: np.ndarray) -> np.ndarray:
     return values
 
 
+def _streamed_table(table, b: int, shape: tuple) -> np.ndarray:
+    """Row b's streamed table, walked now, in the shape ``_table_means`` gives a stored one."""
+    return table(b).reshape(shape)
+
+
 def _fill(term) -> np.ndarray:
     """One background row's term: its table entries for the pass's coalitions, shaped to broadcast onto the grid."""
     source, index, out = term
+    if callable(source):  # a streamed row: its table is walked here, when the sum first needs its term
+        source = source()
     # every index is in range; "clip" only spares take a buffered copy of out
     return np.take(source, index, axis=-1, out=out, mode="clip")
 
@@ -520,7 +590,12 @@ def _walked_means(tree_sum, row: np.ndarray, background: np.ndarray, orders):
     tables = []
     for tree, tree_masks, ends in zip(trees, masks, offsets):
         ids = np.empty(ends[-1], dtype=np.min_scalar_type(tree.feature.size - 1))
-        _walk(tree, row, background, tree_masks, range(tree.feature.size), ids)
+        cols, nodes = _nodes(tree, row)
+        b_lefts = background[:, cols] <= tree.threshold
+        bounds, widths = ends.tolist(), tree_masks.sum(axis=1).tolist()
+        for b, axis in enumerate(_axes(tree_masks)):
+            view = ids[bounds[b] : bounds[b + 1]].reshape((2,) * widths[b])
+            _walk(nodes, b_lefts[b].tolist(), axis, view, range(tree.feature.size))
         # a bit of at most 16 columns fits in 2 bytes: a quarter of the int64 weights
         tables.append((tree.value, ids, _index_weights(tree_masks).astype(np.uint16), ends[:-1]))
 

@@ -8,6 +8,7 @@ leaked warm-up value poisons downstream math loudly instead of silently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,11 @@ class IndicatorParams:
     def __post_init__(self) -> None:
         if isinstance(self.window_n, bool) or not isinstance(self.window_n, int) or self.window_n < 1:
             raise ValueError(f"window_n must be an integer >= 1, got {self.window_n!r}")
-        if not (self.bollinger_k >= 0 and np.isfinite(self.bollinger_k)):
-            raise ValueError(f"bollinger_k must be finite and non-negative, got {self.bollinger_k!r}")
-        if not (self.keltner_k >= 0 and np.isfinite(self.keltner_k)):
-            raise ValueError(f"keltner_k must be finite and non-negative, got {self.keltner_k!r}")
+        for key in ("bollinger_k", "keltner_k"):
+            k = getattr(self, key)
+            # a bool passes k >= 0, and True would compute what 1.0 computes under another config text
+            if isinstance(k, bool) or not isinstance(k, numbers.Real) or not (k >= 0 and np.isfinite(k)):
+                raise ValueError(f"{key} must be a finite non-negative real number, got {k!r}")
         if not isinstance(self.bollinger_paper_literal, bool):  # a truthy "false" would switch it on
             raise ValueError(f"bollinger_paper_literal must be a bool, got {self.bollinger_paper_literal!r}")
 

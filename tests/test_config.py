@@ -155,6 +155,10 @@ class TestValidate:
             ("acc_threshold", True),
             ("acc_threshold", np.True_),
             ("mcc_threshold", False),
+            # True passes k >= 0 and would compute what 1.0 computes under the config text "bollinger_k = true"
+            ("bollinger_k", True),
+            ("keltner_k", True),
+            ("keltner_k", np.False_),
         ],
     )
     def test_out_of_range_values_name_the_key(self, key, value):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -212,12 +213,15 @@ class CountingTree(CountingScore):
 
 
 def tree_tables(model, x, background):
-    """A tree-shaped model's exact Shapley masks and tables."""
-    return explain._summed_tables(*model.scaled_tree_sum(x, background))
+    """A tree-shaped model's exact Shapley masks and its rows' tables row after row, stored or streamed."""
+    masks, table = explain._summed_tables(*model.scaled_tree_sum(x, background))
+    if callable(table):  # streamed: each row's table is walked into one reused buffer
+        table = np.concatenate([table(b).copy() for b in range(masks.shape[0])])
+    return masks, table
 
 
 def counted_walks(monkeypatch):
-    """A list that gains an entry per tree walk (one call of ``explain._walk`` covers every background row) from now on."""
+    """A list that gains the arguments of each call of ``explain._walk`` (one tree over one background row) from now on."""
     walks = []
     walk = explain._walk
 
@@ -227,6 +231,11 @@ def counted_walks(monkeypatch):
 
     monkeypatch.setattr(explain, "_walk", counted)
     return walks
+
+
+def walks_per_tree(walks):
+    """How many times each walked tree was walked, ascending; a walk's first argument is its tree's node lists."""
+    return sorted(Counter(id(args[0]) for args in walks).values())
 
 
 def hybrid_values(model, x, background):
@@ -261,7 +270,8 @@ def assert_same_attribution(monkeypatch):
 
     The check runs at the real ``_TABLE_MIN_ROWS`` and with it patched to 0,
     so that a tree-shaped model fills its tables however small the problem.
-    ``tables`` also checks that the model has coalition tables.
+    ``tables`` also checks that the model has coalition tables and that,
+    where they are filled, each tree is walked once per background row.
     """
     min_rows = explain._TABLE_MIN_ROWS
 
@@ -276,12 +286,15 @@ def assert_same_attribution(monkeypatch):
         return shapley_exact(model, x, bg), values[0]
 
     def check(model, x, bg, tables=True):
-        if tables:
-            assert model.scaled_tree_sum(x, bg) is not None
+        trees = len(model.scaled_tree_sum(x, bg)[0][2]) if tables else 0
         want, want_values = attribute(hybrid_values, model, x, bg)
         for threshold in (min_rows, 0):
             monkeypatch.setattr(explain, "_TABLE_MIN_ROWS", threshold)
-            got, got_values = attribute(coalition_values, model, x, bg)
+            with pytest.MonkeyPatch.context() as patch:
+                walks = counted_walks(patch)
+                got, got_values = attribute(coalition_values, model, x, bg)
+            walked = tables and 2**x.size * bg.shape[0] >= threshold  # else every hybrid is scored
+            assert walks_per_tree(walks) == ([bg.shape[0]] * trees if walked else []), threshold
             assert got_values.tobytes() == want_values.tobytes(), threshold
             assert got.phi.tobytes() == want.phi.tobytes(), threshold
             assert (got.base_value, got.model_output) == (want.base_value, want.model_output), threshold
@@ -397,6 +410,101 @@ class TestTableMeans:
             tracemalloc.stop()
         assert peak - table_bytes < 1.83 * 2**20
         assert left < 16 * 2**10  # numpy's small caches at most
+
+
+def masks_with_entries(n_bg, d, entries):
+    """(n_bg x d) masks whose rows' tables hold ``entries`` entries in all; each row's set columns come first."""
+    widths, extra = [], entries - n_bg  # every row's table holds at least one entry
+    for _ in range(n_bg):
+        width = max(w for w in range(d + 1) if (1 << w) - 1 <= extra)
+        widths.append(width)
+        extra -= (1 << width) - 1
+    assert extra == 0
+    return np.arange(d) < np.array(widths)[:, None]
+
+
+class TestStreamedTables:
+    """Exact mode's two sources of a row's term: stored tables, or the row walked into one buffer when the sum needs it."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        """400 training rows of 16 columns, their labels and a held-out row."""
+        rng = np.random.default_rng(37)
+        X = rng.normal(size=(460, 16))
+        y = (X[:, 0] - 0.7 * X[:, 15] + rng.normal(scale=0.8, size=460) > 0).astype(np.int64)
+        return X[:400], y[:400], X[450]
+
+    @staticmethod
+    def route_values(monkeypatch, model, x, bg, stream):
+        """v(S) from the tables however small the problem, with the route forced, and the walks it made."""
+        monkeypatch.setattr(explain, "_TABLE_MIN_ROWS", 0)
+        monkeypatch.setattr(explain, "_streams", lambda masks: stream)
+        with pytest.MonkeyPatch.context() as patch:
+            walks = counted_walks(patch)
+            values = coalition_values(model, x, bg)
+        return values, walks
+
+    @pytest.mark.parametrize("n_bg", [1, 8, 128, 129, 300])
+    @pytest.mark.parametrize("d", [9, 16])
+    @pytest.mark.parametrize("kind", TREE_KINDS)
+    def test_routes_give_the_same_values(self, monkeypatch, data, kind, d, n_bg):
+        """Both routes equal the gathered mean of the stored tables, bit for bit, and walk each tree once per row.
+
+        At 16 columns stored tables are summed in 4 passes and streamed ones
+        in one; above 128 rows the pairwise sum splits and needs one more
+        accumulator.
+        """
+        X, y, x = data
+        X, x = X[:, :d], x[:d]
+        model = small_tree_model(kind, X, y, seed=d)
+        bg = background_sample(X, max_rows=n_bg, seed=n_bg)
+        want = gathered_means(*tree_tables(model, x, bg))
+        trees = len(model.scaled_tree_sum(x, bg)[0][2])
+        for stream in (False, True):
+            got, walks = self.route_values(monkeypatch, model, x, bg, stream)
+            assert got.tobytes() == want.tobytes(), stream
+            assert walks_per_tree(walks) == [n_bg] * trees, stream
+
+    @pytest.mark.parametrize("n_bg, d", [(8, 4), (128, 16), (129, 12), (300, 16)])
+    def test_the_size_rule_boundary(self, monkeypatch, n_bg, d):
+        """Tables of one entry more than one pass's extra accumulators stream; at or under that size they are stored."""
+        limit = (explain._accumulators_needed(n_bg) - 1) << d
+        model = fit(preset("dt"), np.ones((40, d)), np.arange(40) % 2)  # one leaf: any column may be marked relevant
+        x, bg = np.zeros(d), np.random.default_rng(d).normal(size=(n_bg, d))
+        for entries, streams in ((limit - 1, False), (limit, False), (limit + 1, True)):
+            masks = masks_with_entries(n_bg, d, entries)
+            monkeypatch.setattr(explain, "_relevant_columns", lambda tree, x, background: masks)
+            assert explain._streams(masks) is streams
+            got, table = explain._summed_tables(*model.scaled_tree_sum(x, bg))
+            assert got.tobytes() == masks.tobytes() and callable(table) is streams, entries
+            assert not np.any(explain._table_means(got, table) - model.score(x.reshape(1, -1))[0]), entries
+
+    def test_dense_row_memory(self):
+        """A 16-column dt row far from its 128 background rows: 8.2 MiB of tables, summed under 4 MiB, nothing kept after.
+
+        Like the densest benchmark market's row, whose stored tables peaked
+        at 10 MiB.
+        """
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(1236, 16))
+        y = (X[:, 0] - 0.7 * X[:, 15] + rng.normal(scale=2.0, size=1236) > 0).astype(np.int64)
+        model, x, bg = fit(preset("dt", seed=1), X[:989], y[:989]), np.full(16, 4.0), background_sample(X[:989], seed=1)
+        masks, table = tree_tables(model, x, bg)
+        assert table.nbytes > 8 * 2**20 and explain._streams(masks)
+        want = gathered_means(masks, table)
+        del table
+        coalition_values(model, x, bg)  # numpy's small caches fill on the first call
+        tracemalloc.start()
+        try:
+            got = coalition_values(model, x, bg)
+            del got
+            gc.collect()  # and with it Python's free lists of small objects
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert left < 16 * 2**10  # numpy's small caches at most
+        assert coalition_values(model, x, bg).tobytes() == want.tobytes()
 
 
 class TestOneTablePath:
@@ -720,7 +828,7 @@ class TestEdgeTreeSums:
             for want in (stepwise_sampled(model, x, bg, 7, i), shapley_sampled(ScoreOnly(model), x, bg, n_permutations=7, seed=i)):
                 assert got.phi.tobytes() == want.phi.tobytes()
                 assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
-            assert len(walks) == n_trees  # one walk for one tree, none for no tree
+            assert walks_per_tree(walks) == [bg.shape[0]] * n_trees  # one tree walked once per row, or no tree
             assert counting.calls == 2  # the background and the row
 
 
@@ -850,7 +958,7 @@ class TestSampledTreeWalk:
         assert got.phi.tobytes() == want.phi.tobytes()
         assert (got.base_value, got.model_output) == (want.base_value, want.model_output)
         assert counting.hooks == 1 and counting.call_rows == [bg.shape[0], 1]
-        assert len(walks) == len(model.scaled_tree_sum(x, bg)[0][2])
+        assert walks_per_tree(walks) == [bg.shape[0]] * len(model.scaled_tree_sum(x, bg)[0][2])  # each tree once per row
 
     @staticmethod
     def tree_sum_model(kind, X, y):
@@ -910,7 +1018,7 @@ class TestSampledTreeWalk:
         bg = background_sample(train, max_rows=32, seed=4)
         walks = counted_walks(monkeypatch)
         self.check(model, test[0], bg, n_permutations=n_permutations, seed=5)
-        assert len(walks) == 1
+        assert walks_per_tree(walks) == [32]
 
     @pytest.mark.parametrize("n_permutations", [1, 10, 2000])
     @pytest.mark.parametrize("kind", [*TREE_KINDS, *EDGE_SUMS])
@@ -953,8 +1061,7 @@ class TestSampledTreeWalk:
         bg = background_sample(X[:1000], max_rows=32, seed=1)
         walks = counted_walks(monkeypatch)
         self.check(model, X[1000], bg)
-        ((*_, ids),) = walks  # the table the walk wrote the ids into
-        assert ids.dtype == np.uint16
+        assert {view.dtype for _, _, _, view, _ in walks} == {np.dtype(np.uint16)}  # the tables the walks wrote ids into
 
     @pytest.fixture(scope="class")
     def paper_data(self):
@@ -976,7 +1083,7 @@ class TestSampledTreeWalk:
         counting = CountingTree(model)
         walks = counted_walks(monkeypatch)
         row = shapley_sampled(counting, x, bg)
-        assert counting.call_rows == [128, 1] and len(walks) == 1
+        assert counting.call_rows == [128, 1] and walks_per_tree(walks) == [128]
         assert row.efficiency_residual < 1e-9
 
     @pytest.fixture(scope="class")
@@ -991,7 +1098,7 @@ class TestSampledTreeWalk:
         counting = CountingTree(model)
         walks = counted_walks(monkeypatch)
         row = shapley_sampled(counting, x, bg)
-        assert counting.call_rows == [128, 1] and len(walks) == 100
+        assert counting.call_rows == [128, 1] and walks_per_tree(walks) == [128] * 100
         assert row.efficiency_residual < 1e-9
 
     def test_sizing_stops_at_the_tree_past_the_budget(self, paper_xgb_row, monkeypatch):

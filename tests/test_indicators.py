@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -309,3 +310,16 @@ class TestParams:
     def test_negative_k(self):
         with pytest.raises(ValueError, match="keltner_k"):
             IndicatorParams(keltner_k=-1.0)
+
+    @pytest.mark.parametrize("key", ["bollinger_k", "keltner_k"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "2.0", None, 1 + 0j])
+    def test_non_real_k_refused(self, key, value):
+        """True passes k >= 0 and would compute what 1.0 computes; a string, None or a complex is no multiplier."""
+        with pytest.raises(ValueError, match=f"^{key} must be a finite non-negative real number, got {re.escape(repr(value))}$"):
+            IndicatorParams(**{key: value})
+
+    @pytest.mark.parametrize("key", ["bollinger_k", "keltner_k"])
+    def test_real_k_accepted(self, key):
+        """Any real multiplier: an int, a numpy float or a numpy int."""
+        for value in (0, 3, np.float64(1.5), np.int64(2)):
+            assert getattr(IndicatorParams(**{key: value}), key) == value
